@@ -51,9 +51,6 @@ class CosetTable:
             coset = rows[coset][self._col(sym, sign)]
         return coset
 
-    def holds(self, w: Word) -> bool:
-        return holds_in(self, w)
-
     def validate(self, p: Presentation | None = None) -> None:
         """Closed table, mutually inverse columns, and relators tracing trivially."""
         n = self.order

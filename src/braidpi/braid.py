@@ -84,10 +84,6 @@ def compose(b1: Braid, b2: Braid) -> Braid:
     return Braid(b1.strands, b1.letters + b2.letters)
 
 
-def braid_invert(b: Braid) -> Braid:
-    return b.inverse()
-
-
 def _generator_images(fiber: tuple[GenSym, ...], i: int, sign: int) -> dict[GenSym, Word]:
     dk, dk1 = fiber[i - 1], fiber[i]
     if sign > 0:

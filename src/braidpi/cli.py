@@ -14,6 +14,9 @@ Grammar (shared by words, braids and presentations)::
 Examples: ``d2' d1' d2 d1 d2``, ``(d1 d2)^6 (d2 d1)^-6``,
 ``< a b | a^4, b^4, a b a' b' >``; braid words use ``s1 s2' s4^12``.
 
+Parentheses nested deeper than ``MAX_NESTING``, and words or presentations
+that expand past ``MAX_LETTERS`` letters, are parse errors.
+
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.
 """
@@ -89,10 +92,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Parse bounds: nesting far below the recursion limit, and words (and whole
+# presentations) far longer than any real input (Pi' totals 12038 letters).
+MAX_NESTING = 200
+MAX_LETTERS = 1_000_000
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -112,25 +122,36 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def bound(self, letters: int, tok: _Token) -> None:
+        if letters > MAX_LETTERS:
+            raise ParseError(f"input expands to more than {MAX_LETTERS} letters",
+                             tok.line, tok.column)
+
     def product(self, stop: tuple[str, ...]) -> Word:
-        w = Word.identity()
+        letters: list[tuple[GenSym, int]] = []
         saw = False
         while True:
             tok = self.peek()
             if tok.kind == "end" or (tok.kind == "punct" and tok.text in stop):
                 break
-            w = w * self.factor(stop)
+            letters.extend(self.factor(stop))
+            self.bound(len(letters), tok)
             saw = True
         if not saw:
             self.fail("expected a word")
-        return w
+        return Word.of(letters)
 
     def factor(self, stop: tuple[str, ...]) -> Word:
         tok = self.next()
         if tok.kind == "sym":
             base = Word.gen(GenSym.parse(tok.text))
         elif tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
+            self.depth += 1
             base = self.product((")",))
+            self.depth -= 1
             self.expect(")")
         else:
             raise ParseError(f"expected a symbol, found {tok.text!r}", tok.line, tok.column)
@@ -144,7 +165,9 @@ class _Parser:
                 exp = self.next()
                 if exp.kind != "int":
                     raise ParseError("expected an integer exponent", exp.line, exp.column)
-                base = base ** int(exp.text)
+                n = int(exp.text)
+                self.bound(len(base) * abs(n), exp)
+                base = base ** n
             else:
                 return base
 
@@ -164,11 +187,14 @@ class _Parser:
         self.expect("|")
         alph = Alphabet(syms)
         relators: list[Word] = []
+        total = 0
         if self.peek().text != ">":
             while True:
                 w = self.relation((",", ">"))
                 alph.check_word(w)
                 relators.append(w)
+                total += len(w)
+                self.bound(total, self.peek())
                 if self.peek().text == ",":
                     self.next()
                 else:
@@ -197,10 +223,6 @@ def parse_braid(text: str, n: int) -> Braid:
 
 def parse_presentation(text: str) -> Presentation:
     return _Parser(text).presentation()
-
-
-def format_presentation(p: Presentation) -> str:
-    return str(p)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +259,7 @@ def _cmd_present(args) -> int:
     data = {"schema": "braidpi/1", "stage": "present",
             "generators": [str(g) for g in p.alphabet],
             "relatorCount": len(p.relators)}
-    _emit(data, args.json, format_presentation(p))
+    _emit(data, args.json, str(p))
     return 0
 
 
@@ -259,7 +281,7 @@ def _cmd_schreier(args) -> int:
     sub, gens = subgroup_presentation(p, q, t)
     if args.simplify:
         sub, _ = tietze_simplify(sub)
-    lines = [format_presentation(sub), ""]
+    lines = [str(sub), ""]
     for sym, w in gens.backmap.items():
         lines.append(f"{sym} = {w}")
     data = {"schema": "braidpi/1", "stage": "schreier",
@@ -313,10 +335,12 @@ def _cmd_pipeline(args) -> int:
     ks = list(range(1, args.max_k + 1)) if args.all else [args.k]
     if not all(k >= 1 for k in ks):
         raise ValueError("k must be >= 1")
+    # one Pipeline shares the k-independent stages across every k
+    run = pipeline.Pipeline().run if args.all else pipeline.run
     code = 0
     reports = []
     for k in ks:
-        report = pipeline.run(k, max_cosets=args.max)
+        report = run(k, max_cosets=args.max)
         reports.append(report)
         if not (report.abelian and report.all_regressions_hold):
             code = 1
@@ -331,13 +355,9 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_regression(args) -> int:
     report = pipeline.run(args.k, max_cosets=args.max)
+    full = report.to_dict()
     data = {"schema": "braidpi/1", "stage": "regression", "k": args.k,
-            "regressions": dict(sorted(report.regressions.items())),
-            "suspects": [{"id": s.ident, "printedHolds": s.printed_holds,
-                          "exponent6Holds": s.corrected_holds,
-                          "printedRefutedInAbelianization":
-                              s.printed_refuted_in_abelianization}
-                         for s in report.suspects]}
+            "regressions": full["regressions"], "suspects": full["suspects"]}
     lines = []
     for ident, ok in sorted(report.regressions.items()):
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {ident}")

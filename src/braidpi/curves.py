@@ -388,14 +388,6 @@ class ProjPoint:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-def evaluate(f: HomogPoly, p: ProjPoint) -> QuadScalar:
-    return f.evaluate(p.coords)
-
-
-def partial(f: HomogPoly, var: int) -> HomogPoly:
-    return f.partial(var)
-
-
 def gradient(f: HomogPoly, p: ProjPoint) -> tuple[QuadScalar, QuadScalar, QuadScalar]:
     return tuple(f.partial(v).evaluate(p.coords) for v in range(3))
 
@@ -524,9 +516,9 @@ def is_tangent_at(curve: HomogPoly, l: HomogPoly, p: ProjPoint) -> bool:
     """
     if l.degree != 1:
         raise ValueError("second argument must be a line")
-    if not evaluate(l, p).is_zero():
+    if not l.evaluate(p.coords).is_zero():
         raise ValueError(f"point {p} not on the line")
-    if not evaluate(curve, p).is_zero():
+    if not curve.evaluate(p.coords).is_zero():
         raise ValueError(f"point {p} not on the curve")
     p1, p2 = _points_spanning(l)
     param = _line_parameter(p, p1, p2)
@@ -650,7 +642,7 @@ def verify_persson_configuration() -> ConfigReport:
 
     # (4) node location, distinct from every tangency point
     grad = gradient(c, node)
-    on = evaluate(c, node).is_zero() and all(g.is_zero() for g in grad)
+    on = c.evaluate(node.coords).is_zero() and all(g.is_zero() for g in grad)
     tangencies = [t1, t2, ProjPoint.of(-3, -3, 4), ProjPoint.of(3, -3, 4), p]
     distinct = all(node != t for t in tangencies)
     record(4, "cubic is singular exactly at (0:9:-16), away from all tangency points",
@@ -697,7 +689,7 @@ def verify_persson_configuration() -> ConfigReport:
     cand33 = ProjPoint.of(QuadScalar.root(10, -33 * 8), -25 * 33, 880)
     cand27 = ProjPoint.of(QuadScalar.root(10, -27 * 8), -25 * 27, 880)
     same33 = cand33 == pp
-    off27 = not evaluate(c, cand27).is_zero()
+    off27 = not c.evaluate(cand27.coords).is_zero()
     record(7, "tangency points on the sqrt(10)-lines are (-+24sqrt(10):-75:80)",
            ok and same33 and off27,
            "candidate with factor 33 is the tangency point itself; "
@@ -715,11 +707,11 @@ def verify_persson_configuration() -> ConfigReport:
     # (9) flexes: (1:0:0) and the two points with x/y = +-sqrt(2/3) * 16/13
     h = hessian(c)
     f0 = ProjPoint.of(1, 0, 0)
-    flex0 = (evaluate(c, f0).is_zero() and evaluate(h, f0).is_zero()
+    flex0 = (c.evaluate(f0.coords).is_zero() and h.evaluate(f0.coords).is_zero()
              and any(not g.is_zero() for g in gradient(c, f0)))
     fplus = ProjPoint.of(QuadScalar.root(6, 16), 39, -48)
     fminus = ProjPoint.of(QuadScalar.root(6, -16), 39, -48)
-    flex_pm = all(evaluate(c, f).is_zero() and evaluate(h, f).is_zero()
+    flex_pm = all(c.evaluate(f.coords).is_zero() and h.evaluate(f.coords).is_zero()
                   and any(not g.is_zero() for g in gradient(c, f))
                   for f in (fplus, fminus))
     ratio_ok = all((f.coords[0] * QuadScalar.of(13)

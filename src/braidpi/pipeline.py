@@ -1,36 +1,37 @@
-"""The five-step computation of the orbifold fundamental groups.
+"""The cover computation behind the orbifold fundamental groups.
 
-Data and stages
----------------
 The plane-curve monodromy enters as five braids on 5 strands (b0, b1,
-b-1, b+, b-).  Stage one presents the group named Pi' here: generators
+b-1, b+, b-).  ``pi_prime`` presents the group named Pi' here: generators
 d1..d5 (fiber) and G, with stabilizer relations d_i = (d_i) beta for
 beta in {b0, b-, b+, b1 b0 b1^-1, b1 b- b1^-1, b1 b+ b1^-1} and
 conjugation relations G d_i G^-1 = (d_i) b1^2.
 
-Stage two adjoins d_i^2 and (d1...d5)^2; stage three takes the kernel of
-d_i -> 1, G -> 0 (mod 2) with transversal {1, d1}, writing its Schreier
-generators D = d1^2, A_i = d1 d_i, B_i = d_i d1^-1, G, s = d1 G d1^-1.
-Stage four, for the cover parameter k (m = k+1), adjoins G^m and s^m and
-takes the kernel of A_i -> 0, G, s -> 1 (mod m) with transversal {G^i},
-producing generators A2_i = G^i A2 G^-i, ..., s_i, and Gh = G^m.  The
-resulting group is finite; its order, abelian invariants (Z/4 + Z/4 for
-odd k, Z/2 + Z/4 for even k) and commutativity are certified by coset
-enumeration and Smith normal form.
-
-Every stage is Tietze-simplified before the next cover; the raw
-mechanical relators (up to thousands of letters) and the simplified ones
-present the same group, and the regression corpus never compares relator
-strings, only consequences.
+Both cyclic covers are one routine, ``cover``: a map onto Z/n, the
+Reidemeister-Schreier presentation of its kernel, and Tietze
+simplification.  A ``Pipeline`` holds the stages; its constructor builds
+the k-independent ones once.  They are Pi' (raw and simplified), the Z/2
+parent (Pi' with d_i^2 and (d1...d5)^2 adjoined) and its Z/2 cover: the
+kernel of d_i -> 1, G -> 0 (mod 2) with transversal {1, d1}, on the
+Schreier generators D = d1^2, A_i = d1 d_i, B_i = d_i d1^-1, G,
+s = d1 G d1^-1.  ``Pipeline.orbifold(k)``, for m = k+1, adjoins G^m and
+s^m and takes the kernel of A_i -> 0, G, s -> 1 (mod m) with transversal
+{G^i}, producing generators A2_i = G^i A2 G^-i, ..., s_i, and Gh = G^m.
+The resulting group is finite; ``Pipeline.run(k)`` certifies its order,
+abelian invariants (Z/4 + Z/4 for odd k, Z/2 + Z/4 for even k) and
+commutativity by coset enumeration and Smith normal form.  Nothing is
+cached at module level: one Pipeline serves every k, and the module-level
+``run`` builds a fresh one.  The raw mechanical relators (up to thousands
+of letters) and the simplified ones present the same group, and the
+regression corpus never compares relator strings, only consequences.
 
 Regression corpus
 -----------------
 All relations displayed along the reduction are checked as consequences
-in one finite quotient per k: the group T(k) obtained by adjoining
-d_i^2, (d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi' (T(k) has order
-2m * |final group|).  Words at later stages are pushed down to the
-d/G alphabet by composing the Schreier backmaps, then traced from every
-coset of T(k)'s table.  The one suspect entry, the printed
+in one finite quotient per k, ``Pipeline.quotient(k)``: the group T(k)
+obtained by adjoining d_i^2, (d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi'
+(T(k) has order 2m * |final group|).  Words at later stages are pushed
+down to the d/G alphabet by composing the Schreier backmaps, then traced
+from every coset of T(k)'s table.  The one suspect entry, the printed
 (B4 A5)^6 = (B5 A4)^3, is quarantined: both it and its exponent-6
 correction are reported, never asserted.
 """
@@ -38,12 +39,13 @@ correction are reported, never asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple
 
 from .analysis import (AbelianInvariants, CosetTable, abelian_invariants, holds_in,
                        is_abelian, todd_coxeter, trivial_in_abelianization)
 from .braid import Braid
-from .presentation import Presentation, add_relators, tietze_simplify
+from .presentation import (Presentation, add_relators, conjugation_relators,
+                           stabilizer_relators, tietze_simplify)
 from .schreier import CyclicMap, SchreierGenSet, Transversal, subgroup_presentation
 from .word_core import Alphabet, GenSym, Word
 
@@ -78,165 +80,45 @@ def paper_braids() -> dict[str, Braid]:
     return {"b0": b0, "b1": b1, "b-1": bm1, "b+": bp, "b-": bm}
 
 
-def _w(*letters: tuple[GenSym, int] | GenSym) -> Word:
-    out = []
-    for l in letters:
-        out.append((l, 1) if isinstance(l, GenSym) else l)
-    return Word.of(out)
-
-
-def pi_prime_relators() -> list[Word]:
-    """The 35 raw relators: 30 stabilizer + 5 conjugation, before normalization."""
+def pi_prime() -> Presentation:
+    """Pi': six braids stabilize the fiber, and G conjugates it as b1^2 acts."""
     beta = paper_braids()
-    fiber = fiber_alphabet()
     b1 = beta["b1"]
     stabilizing = [beta["b0"], beta["b-"], beta["b+"],
                    b1 * beta["b0"] * b1.inverse(),
                    b1 * beta["b-"] * b1.inverse(),
                    b1 * beta["b+"] * b1.inverse()]
-    rels: list[Word] = []
-    for b in stabilizing:
-        for i in range(1, 6):
-            rels.append(Word.gen(D[i], -1) * b.act(Word.gen(D[i]), fiber))
-    sq = b1 * b1
-    for i in range(1, 6):
-        conj = _w(GAMMA, D[i], (GAMMA, -1))
-        rels.append(conj * sq.act(Word.gen(D[i]), fiber).inverse())
-    return rels
+    fiber = fiber_alphabet()
+    return Presentation(full_alphabet(),
+                        stabilizer_relators(fiber, stabilizing)
+                        + conjugation_relators(fiber, GAMMA, b1 * b1))
 
 
-def pi_prime() -> Presentation:
-    return Presentation(full_alphabet(), pi_prime_relators())
-
-
-def _squares_and_twist() -> list[Word]:
-    twist = Word.of([(D[i], 1) for i in range(1, 6)])
-    return [Word.gen(D[i]) ** 2 for i in range(1, 6)] + [twist ** 2]
-
-
-def z2_parent() -> Presentation:
-    """Pi' with d_i^2 and (d1...d5)^2 adjoined."""
-    return add_relators(pi_prime(), _squares_and_twist())
-
-
-@lru_cache(maxsize=None)
-def _pi_prime_simplified() -> Presentation:
-    p, _ = tietze_simplify(pi_prime(), protect=full_alphabet())
-    return p
-
-
-@lru_cache(maxsize=None)
-def _z2_parent_simplified() -> Presentation:
-    p, _ = tietze_simplify(add_relators(_pi_prime_simplified(), _squares_and_twist()),
-                           protect=full_alphabet())
-    return p
-
-
-def _z2_names() -> dict[tuple[int, GenSym], GenSym]:
-    names = {(1, D[1]): DELTA, (0, GAMMA): GAMMA, (1, GAMMA): SIGMA}
-    for i in range(2, 6):
-        names[(0, D[i])] = B[i]
-        names[(1, D[i])] = A[i]
-    return names
-
-
-def _z2_map(p: Presentation) -> CyclicMap:
-    return CyclicMap.onto(p, 2, {**{D[i]: 1 for i in range(1, 6)}, GAMMA: 0})
-
-
-def _z2_transversal() -> Transversal:
-    return Transversal.of([Word.identity(), Word.gen(D[1])])
-
-
-@lru_cache(maxsize=None)
-def _z2_cover_raw() -> tuple[Presentation, SchreierGenSet]:
-    parent = _z2_parent_simplified()
-    return subgroup_presentation(parent, _z2_map(parent), _z2_transversal(), _z2_names())
-
-
-_Z2_PROTECT = (A[2], A[4], GAMMA, SIGMA)
-
-
-@lru_cache(maxsize=None)
-def _z2_cover_simplified() -> Presentation:
-    p, _ = tietze_simplify(_z2_cover_raw()[0], protect=_Z2_PROTECT)
-    return p
-
-
-def z2_cover_presentation(simplify: bool = True) -> tuple[Presentation, SchreierGenSet]:
-    """Presentation of the double-cover group on D, A_i, B_i, G, s.
-
-    With ``simplify`` the relator list is Tietze-reduced, keeping the
-    generators A2, A4, G, s that the next stage is named through; the
-    generator set object always describes the full Schreier family.
-    """
-    raw, gens = _z2_cover_raw()
-    return (_z2_cover_simplified() if simplify else raw), gens
-
-
-def _gamma_exponent(w: Word) -> int:
-    return w.exponent_sums().get(GAMMA, 0)
-
-
-def _orbifold_map(p: Presentation, gens: SchreierGenSet, m: int) -> CyclicMap:
-    images = {s: _gamma_exponent(gens.backmap[s]) % m for s in p.alphabet}
-    return CyclicMap.onto(p, m, images)
-
-
-def _orbifold_names(p: Presentation, m: int) -> dict[tuple[int, GenSym], GenSym]:
-    return {(m - 1, GAMMA): GHAT}
-
-
-@lru_cache(maxsize=None)
-def _orbifold_cover(k: int) -> tuple[Presentation, SchreierGenSet, Presentation]:
-    """(raw cover presentation, its Schreier generators, orbifold parent)."""
+def _modulus(k: int) -> int:
     if k < 1:
         raise ValueError("cover parameter k must be >= 1")
-    m = k + 1
-    z, zgens = z2_cover_presentation()
-    parent = add_relators(z, [Word.gen(GAMMA) ** m, Word.gen(SIGMA) ** m])
-    q = _orbifold_map(parent, zgens, m)
-    t = Transversal.of([Word.gen(GAMMA) ** i for i in range(m)])
-    pres, gens = subgroup_presentation(parent, q, t, _orbifold_names(parent, m))
-    return pres, gens, parent
+    return k + 1
 
 
-@lru_cache(maxsize=None)
-def _orbifold_simplified(k: int) -> Presentation:
-    p, _ = tietze_simplify(_orbifold_cover(k)[0])
-    return p
+class Cover(NamedTuple):
+    """One cyclic cover stage: the presentation it covers, the raw kernel
+    presentation, its Schreier generators, and the simplified kernel."""
+
+    parent: Presentation
+    raw: Presentation
+    gens: SchreierGenSet
+    simplified: Presentation
 
 
-def orbifold_presentation(k: int, simplify: bool = True) -> Presentation:
-    """Presentation of the orbifold fundamental group for cover parameter k."""
-    return _orbifold_simplified(k) if simplify else _orbifold_cover(k)[0]
-
-
-# ---------------------------------------------------------------------------
-# the finite regression quotient
-
-class FiniteQuotient:
-    """T(k): the d/G-alphabet group in which every printed relation is traced."""
-
-    def __init__(self, k: int):
-        m = k + 1
-        sigma_word = _w(D[1], GAMMA, (D[1], -1))
-        rels = list(_z2_parent_simplified().relators)
-        rels += [Word.gen(GAMMA) ** m, sigma_word ** m]
-        pres, _ = tietze_simplify(Presentation(full_alphabet(), rels),
-                                  protect=full_alphabet())
-        self.k = k
-        self.m = m
-        self.presentation = pres
-        self.table: CosetTable = todd_coxeter(pres)
-
-    def holds(self, w: Word) -> bool:
-        return holds_in(self.table, w)
-
-
-@lru_cache(maxsize=None)
-def finite_quotient(k: int) -> FiniteQuotient:
-    return FiniteQuotient(k)
+def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
+          reps: Iterable[Word], names: Mapping[tuple[int, GenSym], GenSym],
+          protect: Iterable[GenSym] = ()) -> Cover:
+    """The kernel of ``parent`` -> Z/modulus (``images``) on the Schreier generators
+    of the transversal ``reps`` and ``names``, simplified keeping ``protect``."""
+    q = CyclicMap.onto(parent, modulus, images)
+    raw, gens = subgroup_presentation(parent, q, Transversal.of(reps), names)
+    simplified, _ = tietze_simplify(raw, protect=protect)
+    return Cover(parent, raw, gens, simplified)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +225,10 @@ def _pi_prime_entries() -> list[CorpusEntry]:
 
 def _s(sym: GenSym, e: int = 1) -> Word:
     return Word.gen(sym, 1 if e > 0 else -1) ** abs(e)
+
+
+# the corpus entry that corrects the suspect's exponent
+_CORRECTED = "z2: (B4 A5)^6 = (B5 A4)^6 (exponent-6 correction)"
 
 
 def _z2_entries() -> list[CorpusEntry]:
@@ -488,18 +374,6 @@ def regression_corpus(k: int) -> list[CorpusEntry]:
     return _pi_prime_entries() + _z2_entries() + _orbifold_entries(k + 1)
 
 
-def _to_base_word(entry: CorpusEntry, k: int) -> Word:
-    """Push a corpus relation down to the d/G alphabet via Schreier backmaps."""
-    w = entry.relation
-    if entry.stage == "orbifold":
-        _, gens, _ = _orbifold_cover(k)
-        w = gens.backmap_word(w)
-    if entry.stage in ("orbifold", "z2"):
-        _, zgens = _z2_cover_raw()
-        w = zgens.backmap_word(w)
-    return w
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -570,73 +444,86 @@ class PipelineError(AssertionError):
     """An internal consistency claim of the computation failed."""
 
 
+class Pipeline:
+    """The stages of the computation.  The constructor builds the ones that
+    do not depend on k; ``orbifold``, ``quotient`` and ``run`` build the
+    k-dependent ones on every call."""
+
+    def __init__(self):
+        full = full_alphabet()
+        self.pi_prime = pi_prime()
+        self.pi_prime_simplified, _ = tietze_simplify(self.pi_prime, protect=full)
+        twist = Word.of([(D[i], 1) for i in range(1, 6)])
+        squares = [Word.gen(D[i]) ** 2 for i in range(1, 6)] + [twist ** 2]
+        self.z2_parent, _ = tietze_simplify(add_relators(self.pi_prime_simplified, squares),
+                                            protect=full)
+        names = {(1, D[1]): DELTA, (0, GAMMA): GAMMA, (1, GAMMA): SIGMA}
+        names.update({(0, D[i]): B[i] for i in range(2, 6)})
+        names.update({(1, D[i]): A[i] for i in range(2, 6)})
+        # the orbifold stage is named through A2, A4, G and s
+        self.z2 = cover(self.z2_parent, 2, {**{D[i]: 1 for i in range(1, 6)}, GAMMA: 0},
+                        [Word.identity(), Word.gen(D[1])], names, (A[2], A[4], GAMMA, SIGMA))
+
+    def orbifold(self, k: int) -> Cover:
+        """The Z/m cover, m = k+1, of the simplified Z/2 cover with G^m, s^m adjoined."""
+        m = _modulus(k)
+        g = Word.gen(GAMMA)
+        parent = add_relators(self.z2.simplified, [g ** m, Word.gen(SIGMA) ** m])
+        images = {s: self.z2.gens.backmap[s].exponent_sums().get(GAMMA, 0)
+                  for s in parent.alphabet}
+        return cover(parent, m, images, [g ** i for i in range(m)], {(m - 1, GAMMA): GHAT})
+
+    def quotient(self, k: int) -> CosetTable:
+        """Coset table of T(k): the Z/2 parent with G^m and s^m = (d1 G d1^-1)^m."""
+        m = _modulus(k)
+        rels = [Word.gen(GAMMA) ** m, self.z2.gens.backmap[SIGMA] ** m]
+        p, _ = tietze_simplify(add_relators(self.z2_parent, rels), protect=full_alphabet())
+        return todd_coxeter(p)
+
+    def base_word(self, entry: CorpusEntry, orbifold: Cover) -> Word:
+        """Push a corpus relation down to the d/G alphabet via Schreier backmaps."""
+        w = entry.relation
+        if entry.stage == "orbifold":
+            w = orbifold.gens.backmap_word(w)
+        if entry.stage in ("orbifold", "z2"):
+            w = self.z2.gens.backmap_word(w)
+        return w
+
+    def run(self, k: int, max_cosets: int = 10**6) -> PipelineReport:
+        """Build the stages for cover parameter k and certify the result."""
+        orb = self.orbifold(k)
+        stages = tuple(StageInfo.of(name, p) for name, p in (
+            ("pi_prime", self.pi_prime),
+            ("pi_prime_simplified", self.pi_prime_simplified),
+            ("z2_parent", self.z2_parent),
+            ("z2_cover", self.z2.raw),
+            ("z2_cover_simplified", self.z2.simplified),
+            ("orbifold_parent", orb.parent),
+            ("orbifold_cover", orb.raw),
+            ("orbifold_simplified", orb.simplified),
+        ))
+        final = orb.simplified
+        table = todd_coxeter(final, max_cosets)
+        invs = abelian_invariants(final)
+        abelian = is_abelian(table)
+        if abelian and invs.free_rank == 0 and table.order != invs.order():
+            raise PipelineError(
+                f"order {table.order} != product of invariants {invs.order()}")
+        quotient = self.quotient(k)
+        corpus = regression_corpus(k)
+        holds = {e.ident: holds_in(quotient, self.base_word(e, orb)) for e in corpus}
+        regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}
+        # the raw and simplified Z/2 covers present one group, and the raw
+        # one has every generator the printed suspect is written in
+        suspects = tuple(
+            SuspectVerdict(e.ident, holds[e.ident], holds[_CORRECTED],
+                           not trivial_in_abelianization(self.z2.raw, e.relation))
+            for e in corpus if e.suspect)
+        return PipelineReport(k, k + 1, stages, table.order, invs, abelian,
+                              regressions, suspects)
+
+
 def run(k: int, max_cosets: int = 10**6) -> PipelineReport:
-    """Execute all stages for cover parameter k and certify the result."""
-    if k < 1:
-        raise ValueError("cover parameter k must be >= 1")
-    m = k + 1
-    zraw, zgens = _z2_cover_raw()
-    cover, gens, parent = _orbifold_cover(k)
-    final = _orbifold_simplified(k)
-    stages = (
-        StageInfo.of("pi_prime", pi_prime()),
-        StageInfo.of("pi_prime_simplified", _pi_prime_simplified()),
-        StageInfo.of("z2_parent", _z2_parent_simplified()),
-        StageInfo.of("z2_cover", zraw),
-        StageInfo.of("z2_cover_simplified", _z2_cover_simplified()),
-        StageInfo.of("orbifold_parent", parent),
-        StageInfo.of("orbifold_cover", cover),
-        StageInfo.of("orbifold_simplified", final),
-    )
-    table = todd_coxeter(final, max_cosets)
-    invs = abelian_invariants(final)
-    abelian = is_abelian(table)
-    if abelian and invs.free_rank == 0 and table.order != invs.order():
-        raise PipelineError(
-            f"order {table.order} != product of invariants {invs.order()}")
-    quotient = finite_quotient(k)
-    regressions: dict[str, bool] = {}
-    suspects: list[SuspectVerdict] = []
-    for entry in regression_corpus(k):
-        holds = quotient.holds(_to_base_word(entry, k))
-        if entry.suspect:
-            corrected = quotient.holds(_to_base_word(
-                CorpusEntry(entry.ident, entry.stage,
-                            _eq((_s(B[4]) * _s(A[5])) ** 6, (_s(B[5]) * _s(A[4])) ** 6)),
-                k))
-            refuted = not trivial_in_abelianization(
-                _z2_cover_simplified(),
-                _z2_cover_simplified().alphabet.check_word(
-                    _suspect_in_simplified_alphabet()))
-            suspects.append(SuspectVerdict(entry.ident, holds, corrected, refuted))
-        else:
-            regressions[entry.ident] = holds
-    return PipelineReport(k, m, stages, table.order, invs, abelian,
-                          regressions, tuple(suspects))
-
-
-def _suspect_in_simplified_alphabet() -> Word:
-    """(B4 A5)^6 (B5 A4)^-3 written over the simplified double-cover generators
-    (B_i = A_i^-1, A5 = A2^-1, A3 = A2^-1 A4^2 eliminate the rest)."""
-    a2, a4 = _s(A[2]), _s(A[4])
-    b4a5 = a4.inverse() * a2.inverse()
-    b5a4 = a2 * a4
-    return _eq(b4a5 ** 6, b5a4 ** 3)
-
-
-def step5_crosscheck(m: int) -> tuple[AbelianInvariants, AbelianInvariants]:
-    """Impose G^m, s^m before vs after the Schreier rewriting; the two final
-    presentations must have identical abelian invariants."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    before = abelian_invariants(orbifold_presentation(m - 1))
-    z, zgens = z2_cover_presentation()
-    q = _orbifold_map(z, zgens, m)
-    t = Transversal.of([Word.gen(GAMMA) ** i for i in range(m)])
-    pres, gens = subgroup_presentation(z, q, t, _orbifold_names(z, m))
-    orb = [gens.rewrite(Word.gen(GAMMA) ** m, r) for r in range(m)]
-    orb += [gens.rewrite(Word.gen(SIGMA) ** m, r) for r in range(m)]
-    with_orbifold = add_relators(pres, orb)
-    simplified, _ = tietze_simplify(with_orbifold)
-    after = abelian_invariants(simplified)
-    return before, after
+    """Execute all stages for cover parameter k in a fresh Pipeline."""
+    _modulus(k)
+    return Pipeline().run(k, max_cosets)

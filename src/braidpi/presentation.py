@@ -155,20 +155,11 @@ class Presentation:
                 f"{len(self.relators)} relators, total length {self.total_length()})")
 
 
-def monodromy_relators(fiber: Alphabet, pairs: Sequence[tuple[GenSym, Braid]]) -> Presentation:
-    """Semidirect-type presentation: gamma^-1 d gamma = (d) beta for each pair.
-
-    The alphabet is the fiber followed by the base generators; relators are
-    gamma_j^-1 d_i gamma_j ((d_i) beta_j)^-1 over all i, j.
-    """
-    alph = fiber.extend(g for g, _ in pairs)
-    rels: list[Word] = []
-    for gamma, beta in pairs:
-        for d in fiber:
-            image = act(beta, Word.gen(d), fiber)
-            conj = Word.of([(gamma, -1), (d, 1), (gamma, 1)])
-            rels.append(conj * image.inverse())
-    return Presentation(alph, rels)
+def conjugation_relators(fiber: Alphabet, gamma: GenSym, beta: Braid) -> list[Word]:
+    """Relators gamma d gamma^-1 ((d) beta)^-1: conjugation by gamma acts as beta."""
+    g = Word.gen(gamma)
+    return [g * Word.gen(d) * g.inverse() * act(beta, Word.gen(d), fiber).inverse()
+            for d in fiber]
 
 
 def stabilizer_relators(fiber: Alphabet, braids: Sequence[Braid]) -> list[Word]:

@@ -101,11 +101,14 @@ class Word:
         return Word(tuple((s, -e) for s, e in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
+        # base = u c u^-1 with c cyclically reduced, so base^n = u c^n u^-1
         base = self if n >= 0 else self.inverse()
-        out: list[Letter] = []
-        for _ in range(abs(n)):
-            _reduce_into(out, base.letters)
-        return Word(tuple(out))
+        core = base.cyclically_reduced()
+        if n == 0 or not core:
+            return Word()
+        k = (len(base) - len(core)) // 2
+        ls = base.letters
+        return Word(ls[:k] + core.letters * abs(n) + ls[len(ls) - k:])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -150,24 +153,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
-
-
-def reduce(letters: Iterable[Letter]) -> Word:
-    """Free-group normal form of a raw letter sequence."""
-    return Word.of(letters)
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def substitute(w: Word, images: Mapping[GenSym, Word]) -> Word:
-    """Apply the homomorphism sending each symbol to its image word."""
-    return w.substitute(images)
 
 
 class Alphabet:

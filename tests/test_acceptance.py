@@ -6,20 +6,17 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import random
 import time
 
-from braidpi import pipeline
-from braidpi.analysis import (abelian_invariants, det, is_abelian, mat_mul,
-                              smith_normal_form, todd_coxeter)
+from braidpi.analysis import det, holds_in, mat_mul, smith_normal_form, todd_coxeter
 from braidpi.braid import Braid, act
 from braidpi.cli import main
 from braidpi.curves import verify_persson_configuration
-from braidpi.pipeline import (A, B, D, GAMMA, fiber_alphabet, finite_quotient,
-                              orbifold_presentation, paper_braids, regression_corpus,
-                              run, step5_crosscheck)
+from braidpi.pipeline import A, D, fiber_alphabet, paper_braids
 from braidpi.presentation import Presentation, tietze_simplify
 from braidpi.schreier import CyclicMap, subgroup_presentation
 from braidpi.word_core import GenSym, Word, alphabet
 
-from .test_analysis import ORACLE_CORPUS, pres, word
+from .test_analysis import ORACLE_CORPUS, pres
+from .test_schreier import paper_relators_after_cover
 from .bruteforce import group_order_by_enumeration
 
 FIBER = fiber_alphabet()
@@ -30,11 +27,12 @@ def _report(n, ok, detail):
     assert ok, detail
 
 
-def test_criterion_1_theorem_reproduction():
+def test_criterion_1_theorem_reproduction(shared_pipeline):
+    pipe = shared_pipeline
     times = []
     for k in range(1, 7):
         t0 = time.perf_counter()
-        report = run(k)
+        report = pipe.run(k)
         times.append(time.perf_counter() - t0)
         expected_inv = (4, 4) if k % 2 else (2, 4)
         expected_order = 16 if k % 2 else 8
@@ -48,17 +46,18 @@ def test_criterion_1_theorem_reproduction():
             f"(per-k seconds: {', '.join(f'{t:.2f}' for t in times)})")
 
 
-def test_criterion_2_regression_corpus():
+def test_criterion_2_regression_corpus(pipe):
     failures = []
     verdicts = []
+    counts = {}
     for k in (1, 2):
-        report = run(k)
+        report = pipe.run(k)
         failures += [ident for ident, ok in report.regressions.items() if not ok]
         verdicts += [s for s in report.suspects]
+        counts[k] = len(report.regressions)
     ok = not failures and all(
         (not s.printed_holds) and s.corrected_holds and s.printed_refuted_in_abelianization
         for s in verdicts)
-    counts = {k: len(run(k).regressions) for k in (1, 2)}
     _report(2, ok,
             f"all displayed relations hold in the k=1 ({counts[1]}) and k=2 "
             f"({counts[2]}) finite quotients; suspect (B4 A5)^6 = (B5 A4)^3: "
@@ -66,7 +65,7 @@ def test_criterion_2_regression_corpus():
             f"(failures: {failures or 'none'})")
 
 
-def test_criterion_3_braid_action_soundness():
+def test_criterion_3_braid_action_soundness(pipe):
     rng = random.Random(333)
     b = paper_braids()
 
@@ -103,14 +102,14 @@ def test_criterion_3_braid_action_soundness():
     image = act(b1inv, Word.gen(D[4]) * Word.gen(D[5]), FIBER)
     assert image == parse_word("d2' d1 d2 d5", FIBER)
     consequence = image * (Word.gen(D[1]) * Word.gen(D[2])).inverse()
-    assert finite_quotient(1).holds(consequence)
-    assert finite_quotient(2).holds(consequence)
+    assert holds_in(pipe.quotient(1), consequence)
+    assert holds_in(pipe.quotient(2), consequence)
     _report(3, True,
             f"braid relations and product preservation on {checked} random words; "
             "all six printed b1^-1 images verified (the sixth as a consequence)")
 
 
-def test_criterion_4_reidemeister_schreier_soundness():
+def test_criterion_4_reidemeister_schreier_soundness(pipe):
     for n in (2, 3, 5):
         for g in (2, 3):
             names = ["a", "b", "c"][:g]
@@ -123,10 +122,9 @@ def test_criterion_4_reidemeister_schreier_soundness():
             assert len(simplified.alphabet) == n * (g - 1) + 1, (n, g)
     relation = Word.of([(A[2], 1), (A[3], -1), (A[4], 1), (A[5], -1),
                         (A[2], -1), (A[3], 1), (A[4], -1), (A[5], 1)])
-    _, zgens = pipeline.z2_cover_presentation()
-    base = zgens.backmap_word(relation)
-    assert finite_quotient(1).holds(base)
-    assert finite_quotient(2).holds(base)
+    base = pipe.z2.gens.backmap_word(relation)
+    assert holds_in(pipe.quotient(1), base)
+    assert holds_in(pipe.quotient(2), base)
     _report(4, True,
             "Nielsen-Schreier ranks n(g-1)+1 for n in {2,3,5}, g in {2,3}; "
             "A2 A3' A4 A5' A2' A3 A4' A5 = 1 is a consequence of the double-cover input")
@@ -169,13 +167,13 @@ def test_criterion_6_exact_configuration():
             f"(failed: {failed or 'none'})")
 
 
-def test_criterion_7_step5_order_of_operations():
-    results = {}
+def test_criterion_7_step5_order_of_operations(pipe):
+    sizes = {}
     for m in (2, 3, 4):
-        before, after = step5_crosscheck(m)
-        results[m] = (before, after)
-        assert before == after, (m, before, after)
+        before = pipe.orbifold(m - 1).raw
+        assert before == paper_relators_after_cover(pipe, m), m
+        sizes[m] = (len(before.relators), before.total_length())
     _report(7, True,
             "imposing the orbifold relations before vs after the covering "
-            f"rewrite agrees for m=2,3,4: "
-            f"{', '.join(f'm={m}: {b}' for m, (b, a) in results.items())}")
+            "rewrite gives the same presentation for m=2,3,4: "
+            f"{', '.join(f'm={m}: {r} relators of length {n}' for m, (r, n) in sizes.items())}")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidpi.braid import Braid, StrandMismatchError, act, braid_invert, compose
+from braidpi.braid import Braid, StrandMismatchError, act, compose
 from braidpi.pipeline import fiber_alphabet, paper_braids
 from braidpi.word_core import GenSym, Word
 
@@ -61,7 +61,7 @@ def test_printed_beta1_inverse_images():
 
 def test_compose_and_invert():
     assert act(compose(sigma(1), sigma(1, -1)), d(1) * d(2), FIBER) == d(1) * d(2)
-    assert braid_invert(sigma(1) * sigma(2)) == Braid(5, ((2, -1), (1, -1)))
+    assert (sigma(1) * sigma(2)).inverse() == Braid(5, ((2, -1), (1, -1)))
     b = paper_braids()
     chain = (Braid(5, tuple((4, -1) for _ in range(6))) * sigma(2, -1)
              * b["b1"] * sigma(2) * Braid(5, tuple((4, 1) for _ in range(6))))

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from braidpi.cli import (ParseError, format_presentation, main, parse_braid,
+from braidpi import cli
+from braidpi.cli import (MAX_NESTING, ParseError, main, parse_braid,
                          parse_presentation, parse_word)
+from braidpi.pipeline import pi_prime
 from braidpi.word_core import GenSym, Word, alphabet
 
 
@@ -51,7 +53,7 @@ def test_parse_braid():
 def test_parse_presentation_roundtrip():
     p = parse_presentation("< a b | a^4, b^4, a b a' b' >")
     assert len(p.alphabet) == 2 and len(p.relators) == 3
-    assert parse_presentation(format_presentation(p)) == p
+    assert parse_presentation(str(p)) == p
     empty = parse_presentation("< a | >")
     assert empty.relators == ()
 
@@ -101,7 +103,7 @@ def test_cli_schreier(tmp_path, capsys):
     assert len(data["generators"]) >= 1
 
 
-def test_cli_pipeline_json(capsys):
+def test_cli_pipeline_json(shared_pipeline, capsys):
     assert main(["pipeline", "--k", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["order"] == 16
@@ -110,7 +112,7 @@ def test_cli_pipeline_json(capsys):
     assert all(data["regressions"].values())
 
 
-def test_cli_regression(capsys):
+def test_cli_regression(shared_pipeline, capsys):
     assert main(["regression", "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "[VERDICT]" in out and "[FAIL]" not in out
@@ -138,3 +140,39 @@ def test_cli_deterministic_output(tmp_path, capsys):
     main(["tc", str(f), "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _present(tmp_path, text):
+    f = tmp_path / "p.txt"
+    f.write_text(text)
+    return main(["present", str(f)])
+
+
+def test_cli_nesting_bound(tmp_path, capsys):
+    # deep nesting is a parse error (exit 2), not a RecursionError
+    assert _present(tmp_path, "< a | " + "(" * 5000 + "a" + ")" * 5000 + " >") == 2
+    assert "nested deeper" in capsys.readouterr().err
+    assert _present(tmp_path, "< a | " + "(" * 50 + "a" + ")" * 50 + "^3 >") == 0
+    assert capsys.readouterr().out.strip() == "< a | a^3 >"
+    depth = MAX_NESTING
+    assert parse_word("(" * depth + "a" + ")" * depth) == Word.gen(GenSym("a"))
+
+
+def test_cli_power_bound(tmp_path, capsys, monkeypatch):
+    # a huge power fails fast with exit 2 instead of building 10^8 letters
+    assert _present(tmp_path, "< a | a^-100000000 >") == 2
+    assert "letters" in capsys.readouterr().err
+    # a power of the identity is the identity, however large the exponent
+    assert _present(tmp_path, "< a | (a a')^100000000 >") == 0
+    assert parse_presentation(capsys.readouterr().out).relators == ()
+    # the longest presentation the pipeline builds parses back unchanged
+    assert parse_presentation(str(pi_prime())) == pi_prime()
+    # powers, products and whole presentations are held to the cap
+    monkeypatch.setattr(cli, "MAX_LETTERS", 100)
+    assert len(parse_word("(a^10)^10")) == 100
+    for text in ("a^101", "(a^10)^10 a", "(a^5 b^5)^-11"):
+        with pytest.raises(ParseError):
+            parse_word(text)
+    assert len(parse_presentation("< a b | a^50, b^50 >").relators) == 2
+    with pytest.raises(ParseError):
+        parse_presentation("< a b | a^50, b^51 >")

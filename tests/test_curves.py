@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidpi.curves import (HomogPoly, ProjPoint, QuadScalar, RadicalMismatchError,
-                            conic, cubic_discriminant, divide_univariate, evaluate,
+                            conic, cubic_discriminant, divide_univariate,
                             family_cubic, gradient, hessian, is_tangent_at, line,
                             nodal_cubic, poly3, sylvester_resultant, unipoly,
                             verify_persson_configuration)
@@ -48,10 +48,10 @@ def test_scalar_radical_rules():
 def test_poly_evaluate_and_partial():
     x2 = poly3({(2, 0, 0): 1})
     assert x2.partial(0) == poly3({(1, 0, 0): 2})
-    assert evaluate(conic(), ProjPoint.of(0, 1, 0)).is_zero()
+    assert conic().evaluate(ProjPoint.of(0, 1, 0).coords).is_zero()
     c = nodal_cubic()
     node = ProjPoint.of(0, 9, -16)
-    assert evaluate(c, node).is_zero()
+    assert c.evaluate(node.coords).is_zero()
     assert all(g.is_zero() for g in gradient(c, node))
 
 
@@ -101,7 +101,7 @@ def test_family_cubic():
     assert family_cubic(4) == nodal_cubic()
     c1 = family_cubic(1)
     p = ProjPoint.of(0, 0, 1)
-    assert evaluate(c1, p).is_zero()
+    assert c1.evaluate(p.coords).is_zero()
     assert all(g.is_zero() for g in gradient(c1, p))
     for lam in (2, 3, 5):
         c = family_cubic(lam)
@@ -128,7 +128,7 @@ def test_not_tangent_at_transverse_point():
     q = conic()
     l = line(1, 0, -1)
     pt = ProjPoint.of(1, -1, 1)
-    assert evaluate(q, pt).is_zero() and evaluate(l, pt).is_zero()
+    assert q.evaluate(pt.coords).is_zero() and l.evaluate(pt.coords).is_zero()
     assert not is_tangent_at(q, l, pt)
 
 
@@ -177,10 +177,10 @@ def test_hessian():
     c = nodal_cubic()
     hc = hessian(c)
     flex = ProjPoint.of(1, 0, 0)
-    assert evaluate(c, flex).is_zero() and evaluate(hc, flex).is_zero()
+    assert c.evaluate(flex.coords).is_zero() and hc.evaluate(flex.coords).is_zero()
     irrational_flex = ProjPoint.of(root(6, 16), 39, -48)
-    assert evaluate(c, irrational_flex).is_zero()
-    assert evaluate(hc, irrational_flex).is_zero()
+    assert c.evaluate(irrational_flex.coords).is_zero()
+    assert hc.evaluate(irrational_flex.coords).is_zero()
 
 
 def test_divide_univariate():

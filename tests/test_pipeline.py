@@ -1,12 +1,8 @@
 import pytest
 
-from braidpi import pipeline
-from braidpi.analysis import (abelian_invariants, holds_in, is_abelian, todd_coxeter)
-from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, FiniteQuotient,
-                              finite_quotient, full_alphabet, orbifold_presentation,
-                              paper_braids, pi_prime, pi_prime_relators,
-                              regression_corpus, run, step5_crosscheck, z2_parent,
-                              z2_cover_presentation)
+from braidpi.analysis import abelian_invariants, holds_in, is_abelian, todd_coxeter
+from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, paper_braids, pi_prime,
+                              regression_corpus, run)
 from braidpi.word_core import GenSym, Word
 
 
@@ -17,15 +13,14 @@ def test_paper_braids_shape():
 
 
 def test_pi_prime_raw_relator_count():
-    raw = pi_prime_relators()
-    assert len(raw) == 35  # 30 stabilizer + 5 conjugation, before normalization
     p = pi_prime()
     assert tuple(str(g) for g in p.alphabet) == ("d1", "d2", "d3", "d4", "d5", "G")
-    assert len(p.relators) <= 35
+    # 30 stabilizer + 5 conjugation relators, 31 after normalization
+    assert len(p.relators) == 31
 
 
 def test_pi_prime_relators_have_zero_exponent_sums():
-    for r in pi_prime_relators():
+    for r in pi_prime().relators:
         sums = r.exponent_sums()
         assert sum(sums.values()) == 0            # commutator-like in total
         assert sums.get(GAMMA, 0) == 0            # and balanced in G alone
@@ -42,15 +37,15 @@ def test_pi_prime_contains_gamma_d5_commutation():
     assert candidates & rotations
 
 
-def test_z2_parent_extends_pi_prime():
-    p = z2_parent()
+def test_z2_parent_extends_pi_prime(pipe):
+    p = pipe.z2_parent
     squares = [(Word.gen(D[i]) ** 2).letters for i in range(1, 6)]
     present = {r.letters for r in p.relators}
     assert all(s in present for s in squares)
 
 
-def test_z2_cover_generators_and_backmap():
-    cover, gens = z2_cover_presentation()
+def test_z2_cover_generators_and_backmap(pipe):
+    cover, gens = pipe.z2.simplified, pipe.z2.gens
     names = {str(s) for s in gens.alphabet}
     assert {"D", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "G", "s"} == names
     assert gens.backmap[DELTA] == Word.gen(D[1]) ** 2
@@ -63,8 +58,8 @@ def test_z2_cover_generators_and_backmap():
         assert sym in cover.alphabet
 
 
-def test_step4_rewrite_of_twist_relator():
-    _, gens = z2_cover_presentation()
+def test_step4_rewrite_of_twist_relator(pipe):
+    gens = pipe.z2.gens
     lhs = (Word.gen(D[4]) * Word.gen(D[5])) ** 6
     rhs = (Word.gen(D[5]) * Word.gen(D[4])) ** 6
     rewritten = gens.rewrite(lhs * rhs.inverse())
@@ -75,18 +70,18 @@ def test_step4_rewrite_of_twist_relator():
     assert rewritten == b4a5 ** 6 * (b5a4 ** 6).inverse()
 
 
-def test_step4_relation_from_twist_square():
+def test_step4_relation_from_twist_square(pipe):
     # rewriting (d1...d5)^2 gives A2 B3 A4 B5 D B2 A3 B4 A5; the printed
     # form A2 B3 A4 B5 B2 A3 B4 A5 = 1 drops the D thanks to D = 1
-    _, gens = z2_cover_presentation()
+    gens = pipe.z2.gens
     twist = Word.of([(D[i], 1) for i in range(1, 6)]) ** 2
     expected = Word.of([(A[2], 1), (B[3], 1), (A[4], 1), (B[5], 1), (DELTA, 1),
                         (B[2], 1), (A[3], 1), (B[4], 1), (A[5], 1)])
     assert gens.rewrite(twist) == expected
 
 
-def test_orbifold_generator_names():
-    _, gens, _ = pipeline._orbifold_cover(1)
+def test_orbifold_generator_names(pipe):
+    gens = pipe.orbifold(1).gens
     names = {str(s) for s in gens.alphabet}
     assert {"A2_0", "A2_1", "A4_0", "A4_1", "s_0", "s_1", "Gh"} <= names
     assert gens.backmap[GenSym("Gh")] == Word.gen(GAMMA) ** 2
@@ -98,8 +93,8 @@ def test_orbifold_generator_names():
 @pytest.mark.parametrize("k,invariants,order", [
     (1, (4, 4), 16), (2, (2, 4), 8), (3, (4, 4), 16), (4, (2, 4), 8),
 ])
-def test_orbifold_invariants(k, invariants, order):
-    p = orbifold_presentation(k)
+def test_orbifold_invariants(pipe, k, invariants, order):
+    p = pipe.orbifold(k).simplified
     inv = abelian_invariants(p)
     assert inv.torsion == invariants and inv.free_rank == 0
     table = todd_coxeter(p)
@@ -107,8 +102,30 @@ def test_orbifold_invariants(k, invariants, order):
     assert is_abelian(table)
 
 
-def test_run_report():
-    report = run(1)
+# (generators, relators, total length) of every stage, k-independent ones first
+STAGES = {
+    "pi_prime": (6, 31, 12038), "pi_prime_simplified": (6, 14, 190),
+    "z2_parent": (6, 19, 168), "z2_cover": (11, 32, 292),
+    "z2_cover_simplified": (4, 11, 56),
+}
+ORBIFOLD_STAGES = {
+    1: {"orbifold_parent": (4, 13, 60), "orbifold_cover": (7, 24, 108),
+        "orbifold_simplified": (3, 6, 23)},
+    2: {"orbifold_parent": (4, 13, 62), "orbifold_cover": (10, 35, 158),
+        "orbifold_simplified": (2, 4, 16)},
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_stage_table(pipe, k):
+    table = {s.name: (len(s.generators), s.relator_count, s.total_length)
+             for s in pipe.run(k).stages}
+    assert table == {**STAGES, **ORBIFOLD_STAGES[k]}
+    assert list(table) == list(STAGES) + list(ORBIFOLD_STAGES[k])
+
+
+def test_run_report(pipe):
+    report = pipe.run(1)
     assert report.k == 1 and report.m == 2
     assert report.order == 16
     assert report.invariants.torsion == (4, 4)
@@ -127,18 +144,18 @@ def test_run_report():
     assert data["suspects"][0]["exponent6Holds"] is True
 
 
-def test_run_k2_regressions():
-    report = run(2)
+def test_run_k2_regressions(pipe):
+    report = pipe.run(2)
     assert report.order == 8
     assert report.invariants.torsion == (2, 4)
     assert report.all_regressions_hold
     assert not report.suspects[0].printed_holds
 
 
-def test_finite_quotient_orders():
+def test_finite_quotient_orders(pipe):
     # |T(k)| = 2 m |final group|
-    assert finite_quotient(1).table.order == 2 * 2 * 16 == 64
-    assert finite_quotient(2).table.order == 2 * 3 * 8 == 48
+    assert pipe.quotient(1).order == 2 * 2 * 16 == 64
+    assert pipe.quotient(2).order == 2 * 3 * 8 == 48
 
 
 def test_regression_corpus_shape():
@@ -151,33 +168,30 @@ def test_regression_corpus_shape():
     assert stages == {"pi_prime", "z2", "orbifold"}
 
 
-def test_corpus_relations_trace_in_both_quotients():
+def test_corpus_relations_trace_in_both_quotients(pipe):
     for k in (1, 2):
-        probe = finite_quotient(k)
+        probe = pipe.quotient(k)
+        orbifold = pipe.orbifold(k)
         for entry in regression_corpus(k):
-            base = pipeline._to_base_word(entry, k)
-            holds = probe.holds(base)
+            base = pipe.base_word(entry, orbifold)
+            holds = holds_in(probe, base)
             if entry.suspect:
                 assert not holds
             else:
                 assert holds, entry.ident
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_step5_order_of_operations(m):
-    before, after = step5_crosscheck(m)
-    assert before == after
-
-
-def test_parity_law_through_k6():
+def test_parity_law_through_k6(pipe):
     for k in range(1, 7):
-        inv = abelian_invariants(orbifold_presentation(k))
+        inv = abelian_invariants(pipe.orbifold(k).simplified)
         assert inv.torsion == ((4, 4) if k % 2 else (2, 4))
         assert inv.free_rank == 0
 
 
-def test_invalid_k():
+def test_invalid_k(pipe):
     with pytest.raises(ValueError):
         run(0)
     with pytest.raises(ValueError):
-        orbifold_presentation(0)
+        pipe.orbifold(0)
+    with pytest.raises(ValueError):
+        pipe.quotient(0)

@@ -5,7 +5,7 @@ import pytest
 from braidpi.analysis import abelian_invariants, todd_coxeter
 from braidpi.braid import Braid
 from braidpi.pipeline import fiber_alphabet, paper_braids
-from braidpi.presentation import (Presentation, add_relators, monodromy_relators,
+from braidpi.presentation import (Presentation, add_relators, conjugation_relators,
                                   stabilizer_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
 
@@ -44,7 +44,7 @@ def test_foreign_symbol_rejected():
 
 def test_monodromy_relators_identity_braid():
     fiber = fiber_alphabet()
-    p = monodromy_relators(fiber, [(G, Braid.identity(5))])
+    p = Presentation(fiber.extend([G]), conjugation_relators(fiber, G, Braid.identity(5)))
     assert len(p.alphabet) == 6
     # relators are the commutators [G, d_i]; abelianization free of rank 6
     inv = abelian_invariants(p)
@@ -54,9 +54,9 @@ def test_monodromy_relators_identity_braid():
 def test_monodromy_relators_b0():
     fiber = fiber_alphabet()
     g0 = GenSym("g", 0)
-    p = monodromy_relators(fiber, [(g0, paper_braids()["b0"])])
+    p = Presentation(fiber.extend([g0]), conjugation_relators(fiber, g0, paper_braids()["b0"]))
     image = word((D[3], -1), (D[2], 1), (D[3], 1))  # (d2) b0 computed by hand
-    expected = (word((g0, -1), (D[2], 1), (g0, 1)) * image.inverse()).cyclically_reduced()
+    expected = (word((g0, 1), (D[2], 1), (g0, -1)) * image.inverse()).cyclically_reduced()
     assert any(r == expected for r in p.relators)
 
 

@@ -1,7 +1,8 @@
 import pytest
 
 from braidpi.analysis import todd_coxeter
-from braidpi.presentation import Presentation, tietze_simplify
+from braidpi.pipeline import GAMMA, GHAT, SIGMA
+from braidpi.presentation import Presentation, add_relators, tietze_simplify
 from braidpi.schreier import (CyclicMap, QuotientMapError, Transversal,
                               TransversalError, subgroup_presentation)
 from braidpi.word_core import GenSym, Word, alphabet
@@ -123,3 +124,32 @@ def test_named_generators():
     sub, gens = subgroup_presentation(p, q, names={(1, A): x})
     assert x in sub.alphabet
     assert gens.backmap[x] == Word.gen(A) ** 2
+
+
+# Adjoining kernel relators before the cover gives the same presentation as
+# adjoining their rewrites, started at every residue, after it.
+
+def test_kernel_relators_before_cover_equal_rewrites_after():
+    # Z^2 onto Z/3 by a; the kernel relators a^3, b^4 make Z/3 x Z/4
+    p = Presentation(alphabet("a", "b"), [word((A, 1), (B, 1), (A, -1), (B, -1))])
+    q = CyclicMap.onto(p, 3, {A: 1, B: 0})
+    kernel = [word((A, 1)) ** 3, word((B, 1)) ** 4]
+    before, _ = subgroup_presentation(add_relators(p, kernel), q)
+    after, gens = subgroup_presentation(p, q)
+    assert before == add_relators(after, [gens.rewrite(w, r) for w in kernel for r in range(3)])
+    assert todd_coxeter(before).order == 4
+
+
+def paper_relators_after_cover(pipe, m):
+    """The orbifold cover of the simplified Z/2 cover, with G^m and s^m
+    adjoined as rewrites after the Reidemeister-Schreier step."""
+    gens = pipe.orbifold(m - 1).gens
+    after, after_gens = subgroup_presentation(pipe.z2.simplified, gens.q, gens.transversal,
+                                              {(m - 1, GAMMA): GHAT})
+    kernel = [Word.gen(GAMMA) ** m, Word.gen(SIGMA) ** m]
+    return add_relators(after, [after_gens.rewrite(w, r) for w in kernel for r in range(m)])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_paper_kernel_relators_before_cover_equal_rewrites_after(pipe, m):
+    assert pipe.orbifold(m - 1).raw == paper_relators_after_cover(pipe, m)

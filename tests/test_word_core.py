@@ -3,8 +3,7 @@ import random
 import pytest
 
 from braidpi.word_core import (Alphabet, AlphabetError, GenSym, MissingImageError,
-                               Word, alphabet, format_word, invert, multiply,
-                               reduce, substitute)
+                               Word, alphabet, format_word)
 
 A, B, C = GenSym("a"), GenSym("b"), GenSym("c")
 D1, D2, D4, D5 = (GenSym("d", i) for i in (1, 2, 4, 5))
@@ -15,9 +14,9 @@ def w(*letters):
 
 
 def test_reduce_cancellation():
-    assert reduce([(A, 1), (A, -1)]).is_identity()
-    assert reduce([(A, 1), (B, 1), (B, -1), (A, 1)]) == w((A, 1), (A, 1))
-    assert reduce([(A, 1), (B, -1), (A, -1)]) == w((A, 1), (B, -1), (A, -1))
+    assert Word.of([(A, 1), (A, -1)]).is_identity()
+    assert Word.of([(A, 1), (B, 1), (B, -1), (A, 1)]) == w((A, 1), (A, 1))
+    assert Word.of([(A, 1), (B, -1), (A, -1)]) == w((A, 1), (B, -1), (A, -1))
 
 
 def test_reduce_idempotent():
@@ -25,8 +24,8 @@ def test_reduce_idempotent():
     syms = [A, B, C]
     for _ in range(2000):
         letters = [(rng.choice(syms), rng.choice((1, -1))) for _ in range(rng.randrange(12))]
-        once = reduce(letters)
-        assert reduce(once.letters) == once
+        once = Word.of(letters)
+        assert Word.of(once.letters) == once
 
 
 def test_multiply_examples():
@@ -37,9 +36,9 @@ def test_multiply_examples():
 
 
 def test_invert_examples():
-    assert invert(w((A, 1), (B, -1))) == w((B, 1), (A, -1))
-    assert invert(Word.identity()).is_identity()
-    assert invert(w((D2, -1), (D1, 1), (D2, 1))) == w((D2, -1), (D1, -1), (D2, 1))
+    assert w((A, 1), (B, -1)).inverse() == w((B, 1), (A, -1))
+    assert Word.identity().inverse().is_identity()
+    assert w((D2, -1), (D1, 1), (D2, 1)).inverse() == w((D2, -1), (D1, -1), (D2, 1))
 
 
 def test_free_group_axioms_random():
@@ -59,14 +58,14 @@ def test_free_group_axioms_random():
 
 def test_substitute_examples():
     images = {A: w((B, 1), (C, 1))}
-    assert substitute(w((A, 1), (A, 1)), images) == w((B, 1), (C, 1), (B, 1), (C, 1))
+    assert w((A, 1), (A, 1)).substitute(images) == w((B, 1), (C, 1), (B, 1), (C, 1))
     images = {A: Word.identity(), B: w((B, 1))}
-    assert substitute(w((A, 1), (B, 1), (A, -1)), images) == w((B, 1))
+    assert w((A, 1), (B, 1), (A, -1)).substitute(images) == w((B, 1))
 
 
 def test_substitute_missing_image():
     with pytest.raises(MissingImageError):
-        substitute(w((A, 1)), {B: w((B, 1))})
+        w((A, 1)).substitute({B: w((B, 1))})
 
 
 def test_substitute_is_homomorphism_random():
@@ -80,8 +79,8 @@ def test_substitute_is_homomorphism_random():
         images = {s: rand_word(rng.randrange(5)) for s in syms}
         u = rand_word(rng.randrange(8))
         v = rand_word(rng.randrange(8))
-        assert substitute(u * v, images) == substitute(u, images) * substitute(v, images)
-        assert substitute(u.inverse(), images) == substitute(u, images).inverse()
+        assert (u * v).substitute(images) == u.substitute(images) * v.substitute(images)
+        assert u.inverse().substitute(images) == u.substitute(images).inverse()
 
 
 def test_power_and_cyclic_reduction():
@@ -91,6 +90,15 @@ def test_power_and_cyclic_reduction():
     assert word ** 0 == Word.identity()
     conj = w((C, 1)) * word * w((C, -1))
     assert conj.cyclically_reduced() == word
+    # powers agree with repeated multiplication
+    rng = random.Random(13)
+    for _ in range(2000):
+        u = Word.of((rng.choice([A, B, C]), rng.choice((1, -1))) for _ in range(rng.randrange(9)))
+        n = rng.randrange(-5, 6)
+        expected = Word.identity()
+        for _ in range(abs(n)):
+            expected = expected * (u if n > 0 else u.inverse())
+        assert u ** n == expected, (u, n)
 
 
 def test_gensym_parse_roundtrip():
