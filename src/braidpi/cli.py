@@ -15,7 +15,10 @@ Examples: ``d2' d1' d2 d1 d2``, ``(d1 d2)^6 (d2 d1)^-6``,
 ``< a b | a^4, b^4, a b a' b' >``; braid words use ``s1 s2' s4^12``.
 
 Parentheses nested deeper than ``MAX_NESTING``, and words or presentations
-that expand past ``MAX_LETTERS`` letters, are parse errors.
+that expand past ``MAX_LETTERS`` letters, are parse errors.  ``act`` on
+more than ``MAX_STRANDS`` strands or with an image past ``MAX_LETTERS``
+letters, and ``schreier`` with a modulus n where n * (generators + total
+relator length) passes ``MAX_LETTERS``, are usage errors.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.
@@ -96,6 +99,7 @@ def _tokenize(text: str) -> list[_Token]:
 # presentations) far longer than any real input (Pi' totals 12038 letters).
 MAX_NESTING = 200
 MAX_LETTERS = 1_000_000
+MAX_STRANDS = 10_000
 
 
 class _Parser:
@@ -243,10 +247,15 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 
 
 def _cmd_act(args) -> int:
+    if args.n > MAX_STRANDS:
+        raise ValueError(f"--n {args.n} is more than {MAX_STRANDS} strands")
     braid = parse_braid(args.braid, args.n)
     fiber = Alphabet(GenSym("d", i) for i in range(1, args.n + 1))
-    word = parse_word(args.word, fiber)
-    image = braid.act(word, fiber)
+    image = parse_word(args.word, fiber)
+    for letter in braid.letters:
+        image = Braid(args.n, (letter,)).act(image, fiber)
+        if len(image) > MAX_LETTERS:
+            raise ValueError(f"the image passes {MAX_LETTERS} letters")
     _emit({"schema": "braidpi/1", "stage": "act", "image": str(image)},
           args.json, str(image))
     return 0
@@ -266,6 +275,9 @@ def _cmd_present(args) -> int:
 def _cmd_schreier(args) -> int:
     from .schreier import CyclicMap, Transversal, subgroup_presentation
     p = parse_presentation(_read_source(args.file))
+    if args.mod * (len(p.alphabet) + p.total_length()) > MAX_LETTERS:
+        raise ValueError(f"--mod {args.mod}: the kernel presentation would pass "
+                         f"{MAX_LETTERS} letters")
     images = {}
     for item in args.images.split(","):
         name, _, value = item.partition("=")

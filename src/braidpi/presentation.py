@@ -18,10 +18,13 @@ Every change is a recorded ``TietzeMove``; the engine and
 ``TietzeLog.replay`` mutate state through the same application routine,
 so replaying the log over the source presentation reproduces the result
 exactly, and the output presents an isomorphic group by construction.
-The substring search in (b) runs a suffix automaton over the pool of
-candidate reducers, which keeps the grinding of very long relators
-(thousands of letters) fast.  All iteration orders are fixed, so results
-are deterministic for a given budget.
+The substring search in (b) walks r + r through the suffix automaton
+(Blumer et al., TCS 1985) of a reducer s only if some quarter-piece of s
+or s^-1, cut at floor(t |s| / 4), occurs in r + r: no piece is longer than
+ceil(|s|/4), so every match of more than |s|/2 letters holds one.  Each
+automaton is built at most once per relator value and call, which keeps
+the grinding of very long relators (thousands of letters) fast.  All
+iteration orders are fixed, so results are deterministic for a given budget.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .word_core import Alphabet, GenSym, Word
 
 IntWord = tuple[int, ...]
 
-# encoded letters start above the segment separator used by the reducer pool
+# a reducer's automaton reads _enc(s + s), _SEP, _enc(s^-1 + s^-1); encoded
+# letters start above the separator, so no match crosses it
 _SEP = "\x01"
 _OFS = 0x20
 
@@ -299,26 +303,17 @@ class _SuffixAutomaton:
                     link[cur] = clone
             last = cur
 
-    def walk(self, t: str):
-        """Yield (end_index_in_t, match_length, first_occurrence_end) along t."""
-        v = l = 0
-        nxt, link, length, fpos = self.nxt, self.link, self.length, self.fpos
-        for i, ch in enumerate(t):
-            while v and ch not in nxt[v]:
-                v = link[v]
-                l = length[v]
-            if ch in nxt[v]:
-                v = nxt[v][ch]
-                l += 1
-            else:
-                v = 0
-                l = 0
-            yield i, l, fpos[v]
-
 
 def _reducer_automaton(s: IntWord) -> _SuffixAutomaton:
     """Automaton holding every cyclic subword of s and of s^-1."""
     return _SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
+
+
+def _quarter_pieces(s: IntWord) -> tuple[str, ...]:
+    """The non-empty pieces of _enc(s) and _enc(s^-1) cut at floor(t |s| / 4)."""
+    cuts = [t * len(s) // 4 for t in range(5)]
+    return tuple(dict.fromkeys(e[a:b] for e in (_enc(s), _enc(_iinv(s)))
+                               for a, b in zip(cuts, cuts[1:]) if a < b))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +325,8 @@ class _Simplifier:
         self.protect = {p.alphabet.index(s) + 1 for s in protect}
         self.moves: list[TietzeMove] = []
         self.budget = budget
+        # reducer automata by relator value, for this call only
+        self.automata: dict[IntWord, _SuffixAutomaton] = {}
 
     @property
     def rels(self) -> list[IntWord]:
@@ -384,7 +381,7 @@ class _Simplifier:
 
     # -- (b) common-substring shortening --------------------------------------
 
-    def _collect_arcs(self, owner: int, r: IntWord, autos):
+    def _collect_arcs(self, owner: int, r: IntWord, reducers):
         """Disjoint positive-gain replacement arcs on the cyclic word r.
 
         Walks r + r through each reducer's automaton (reducers are other
@@ -392,32 +389,51 @@ class _Simplifier:
         against a relator no longer in the presentation is not a Tietze move
         and can change the group).  Collects every match with
         2 |match| > |s| and greedily keeps a disjoint set, best gain first.
-        Returns arcs (start, cut, complement) in the coordinates of r.
+        ``reducers`` holds (s, _quarter_pieces(s)) pairs; one whose pieces
+        all miss r + r has no such match and is not walked.  Returns arcs
+        (start, cut, complement) in the coordinates of r.
         """
         L = len(r)
         target = _enc(r + r)
         cands: list[tuple[int, int, int, int, int]] = []
-        for j, s, sa in autos:
-            if j == owner or not s or len(s) > L:
-                continue
+        for j, (s, pieces) in enumerate(reducers):
             slen = len(s)
-            for end_t, l, fend in sa.walk(target):
-                cut = min(l, slen, L)
-                if 2 * cut <= slen:
-                    continue
-                start = (end_t - cut + 1) % L
-                cands.append((2 * cut - slen, start, cut, j, fend))
+            if j == owner or not s or slen > L:
+                continue
+            for p in pieces:
+                if p in target:
+                    break
+            else:
+                continue
+            sa = self.automata.get(s)
+            if sa is None:
+                sa = self.automata[s] = _reducer_automaton(s)
+            nxt, link, length, fpos = sa.nxt, sa.link, sa.length, sa.fpos
+            h = slen // 2 + 1           # shortest match with 2 |match| > |s|
+            v = l = 0
+            for i, ch in enumerate(target):
+                while v and ch not in nxt[v]:
+                    v = link[v]
+                    l = length[v]
+                if ch in nxt[v]:
+                    v = nxt[v][ch]
+                    l += 1
+                else:
+                    l = 0
+                if l >= h:
+                    cut = l if l < slen else slen
+                    cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, fpos[v]))
         if not cands:
             return []
         cands.sort(key=lambda c: (-c[0], c[1], c[3], c[2]))
-        taken = [False] * L
+        taken = 0                        # bits p and p + L both mark letter p of r
         arcs = []
         for gain, start, cut, j, fend in cands:
-            if any(taken[(start + k) % L] for k in range(cut)):
+            span = ((1 << cut) - 1) << start
+            if taken & span:
                 continue
-            for k in range(cut):
-                taken[(start + k) % L] = True
-            s = autos[j][1]
+            taken |= span | span << L | span >> L
+            s = reducers[j][0]
             slen = len(s)
             if fend < 2 * slen:          # match inside the s + s half
                 u, end_u = s, fend
@@ -446,25 +462,25 @@ class _Simplifier:
     def shorten(self) -> bool:
         """Rewriting rounds until no relator shrinks.
 
-        Reducer automata are built once per round (over s + s for each
-        relator s), so grinding a long relator re-walks it but never
-        rebuilds an automaton.
+        A reducer's automaton (over s + s and s^-1 + s^-1) is built the
+        first time some target passes its quarter-piece test, and is kept
+        by relator value for the rest of the call, so grinding a long
+        relator re-walks it but never rebuilds an automaton.
         """
         any_change = False
         while self.budget > 0:
             self.normalize()
             if not self.rels:
                 return any_change
-            autos = [(j, s, _reducer_automaton(s)) for j, s in enumerate(self.rels)]
+            reducers = [(s, _quarter_pieces(s)) for s in self.rels]
             order = sorted(range(len(self.rels)),
                            key=lambda j: (-len(self.rels[j]), self.rels[j]))
-            snapshot = list(self.rels)
             changed = False
             for j in order:
-                cur = snapshot[j]
+                cur = reducers[j][0]
                 moved = False
                 while cur and cur in self.rels:
-                    arcs = self._collect_arcs(j, cur, autos)
+                    arcs = self._collect_arcs(j, cur, reducers)
                     if not arcs or not self._afford(2):
                         break
                     new = self._apply_arcs(cur, arcs)
@@ -477,7 +493,7 @@ class _Simplifier:
                     any_change = True
                 if moved:
                     # later targets may reduce against this relator's new value
-                    autos[j] = (j, cur, _reducer_automaton(cur))
+                    reducers[j] = (cur, _quarter_pieces(cur))
             if not changed:
                 return any_change
         return any_change

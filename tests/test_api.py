@@ -1,7 +1,33 @@
 import functools
 import importlib
+import os
+import subprocess
+import sys
 
 import braidpi
+
+MODULES = ("analysis", "braid", "cli", "curves", "pipeline", "presentation",
+           "schreier", "word_core")
+
+# run in a fresh interpreter: a module-level table filled by earlier tests
+# would not grow again in this one
+_SIZES_ACROSS_RUN = f"""
+import importlib
+from braidpi import pipeline
+
+def sizes():
+    return {{(module, name): len(value)
+            for module in {MODULES!r}
+            for name, value in vars(importlib.import_module("braidpi." + module)).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))}}
+
+before = sizes()
+assert before, "no module-level tables seen"
+pipeline.run(1)
+after = sizes()
+grown = {{key: (before.get(key), n) for key, n in after.items() if before.get(key) != n}}
+assert not grown, grown
+"""
 
 
 def test_public_names_resolve():
@@ -10,9 +36,13 @@ def test_public_names_resolve():
 
 
 def test_no_module_level_caches():
-    for module in ("analysis", "braid", "cli", "curves", "pipeline", "presentation",
-                   "schreier", "word_core"):
+    for module in MODULES:
         mod = importlib.import_module(f"braidpi.{module}")
         cached = [name for name, value in vars(mod).items()
                   if isinstance(value, functools._lru_cache_wrapper)]
         assert not cached, (module, cached)
+    # no module-level dict, list or set fills up as a side table either
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _SIZES_ACROSS_RUN], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,19 @@ def test_cli_act(capsys):
     assert out == "d4' d2' d1 d2 d4"  # (d4) b1 for the printed braid b1
 
 
+def test_cli_act_bounds(capsys):
+    # a huge strand count is refused before any alphabet is built
+    assert main(["act", "--n", "3000000", "--braid", "s1", "--word", "d1"]) == 2
+    assert "strands" in capsys.readouterr().err
+    # 36 braid letters whose image of d1 grows exponentially: stopped at the cap
+    assert main(["act", "--braid", "(s1 s2')^18", "--word", "d1", "--n", "3"]) == 2
+    assert "letters" in capsys.readouterr().err
+    # below the cap, letter-by-letter application is the braid's action
+    assert main(["act", "--braid", "(s1 s2')^5", "--word", "d1 d3", "--n", "3"]) == 0
+    image = parse_braid("(s1 s2')^5", 3).act(parse_word("d1 d3"), alphabet("d1", "d2", "d3"))
+    assert capsys.readouterr().out.strip() == str(image)
+
+
 def test_cli_abelianize(tmp_path, capsys):
     f = tmp_path / "p.txt"
     f.write_text("< a b | a^4, b^4, a b a' b' >")
@@ -101,6 +115,16 @@ def test_cli_schreier(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["stage"] == "schreier"
     assert len(data["generators"]) >= 1
+
+
+def test_cli_schreier_modulus_bound(tmp_path, capsys):
+    # 10^7 cosets of < a b | > would give 2 * 10^7 Schreier generators
+    f = tmp_path / "free.txt"
+    f.write_text("< a b | >")
+    start = time.perf_counter()
+    assert main(["schreier", str(f), "--mod", "10000000", "--images", "a=1,b=0"]) == 2
+    assert time.perf_counter() - start < 2
+    assert "letters" in capsys.readouterr().err
 
 
 def test_cli_pipeline_json(shared_pipeline, capsys):

@@ -1,0 +1,184 @@
+"""The common-substring search of the Tietze shortener against a plain reference.
+
+The reference collector walks every reducer through its suffix automaton,
+with no quarter-piece test; the engine must find exactly the same arcs,
+and so the same moves.
+"""
+
+import random
+
+from braidpi import pipeline
+from braidpi.presentation import (Presentation, TietzeLog, _enc, _iinv, _icyc,
+                                  _quarter_pieces, _reducer_automaton, _Simplifier,
+                                  tietze_simplify)
+from braidpi.word_core import Alphabet, GenSym
+
+
+def _walk(sa, t):
+    """Yield (end_index_in_t, match_length, first_occurrence_end) along t."""
+    v = l = 0
+    for i, ch in enumerate(t):
+        while v and ch not in sa.nxt[v]:
+            v = sa.link[v]
+            l = sa.length[v]
+        if ch in sa.nxt[v]:
+            v = sa.nxt[v][ch]
+            l += 1
+        else:
+            v = 0
+            l = 0
+        yield i, l, sa.fpos[v]
+
+
+def reference_arcs(owner, r, reducers, automaton=_reducer_automaton):
+    """Every reducer walked, every match with 2 |match| > |s| a candidate."""
+    L = len(r)
+    target = _enc(r + r)
+    cands = []
+    for j, s in enumerate(reducers):
+        if j == owner or not s or len(s) > L:
+            continue
+        slen = len(s)
+        for end_t, l, fend in _walk(automaton(s), target):
+            cut = min(l, slen, L)
+            if 2 * cut <= slen:
+                continue
+            start = (end_t - cut + 1) % L
+            cands.append((2 * cut - slen, start, cut, j, fend))
+    cands.sort(key=lambda c: (-c[0], c[1], c[3], c[2]))
+    taken = [False] * L
+    arcs = []
+    for gain, start, cut, j, fend in cands:
+        if any(taken[(start + k) % L] for k in range(cut)):
+            continue
+        for k in range(cut):
+            taken[(start + k) % L] = True
+        s = reducers[j]
+        slen = len(s)
+        if fend < 2 * slen:
+            u, end_u = s, fend
+        else:
+            u, end_u = _iinv(s), fend - (2 * slen + 1)
+        start_u = (end_u - cut + 1) % slen
+        arcs.append((start, cut, tuple(u[(start_u + cut + k) % slen]
+                                       for k in range(slen - cut))))
+    return arcs
+
+
+class _ReferenceSimplifier(_Simplifier):
+    """The engine with the reference collector in place of its own."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.built = {}
+
+    def _automaton(self, s):
+        if s not in self.built:
+            self.built[s] = _reducer_automaton(s)
+        return self.built[s]
+
+    def _collect_arcs(self, owner, r, reducers):
+        return reference_arcs(owner, r, [s for s, _ in reducers], self._automaton)
+
+
+def _reference_simplify(p, budget=20000, protect=()):
+    sim = _ReferenceSimplifier(p, budget, frozenset(protect))
+    _, nmoves = sim.run()
+    log = TietzeLog(sim.moves[:nmoves])
+    return log.replay(p), log
+
+
+def _random_word(rng, ngens, length):
+    return tuple(rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(length))
+
+
+def _random_presentation(rng):
+    """Relators glued from a few shared chunks, so long common substrings occur."""
+    ngens = rng.randint(1, 5)
+    chunks = [_random_word(rng, ngens, rng.randint(1, 7)) for _ in range(rng.randint(1, 4))]
+    rels = []
+    for _ in range(rng.randint(1, 7)):
+        w = ()
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice(chunks)
+            w += c if rng.random() < 0.7 else _iinv(c)
+            if rng.random() < 0.4:
+                w += _random_word(rng, ngens, rng.randint(1, 3))
+        rels.append(w)
+    alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
+    return Presentation(alph, [alph.decode(_icyc(w)) for w in rels])
+
+
+def test_collect_arcs_matches_reference():
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(300):
+        sim = _Simplifier(_random_presentation(rng), 20000, frozenset())
+        reducers = [(s, _quarter_pieces(s)) for s in sim.rels]
+        plain = [s for s, _ in reducers]
+        for j, r in enumerate(plain):
+            arcs = sim._collect_arcs(j, r, reducers)
+            assert arcs == reference_arcs(j, r, plain), (plain, j)
+            found += bool(arcs)
+    assert found > 100  # the comparison is not vacuous
+
+
+def test_random_simplifications_match_reference():
+    rng = random.Random(77)
+    for _ in range(150):
+        p = _random_presentation(rng)
+        budget = rng.choice((3, 40, 20000))
+        assert tietze_simplify(p, budget) == _reference_simplify(p, budget)
+
+
+def test_pipeline_stages_match_reference(monkeypatch):
+    calls = []
+    real = pipeline.tietze_simplify
+
+    def recording(p, budget=20000, protect=()):
+        result = real(p, budget, protect)
+        calls.append((p, budget, tuple(protect), result))
+        return result
+
+    monkeypatch.setattr(pipeline, "tietze_simplify", recording)
+    pipe = pipeline.Pipeline()           # Pi', the Z/2 parent, the Z/2 cover
+    for k in (1, 2, 3):
+        pipe.orbifold(k)
+    assert len(calls) == 6
+    assert calls[0][0] == pipe.pi_prime
+    for p, budget, protect, (result, log) in calls:
+        ref_result, ref_log = _reference_simplify(p, budget, protect)
+        assert log == ref_log, repr(p)
+        assert result == ref_result, repr(p)
+
+
+def test_quarter_piece_test_is_sound():
+    # a match with 2 |match| > |s| always contains a whole quarter-piece
+    rng = random.Random(5)
+    qualified = rejected = 0
+    for _ in range(3000):
+        ngens = rng.randint(1, 3)
+        s = _icyc(_random_word(rng, ngens, rng.randint(1, 12)))
+        r = _icyc(_random_word(rng, ngens, rng.randint(1, 12)))
+        if not s or not r:
+            continue
+        target = _enc(r + r)
+        cuts = [min(l, len(s), len(r)) for _, l, _ in _walk(_reducer_automaton(s), target)]
+        passes = any(p in target for p in _quarter_pieces(s))
+        if any(2 * cut > len(s) for cut in cuts):
+            qualified += 1
+            assert passes, (s, r)
+        elif not passes:
+            rejected += 1
+    assert qualified > 500 and rejected > 100
+    # every cyclic window of |s|/2 + 1 letters (rounded down) of s or s^-1
+    # holds a piece; distinct letters make "holds" a matter of position only
+    for n in range(1, 41):
+        s = tuple(range(1, n + 1))
+        pieces = _quarter_pieces(s)
+        for e in (_enc(s + s), _enc(_iinv(s) + _iinv(s))):
+            for start in range(n):
+                window = e[start:start + n // 2 + 1]
+                assert any(p in window for p in pieces), (n, start)
+    for s in ((1,), (1, 2), (1, 2, 1)):   # pieces of short words are their letters
+        assert set(_quarter_pieces(s)) == {_enc((l,)) for l in s + _iinv(s)}
