@@ -3,8 +3,8 @@
 Submodules: ``word_core`` (free-group words), ``braid`` (Artin actions),
 ``presentation`` (finitely presented groups, Tietze moves), ``schreier``
 (subgroup presentations), ``analysis`` (Todd-Coxeter, Smith normal form),
-``curves`` (exact conic/cubic geometry), ``pipeline`` (the cover
-computation), ``cli`` (command line).
+``curves`` (exact conic/cubic geometry on one sparse ``Poly``),
+``pipeline`` (the cover computation), ``cli`` (command line).
 
 The cover computation is a ``Pipeline``: its constructor builds Pi' and
 the Z/2 cover once, and ``Pipeline.run(k)`` builds the Z/(k+1) orbifold
@@ -16,8 +16,8 @@ from .analysis import (AbelianInvariants, CosetLimitExceeded, CosetTable,
                        abelian_invariants, holds_in, is_abelian,
                        smith_normal_form, todd_coxeter)
 from .braid import Braid, act, compose
-from .curves import (HomogPoly, ProjPoint, QuadScalar, cubic_discriminant,
-                     family_cubic, hessian, is_tangent_at, sylvester_resultant,
+from .curves import (Poly, ProjPoint, QuadScalar, cubic_discriminant, family_cubic,
+                     hessian, is_tangent_at, sylvester_resultant,
                      verify_persson_configuration)
 from .pipeline import (Cover, Pipeline, PipelineReport, cover, paper_braids,
                        pi_prime, regression_corpus, run)
@@ -29,7 +29,7 @@ from .word_core import Alphabet, GenSym, Word, alphabet
 
 __all__ = [
     "AbelianInvariants", "Alphabet", "Braid", "CosetLimitExceeded", "CosetTable",
-    "Cover", "CyclicMap", "GenSym", "HomogPoly", "Pipeline", "PipelineReport",
+    "Cover", "CyclicMap", "GenSym", "Pipeline", "PipelineReport", "Poly",
     "Presentation", "ProjPoint", "QuadScalar", "SchreierGenSet", "TietzeLog",
     "Transversal", "Word", "abelian_invariants", "act", "add_relators", "alphabet",
     "compose", "conjugation_relators", "cover", "cubic_discriminant", "family_cubic",

@@ -29,43 +29,39 @@ class CosetLimitExceeded(RuntimeError):
     """Enumeration hit the coset budget: group possibly infinite, or budget too small."""
 
 
+def _col(l: int) -> int:
+    """Table column of the signed letter l: generator g (1-based) at 2(g-1),
+    its inverse at 2(g-1) + 1, so the inverse of column c is c ^ 1."""
+    return 2 * l - 2 if l > 0 else -2 * l - 1
+
+
 class CosetTable:
     """Complete coset table over an alphabet: rows are cosets (1-based),
     columns alternate generator / inverse in alphabet order."""
 
     def __init__(self, alphabet: Alphabet, rows: list[list[int]]):
         self.alphabet = alphabet
-        self.rows = rows  # rows[0] unused; rows[i][2j], rows[i][2j+1] = i . g_j^{+-1}
+        self.rows = rows  # rows[0] unused; rows[i][_col(l)] = i . l
         self.complete = all(all(e is not None for e in row) for row in rows[1:])
 
     @property
     def order(self) -> int:
         return len(self.rows) - 1
 
-    def _col(self, sym, sign) -> int:
-        return 2 * self.alphabet.index(sym) + (0 if sign > 0 else 1)
-
-    def trace(self, coset: int, w: Word) -> int:
-        rows = self.rows
-        for sym, sign in w:
-            coset = rows[coset][self._col(sym, sign)]
-        return coset
-
     def validate(self, p: Presentation | None = None) -> None:
         """Closed table, mutually inverse columns, and relators tracing trivially."""
         n = self.order
         for i in range(1, n + 1):
-            for j in range(len(self.alphabet)):
-                fwd, bwd = self.rows[i][2 * j], self.rows[i][2 * j + 1]
+            for g in range(1, len(self.alphabet) + 1):
+                fwd, bwd = self.rows[i][_col(g)], self.rows[i][_col(-g)]
                 if not (1 <= fwd <= n and 1 <= bwd <= n):
                     raise AssertionError(f"table not closed at coset {i}")
-                if self.rows[fwd][2 * j + 1] != i or self.rows[bwd][2 * j] != i:
+                if self.rows[fwd][_col(-g)] != i or self.rows[bwd][_col(g)] != i:
                     raise AssertionError(f"columns not mutually inverse at coset {i}")
         if p is not None:
             for r in p.relators:
-                for i in range(1, n + 1):
-                    if self.trace(i, r) != i:
-                        raise AssertionError(f"relator {r} does not fix coset {i}")
+                if not holds_in(self, r):
+                    raise AssertionError(f"relator {r} does not fix every coset")
 
 
 def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
@@ -79,9 +75,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     ngens = len(p.alphabet)
     ncols = 2 * ngens
     relators = sorted(p.encoded_relators(), key=lambda r: (len(r), r))
-
-    def col(l: int) -> int:
-        return 2 * (abs(l) - 1) + (0 if l > 0 else 1)
 
     table: list[list[int | None] | None] = [None, [None] * ncols]
     parent = [0, 1]
@@ -140,24 +133,24 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         f, i = alpha, 0
         b, j = alpha, len(w) - 1
         while True:
-            while i <= j and table[f][col(w[i])] is not None:
-                f = find(table[f][col(w[i])])
+            while i <= j and table[f][_col(w[i])] is not None:
+                f = find(table[f][_col(w[i])])
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][col(w[j]) ^ 1] is not None:
-                b = find(table[b][col(w[j]) ^ 1])
+            while j >= i and table[b][_col(w[j]) ^ 1] is not None:
+                b = find(table[b][_col(w[j]) ^ 1])
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][col(w[i])] = b
-                table[b][col(w[i]) ^ 1] = f
+                table[f][_col(w[i])] = b
+                table[b][_col(w[i]) ^ 1] = f
                 return
-            f = define(f, col(w[i]))
+            f = define(f, _col(w[i]))
             i += 1
 
     alpha = 1
@@ -188,21 +181,22 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
 def holds_in(t: CosetTable, w: Word) -> bool:
     """True iff w traces back to itself from every coset (w = 1 in the group,
     for a trivial-subgroup table)."""
-    t.alphabet.check_word(w)
-    return all(t.trace(c, w) == c for c in range(1, t.order + 1))
+    cols = [_col(l) for l in t.alphabet.encode(w)]
+    rows = t.rows
+    for start in range(1, t.order + 1):
+        c = start
+        for j in cols:
+            c = rows[c][j]
+        if c != start:
+            return False
+    return True
 
 
 def is_abelian(t: CosetTable) -> bool:
     """Do all generator pairs commute in the permutation action of the table?"""
-    n = len(t.alphabet)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(1, t.order + 1):
-                ab = t.rows[t.rows[c][2 * a]][2 * b]
-                ba = t.rows[t.rows[c][2 * b]][2 * a]
-                if ab != ba:
-                    return False
-    return True
+    gens = [Word.gen(g) for g in t.alphabet]
+    return all(holds_in(t, x * y * x.inverse() * y.inverse())
+               for i, x in enumerate(gens) for y in gens[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +278,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
 
-    t = 0
-    while t < min(rows, cols):
-        # smallest nonzero pivot controls coefficient growth
+    def pivot_to(t) -> bool:
+        # smallest nonzero entry of the trailing block (first in row-major
+        # order) to (t, t): it controls coefficient growth; False if none
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
@@ -294,11 +288,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if x and (pivot is None or x < abs(a[pivot[0]][pivot[1]])):
                     pivot = (i, j)
         if pivot is None:
-            break
+            return False
         if pivot[0] != t:
             swap_rows(t, pivot[0])
         if pivot[1] != t:
             swap_cols(t, pivot[1])
+        return True
+
+    t = 0
+    while t < min(rows, cols) and pivot_to(t):
         while True:
             # knock row/column down to remainders until the pivot divides them
             for i in range(t + 1, rows):
@@ -310,16 +308,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if any(a[i][t] for i in range(t + 1, rows)) \
                     or any(a[t][j] for j in range(t + 1, cols)):
                 # remainders are strictly smaller candidates: re-pick the pivot
-                best = (t, t)
-                for i in range(t, rows):
-                    for j in range(t, cols):
-                        x = abs(a[i][j])
-                        if x and (a[best[0]][best[1]] == 0 or x < abs(a[best[0]][best[1]])):
-                            best = (i, j)
-                if best[0] != t:
-                    swap_rows(t, best[0])
-                if best[1] != t:
-                    swap_cols(t, best[1])
+                pivot_to(t)
                 continue
             if a[t][t] < 0:
                 negate_row(t)
@@ -360,16 +349,14 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "trivial"
 
 
+def _exponent_row(alphabet: Alphabet, w: Word) -> list[int]:
+    sums = w.exponent_sums()
+    return [sums.get(g, 0) for g in alphabet]
+
+
 def relation_matrix(p: Presentation) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    cols = {g: i for i, g in enumerate(p.alphabet)}
-    mat = []
-    for r in p.relators:
-        row = [0] * len(p.alphabet)
-        for sym, e in r:
-            row[cols[sym]] += e
-        mat.append(row)
-    return mat
+    return [_exponent_row(p.alphabet, r) for r in p.relators]
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
@@ -388,11 +375,7 @@ def trivial_in_abelianization(p: Presentation, w: Word) -> bool:
     """Does w die in the abelianization of p?  Decided exactly through the
     Smith form: w is a Z-combination of relator rows iff (wV) is divisible
     entrywise by the invariant factors."""
-    p.alphabet.check_word(w)
-    cols = {g: i for i, g in enumerate(p.alphabet)}
-    vec = [0] * len(p.alphabet)
-    for sym, e in w:
-        vec[cols[sym]] += e
+    vec = _exponent_row(p.alphabet, p.alphabet.check_word(w))
     mat = relation_matrix(p)
     if not mat:
         return all(x == 0 for x in vec)

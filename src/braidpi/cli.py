@@ -18,7 +18,10 @@ Parentheses nested deeper than ``MAX_NESTING``, and words or presentations
 that expand past ``MAX_LETTERS`` letters, are parse errors.  ``act`` on
 more than ``MAX_STRANDS`` strands or with an image past ``MAX_LETTERS``
 letters, and ``schreier`` with a modulus n where n * (generators + total
-relator length) passes ``MAX_LETTERS``, are usage errors.
+relator length) passes ``MAX_LETTERS``, are usage errors.  So are
+``pipeline --k K``, ``pipeline --all --max-k K`` and ``regression --k K``
+when 2 (K + 1)^2 passes ``MAX_LETTERS``: the orbifold kernel holds the
+K + 1 rewrites of G^(K+1) and of s^(K+1).
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.
@@ -343,10 +346,20 @@ def _report_text(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_pipeline(args) -> int:
-    ks = list(range(1, args.max_k + 1)) if args.all else [args.k]
+def _check_ks(ks: list[int]) -> None:
+    """Each k >= 1, and the orbifold kernel for m = k + 1 (at least 2 m^2
+    letters: the m rewrites of G^m and of s^m) within MAX_LETTERS."""
     if not all(k >= 1 for k in ks):
         raise ValueError("k must be >= 1")
+    m = max(ks, default=0) + 1
+    if 2 * m * m > MAX_LETTERS:
+        raise ValueError(f"k = {m - 1}: the orbifold kernel presentation would pass "
+                         f"{MAX_LETTERS} letters")
+
+
+def _cmd_pipeline(args) -> int:
+    ks = list(range(1, args.max_k + 1)) if args.all else [args.k]
+    _check_ks(ks)
     # one Pipeline shares the k-independent stages across every k
     run = pipeline.Pipeline().run if args.all else pipeline.run
     code = 0
@@ -366,6 +379,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_regression(args) -> int:
+    _check_ks([args.k])
     report = pipeline.run(args.k, max_cosets=args.max)
     full = report.to_dict()
     data = {"schema": "braidpi/1", "stage": "regression", "k": args.k,

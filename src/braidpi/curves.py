@@ -7,11 +7,13 @@ is an error; each geometric check needs at most one of sqrt(2), sqrt(5),
 sqrt(6), sqrt(10), and the slope sqrt(128/125) is rewritten as
 (8 sqrt(10))/25 before use.
 
-``HomogPoly`` is a homogeneous polynomial in 2 or 3 variables with
-QuadScalar coefficients, supporting evaluation, partials, Hessians,
-linear substitution, restriction to a line, and Sylvester resultants
-with respect to one variable (cofactor expansion; the matrices here are
-at most 5x5).
+``Poly`` is the one sparse polynomial class (any number of variables,
+QuadScalar coefficients, mixed total degrees allowed), supporting
+evaluation, partials, linear substitution, restriction to a line,
+univariate division, and Sylvester resultants with respect to one
+variable (cofactor expansion; the matrices here are at most 5x5).
+Curves and lines are forms: ``gradient``, ``hessian`` and
+``is_tangent_at`` check homogeneity where the geometry relies on it.
 
 ``verify_persson_configuration`` runs the ten exact checks on the
 configuration: the conic x^2 + 2zy + z^2 with its tangents x = +-y and
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class RadicalMismatchError(ValueError):
@@ -164,84 +166,67 @@ ONE = QuadScalar.of(1)
 Exps = tuple[int, ...]
 
 
-class HomogPoly:
-    """Homogeneous polynomial: exponent tuple -> nonzero QuadScalar."""
+class Poly:
+    """Sparse polynomial: exponent tuple -> nonzero QuadScalar.
+
+    Sums, products, partials and coefficient splits may mix total degrees
+    (resultants do); ``degree`` is the largest total degree, 0 for zero.
+    """
 
     def __init__(self, nvars: int, terms: Mapping[Exps, QuadScalar | int | Fraction]):
         self.nvars = nvars
         clean: dict[Exps, QuadScalar] = {}
-        degree = None
         for e, c in terms.items():
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e}")
             c = QuadScalar.of(c)
-            if c.is_zero():
-                continue
-            if e in clean:
-                c = clean[e] + c
-                if c.is_zero():
-                    del clean[e]
-                    continue
-            clean[e] = c
-            if degree is None:
-                degree = sum(e)
-            elif sum(e) != degree:
-                raise ValueError("terms of different total degree")
+            if not c.is_zero():
+                clean[e] = c
         self.terms = clean
-        self.degree = degree if degree is not None else 0
+        self.degree = max((sum(e) for e in clean), default=0)
 
     @staticmethod
-    def variable(i: int, nvars: int = 3) -> "HomogPoly":
+    def variable(i: int, nvars: int = 3) -> "Poly":
         e = tuple(1 if j == i else 0 for j in range(nvars))
-        return HomogPoly(nvars, {e: ONE})
+        return Poly(nvars, {e: ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_homogeneous(self) -> bool:
+        return len({sum(e) for e in self.terms}) <= 1
+
     def __eq__(self, other) -> bool:
-        return (isinstance(other, HomogPoly) and self.nvars == other.nvars
+        return (isinstance(other, Poly) and self.nvars == other.nvars
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
+    def __add__(self, other: "Poly") -> "Poly":
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, ZERO) + c
-        return _inhomog(self.nvars, merged)
+        return Poly(self.nvars, merged)
 
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+    def __neg__(self) -> "Poly":
+        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other) -> "HomogPoly":
-        if not isinstance(other, HomogPoly):
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
             c = QuadScalar.of(other)
-            return _inhomog(self.nvars, {e: x * c for e, x in self.terms.items()}) \
-                if isinstance(self, _InhomogPoly) else \
-                HomogPoly(self.nvars, {e: x * c for e, x in self.terms.items()})
+            return Poly(self.nvars, {e: x * c for e, x in self.terms.items()})
         out: dict[Exps, QuadScalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 out[e] = out.get(e, ZERO) + c1 * c2
-        # a product of inhomogeneous factors may mix total degrees
-        return _inhomog(self.nvars, out)
+        return Poly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "HomogPoly":
-        out = HomogPoly(self.nvars, {(0,) * self.nvars: ONE})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def evaluate(self, point: Sequence) -> QuadScalar:
         if len(point) != self.nvars:
@@ -256,30 +241,30 @@ class HomogPoly:
             total = total + v
         return total
 
-    def partial(self, var: int) -> "HomogPoly":
+    def partial(self, var: int) -> "Poly":
         out: dict[Exps, QuadScalar] = {}
         for e, c in self.terms.items():
             if e[var] == 0:
                 continue
             e2 = tuple(x - 1 if i == var else x for i, x in enumerate(e))
             out[e2] = out.get(e2, ZERO) + c * e[var]
-        return _inhomog(self.nvars, out)
+        return Poly(self.nvars, out)
 
-    def substitute_linear(self, images: Sequence["HomogPoly"]) -> "HomogPoly":
-        """Plug a linear form (degree-1 HomogPoly) in for each variable."""
+    def substitute_linear(self, images: Sequence["Poly"]) -> "Poly":
+        """Plug a linear form (homogeneous of degree 1) in for each variable."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         nv = images[0].nvars
-        out = HomogPoly(nv, {})
+        out = Poly(nv, {})
         for e, c in self.terms.items():
-            term = HomogPoly(nv, {(0,) * nv: c})
+            term = Poly(nv, {(0,) * nv: c})
             for img, k in zip(images, e):
                 for _ in range(k):
                     term = term * img
             out = out + term
         return out
 
-    def coefficients_in(self, var: int) -> list["HomogPoly"]:
+    def coefficients_in(self, var: int) -> list["Poly"]:
         """Coefficients of var^0, var^1, ... as polynomials in the other variables
         (returned with the same variable slots, exponent 0 in ``var``)."""
         top = max((e[var] for e in self.terms), default=0)
@@ -287,7 +272,7 @@ class HomogPoly:
         for e, c in self.terms.items():
             e2 = tuple(0 if i == var else x for i, x in enumerate(e))
             out[e[var]][e2] = c
-        return [_inhomog(self.nvars, d) for d in out]
+        return [Poly(self.nvars, d) for d in out]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -304,56 +289,16 @@ class HomogPoly:
     __repr__ = __str__
 
 
-class _InhomogPoly(HomogPoly):
-    """Internal: relax the homogeneity check (resultants mix degrees)."""
-
-    def __init__(self, nvars: int, terms):
-        self.nvars = nvars
-        clean: dict[Exps, QuadScalar] = {}
-        for e, c in terms.items():
-            c = QuadScalar.of(c)
-            if not c.is_zero():
-                clean[e] = clean.get(e, ZERO) + c
-                if clean[e].is_zero():
-                    del clean[e]
-        self.terms = clean
-        self.degree = max((sum(e) for e in clean), default=0)
-
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, ZERO) + c
-        return _InhomogPoly(self.nvars, merged)
-
-    def __mul__(self, other):
-        if not isinstance(other, HomogPoly):
-            c = QuadScalar.of(other)
-            return _InhomogPoly(self.nvars, {e: x * c for e, x in self.terms.items()})
-        out: dict[Exps, QuadScalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return _InhomogPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _InhomogPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+def _check_form(curve: Poly) -> None:
+    if not curve.is_homogeneous():
+        raise ValueError("the curve must be a homogeneous polynomial (a form)")
 
 
-def _inhomog(nvars: int, terms) -> HomogPoly:
-    try:
-        return HomogPoly(nvars, terms)
-    except ValueError:
-        return _InhomogPoly(nvars, terms)
+def poly3(terms: Mapping[Exps, QuadScalar | int | Fraction]) -> Poly:
+    return Poly(3, terms)
 
 
-def poly3(terms: Mapping[Exps, QuadScalar | int | Fraction]) -> HomogPoly:
-    return HomogPoly(3, terms)
-
-
-def line(a, b, c) -> HomogPoly:
+def line(a, b, c) -> Poly:
     return poly3({(1, 0, 0): QuadScalar.of(a), (0, 1, 0): QuadScalar.of(b),
                   (0, 0, 1): QuadScalar.of(c)})
 
@@ -388,7 +333,8 @@ class ProjPoint:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-def gradient(f: HomogPoly, p: ProjPoint) -> tuple[QuadScalar, QuadScalar, QuadScalar]:
+def gradient(f: Poly, p: ProjPoint) -> tuple[QuadScalar, QuadScalar, QuadScalar]:
+    _check_form(f)
     return tuple(f.partial(v).evaluate(p.coords) for v in range(3))
 
 
@@ -400,7 +346,7 @@ def cubic_discriminant(a0, a1, a2, a3):
             + 18 * (a0 * a1 * (a2 * a3)))
 
 
-def family_cubic(lam) -> HomogPoly:
+def family_cubic(lam) -> Poly:
     """z^3 + (x^2 + 2yz + z^2)(2 lam^3 y + (2 lam^3 - 3 lam^2) z)."""
     lam = QuadScalar.of(lam)
     l2 = lam * lam
@@ -410,24 +356,24 @@ def family_cubic(lam) -> HomogPoly:
     return poly3({(0, 0, 3): 1}) + quad * lin
 
 
-def conic() -> HomogPoly:
+def conic() -> Poly:
     """x^2 + 2zy + z^2: tangent to x = +-y and to z = 0."""
     return poly3({(2, 0, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1})
 
 
-def nodal_cubic() -> HomogPoly:
+def nodal_cubic() -> Poly:
     """z^3 + 16 (x^2 + 2yz + z^2)(8y + 5z): the family member at parameter 4."""
     return family_cubic(4)
 
 
-def sylvester_matrix(f: HomogPoly, g: HomogPoly, var: int) -> list[list[HomogPoly]]:
+def sylvester_matrix(f: Poly, g: Poly, var: int) -> list[list[Poly]]:
     fc = f.coefficients_in(var)
     gc = g.coefficients_in(var)
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise ValueError("both inputs need positive degree in the chosen variable")
     size = n + m
-    zero = _inhomog(f.nvars, {})
+    zero = Poly(f.nvars, {})
     mat = [[zero] * size for _ in range(size)]
     for i in range(m):
         for j, c in enumerate(reversed(fc)):
@@ -438,7 +384,7 @@ def sylvester_matrix(f: HomogPoly, g: HomogPoly, var: int) -> list[list[HomogPol
     return mat
 
 
-def _poly_det(mat) -> HomogPoly:
+def _poly_det(mat) -> Poly:
     n = len(mat)
     if n == 1:
         return mat[0][0]
@@ -453,19 +399,20 @@ def _poly_det(mat) -> HomogPoly:
             term = -term
         total = term if total is None else total + term
     if total is None:
-        return _inhomog(mat[0][0].nvars, {})
+        return Poly(mat[0][0].nvars, {})
     return total
 
 
-def sylvester_resultant(f: HomogPoly, g: HomogPoly, var: int) -> HomogPoly:
+def sylvester_resultant(f: Poly, g: Poly, var: int) -> Poly:
     """Determinant of the Sylvester matrix in ``var`` (f's coefficients on top)."""
     return _poly_det(sylvester_matrix(f, g, var))
 
 
-def hessian(f: HomogPoly) -> HomogPoly:
+def hessian(f: Poly) -> Poly:
     """Determinant of the matrix of second partials."""
     if f.nvars != 3 or f.degree < 2:
         raise ValueError("Hessian needs a ternary form of degree >= 2")
+    _check_form(f)
     h = [[f.partial(i).partial(j) for j in range(3)] for i in range(3)]
     return (h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
             - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
@@ -475,7 +422,7 @@ def hessian(f: HomogPoly) -> HomogPoly:
 # ---------------------------------------------------------------------------
 # tangency
 
-def _points_spanning(l: HomogPoly) -> tuple[ProjPoint, ProjPoint]:
+def _points_spanning(l: Poly) -> tuple[ProjPoint, ProjPoint]:
     a = l.terms.get((1, 0, 0), ZERO)
     b = l.terms.get((0, 1, 0), ZERO)
     c = l.terms.get((0, 0, 1), ZERO)
@@ -486,11 +433,11 @@ def _points_spanning(l: HomogPoly) -> tuple[ProjPoint, ProjPoint]:
     return (ProjPoint.of(1, 0, 0), ProjPoint.of(0, 1, 0))
 
 
-def restrict_to_line(curve: HomogPoly, p1: ProjPoint, p2: ProjPoint) -> HomogPoly:
+def restrict_to_line(curve: Poly, p1: ProjPoint, p2: ProjPoint) -> Poly:
     """Binary form F(s, t) = curve(s p1 + t p2)."""
     images = []
     for i in range(3):
-        images.append(HomogPoly(2, {(1, 0): p1.coords[i], (0, 1): p2.coords[i]}))
+        images.append(Poly(2, {(1, 0): p1.coords[i], (0, 1): p2.coords[i]}))
     return curve.substitute_linear(images)
 
 
@@ -507,14 +454,16 @@ def _line_parameter(p: ProjPoint, p1: ProjPoint, p2: ProjPoint):
     return None
 
 
-def is_tangent_at(curve: HomogPoly, l: HomogPoly, p: ProjPoint) -> bool:
+def is_tangent_at(curve: Poly, l: Poly, p: ProjPoint) -> bool:
     """Does ``l`` meet ``curve`` at ``p`` with multiplicity at least two?
 
     The curve is restricted to a parametrization of the line; tangency
     means the binary form and both its partials vanish at p's parameter.
-    Raises if p is not on both the line and the curve.
+    Raises if p is not on both the line and the curve, or if the curve is
+    not a form or ``l`` not a linear form.
     """
-    if l.degree != 1:
+    _check_form(curve)
+    if l.degree != 1 or not l.is_homogeneous():
         raise ValueError("second argument must be a line")
     if not l.evaluate(p.coords).is_zero():
         raise ValueError(f"point {p} not on the line")
@@ -534,7 +483,7 @@ def is_tangent_at(curve: HomogPoly, l: HomogPoly, p: ProjPoint) -> bool:
 # ---------------------------------------------------------------------------
 # univariate division for the parameter constraint (A-1)^2 (A-4)
 
-def divide_univariate(f: HomogPoly, g: HomogPoly) -> tuple[HomogPoly, HomogPoly]:
+def divide_univariate(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder of univariate polynomials (nvars = 1)."""
     if f.nvars != 1 or g.nvars != 1 or g.is_zero():
         raise ValueError("univariate division needs nvars == 1 and g != 0")
@@ -555,12 +504,12 @@ def divide_univariate(f: HomogPoly, g: HomogPoly) -> tuple[HomogPoly, HomogPoly]
                 r.pop(k, None)
             else:
                 r[k] = val
-    return _inhomog(1, q), _inhomog(1, r)
+    return Poly(1, q), Poly(1, r)
 
 
-def unipoly(coeffs: Sequence) -> HomogPoly:
+def unipoly(coeffs: Sequence) -> Poly:
     """Univariate polynomial from ascending coefficients."""
-    return _inhomog(1, {(i,): QuadScalar.of(c) for i, c in enumerate(coeffs)})
+    return Poly(1, {(i,): QuadScalar.of(c) for i, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +537,7 @@ class ConfigReport:
         return "\n".join(lines)
 
 
-def _proportional(f: HomogPoly, g: HomogPoly):
+def _proportional(f: Poly, g: Poly):
     """Nonzero constant c with f = c g, or None."""
     if set(f.terms) != set(g.terms) or f.is_zero():
         return None
@@ -655,7 +604,7 @@ def verify_persson_configuration() -> ConfigReport:
     y_img = poly3({(0, 1, 0): Fraction(1, 16), (0, 0, 1): Fraction(-9, 16)})
     z_img = poly3({(0, 0, 1): 1})
     cu = c.substitute_linear([x_img, y_img, z_img])  # coordinates (x, u, z)
-    cone = HomogPoly(3, {e: coeff for e, coeff in cu.terms.items() if e[0] + e[1] == 2})
+    cone = Poly(3, {e: coeff for e, coeff in cu.terms.items() if e[0] + e[1] == 2})
     expected = poly3({(2, 0, 1): 8, (0, 2, 1): 1})
     ok = cone == expected
     # as binary quadratic 8x^2 + u^2: discriminant 0 - 4*8 < 0, so complex factors
@@ -722,7 +671,7 @@ def verify_persson_configuration() -> ConfigReport:
            if flex0 and flex_pm and ratio_ok else "flex check fails")
 
     # (10) irreducibility witness: z = 0 is not a component
-    restricted = HomogPoly(3, {e: coeff for e, coeff in c.terms.items() if e[2] == 0})
+    restricted = Poly(3, {e: coeff for e, coeff in c.terms.items() if e[2] == 0})
     ok = not restricted.is_zero()
     record(10, "z = 0 does not divide the cubic (so the cubic is irreducible)", ok,
            f"restriction to z=0 is {restricted}" if ok else "cubic vanishes on z=0")

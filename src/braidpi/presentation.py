@@ -61,8 +61,8 @@ def _ired(letters: Iterable[int]) -> IntWord:
     return tuple(out)
 
 
-def _icyc(w: IntWord) -> IntWord:
-    w = _ired(w)
+def _icyc(letters: Iterable[int]) -> IntWord:
+    w = _ired(letters)
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
@@ -102,18 +102,6 @@ def _canon_key(w: IntWord) -> IntWord:
     j = _least_rotation(iw)
     b = iw[j:] + iw[:j]
     return a if a <= b else b
-
-
-def _isubst(w: IntWord, g: int, expr: IntWord) -> IntWord:
-    out: list[int] = []
-    for l in w:
-        repl = expr if l == g else (_iinv(expr) if l == -g else (l,))
-        for x in repl:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
 
 
 class Presentation:
@@ -201,13 +189,8 @@ class _TietzeState:
     def __init__(self, p: Presentation):
         self.source = p.alphabet  # int codes stay relative to the source alphabet
         self.symbols: list[GenSym] = list(p.alphabet.symbols)
-        self.rels: list[IntWord] = []
-        seen: set[IntWord] = set()
-        for r in p.encoded_relators():
-            key = _canon_key(r)
-            if key not in seen:
-                seen.add(key)
-                self.rels.append(r)
+        # already distinct up to rotation and inversion (Presentation.__init__)
+        self.rels: list[IntWord] = p.encoded_relators()
 
     def enc(self, w: Word) -> IntWord:
         return _icyc(self.source.encode(w))
@@ -226,8 +209,10 @@ class _TietzeState:
             sym, expr, defining = move.payload
             g = self.source.index(sym) + 1
             self.rels.remove(self.enc(defining))
-            e = self.source.encode(expr)
-            self.rels = [w for w in (_icyc(_isubst(r, g, e)) for r in self.rels) if w]
+            images = {g: self.source.encode(expr)}
+            images[-g] = _iinv(images[g])
+            self.rels = [w for w in (_icyc(x for l in r for x in images.get(l, (l,)))
+                                     for r in self.rels) if w]
             self.symbols.remove(sym)
         else:
             raise ValueError(f"unknown move kind {move.kind}")
@@ -457,7 +442,7 @@ class _Simplifier:
         rel = sorted(((start - base) % L, cut, comp) for start, cut, comp in arcs)
         for start, cut, comp in reversed(rel):
             linear[start:start + cut] = list(_iinv(comp))
-        return _icyc(_ired(tuple(linear)))
+        return _icyc(linear)
 
     def shorten(self) -> bool:
         """Rewriting rounds until no relator shrinks.

@@ -211,7 +211,7 @@ class Alphabet:
 
     def decode(self, ints: Iterable[int]) -> Word:
         syms = self.symbols
-        return Word(tuple((syms[abs(i) - 1], 1 if i > 0 else -1) for i in ints))
+        return Word.of((syms[abs(i) - 1], 1 if i > 0 else -1) for i in ints)
 
     def __repr__(self) -> str:
         return f"Alphabet([{', '.join(str(s) for s in self.symbols)}])"

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ from braidpi.analysis import (AbelianInvariants, CosetLimitExceeded, abelian_inv
                               det, holds_in, is_abelian, mat_mul, relation_matrix,
                               smith_normal_form, todd_coxeter,
                               trivial_in_abelianization)
+from braidpi.cli import parse_presentation
 from braidpi.presentation import Presentation
 from braidpi.word_core import GenSym, Word, alphabet
 
@@ -143,6 +147,113 @@ def test_smith_normal_form_random():
         rows = rng.randrange(1, 9)
         cols = rng.randrange(1, 9)
         m = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
+        _check_snf(m)
+
+
+def _reference_smith_normal_form(m):
+    """The earlier routine, with its pivot search written out twice."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [row[:] for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(a[i][j])
+                if x and (pivot is None or x < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
+        while True:
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+            if any(a[i][t] for i in range(t + 1, rows)) \
+                    or any(a[t][j] for j in range(t + 1, cols)):
+                best = (t, t)
+                for i in range(t, rows):
+                    for j in range(t, cols):
+                        x = abs(a[i][j])
+                        if x and (a[best[0]][best[1]] == 0 or x < abs(a[best[0]][best[1]])):
+                            best = (i, j)
+                if best[0] != t:
+                    swap_rows(t, best[0])
+                if best[1] != t:
+                    swap_cols(t, best[1])
+                continue
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
+    return a, u, v
+
+
+def _benchmark_inputs():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_smith_normal_form_matches_reference():
+    inputs = _benchmark_inputs()
+    matrices = []
+    for seed in (1, 2, 3):
+        for call in inputs.groups(seed).calls:
+            if call.label.startswith("abelianize U D V"):
+                matrices.append(relation_matrix(parse_presentation(call.stdin)))
+    assert len(matrices) == 12
+    rng = random.Random(43)
+    for _ in range(100):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        matrices.append([[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(cols)]
+                         for _ in range(rows)])
+    for m in matrices:
+        assert smith_normal_form(m) == _reference_smith_normal_form(m)
         _check_snf(m)
 
 

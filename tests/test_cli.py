@@ -127,6 +127,17 @@ def test_cli_schreier_modulus_bound(tmp_path, capsys):
     assert "letters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["pipeline", "--k", "100000000"],
+                                  ["pipeline", "--all", "--max-k", "5000"],
+                                  ["regression", "--k", "5000"]])
+def test_cli_cover_parameter_bound(argv, capsys):
+    # the orbifold kernel would hold at least 2 (k + 1)^2 letters
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    assert "letters" in capsys.readouterr().err
+
+
 def test_cli_pipeline_json(shared_pipeline, capsys):
     assert main(["pipeline", "--k", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

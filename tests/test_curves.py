@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidpi.curves import (HomogPoly, ProjPoint, QuadScalar, RadicalMismatchError,
+from braidpi.curves import (Poly, ProjPoint, QuadScalar, RadicalMismatchError,
                             conic, cubic_discriminant, divide_univariate,
                             family_cubic, gradient, hessian, is_tangent_at, line,
                             nodal_cubic, poly3, sylvester_resultant, unipoly,
@@ -55,11 +55,41 @@ def test_poly_evaluate_and_partial():
     assert all(g.is_zero() for g in gradient(c, node))
 
 
+def test_poly_mixed_degrees():
+    f = poly3({(2, 0, 0): 1, (0, 0, 0): 3, (1, 0, 0): 0})
+    assert set(f.terms) == {(2, 0, 0), (0, 0, 0)}
+    assert f.degree == 2 and not f.is_homogeneous()
+    assert (f - f).is_zero() and (f - f).degree == 0 and (f - f).is_homogeneous()
+    assert conic().is_homogeneous() and not (conic() * f).is_homogeneous()
+    assert (conic() * f).degree == 4
+    with pytest.raises(ValueError):
+        Poly(3, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(3, {(1, -1, 0): 1})
+
+
+def test_geometry_rejects_non_forms():
+    base = ProjPoint.of(0, 1, 0)
+    # on the line z = 0 and on the curve, but not a form
+    curve = nodal_cubic() + poly3({(1, 0, 0): 1})
+    assert curve.evaluate(base.coords).is_zero()
+    with pytest.raises(ValueError):
+        gradient(curve, base)
+    with pytest.raises(ValueError):
+        hessian(curve)
+    with pytest.raises(ValueError):
+        is_tangent_at(curve, line(0, 0, 1), base)
+    affine = line(0, 1, 0) - poly3({(0, 0, 0): 1})      # y - 1, vanishing at base
+    assert affine.degree == 1 and affine.evaluate(base.coords).is_zero()
+    with pytest.raises(ValueError):
+        is_tangent_at(conic(), affine, base)
+
+
 def test_euler_relation():
     for f in (conic(), nodal_cubic(), family_cubic(7)):
-        lhs = HomogPoly(3, {})
+        lhs = Poly(3, {})
         for v in range(3):
-            lhs = lhs + HomogPoly.variable(v) * f.partial(v)
+            lhs = lhs + Poly.variable(v) * f.partial(v)
         assert lhs == f * f.degree
 
 
@@ -152,7 +182,7 @@ def test_resultant_symmetry_and_multiplicativity():
         # homogeneous binary form in (x, z) with nonzero leading z coefficient
         terms = {(deg - k, 0, k): Q(rng.randint(-4, 4)) for k in range(deg)}
         terms[(0, 0, deg)] = Q(rng.randint(1, 4))
-        return HomogPoly(3, terms)
+        return Poly(3, terms)
 
     for _ in range(25):
         f = rand_poly(rng.randrange(1, 3))

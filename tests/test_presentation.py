@@ -172,3 +172,21 @@ def test_random_tietze_soundness():
         assert abelian_invariants(q) == abelian_invariants(p)
         assert log.replay(p) == q
         assert q.total_length() <= p.total_length()
+
+
+def test_tietze_on_decoded_unreduced_words():
+    # decode must reduce: an unreduced Word broke the simplifier's relator list
+    rng = random.Random(41)
+    alph = alphabet("a", "b")
+    for _ in range(40):
+        rels = []
+        for _ in range(rng.randrange(1, 4)):
+            ints = []
+            for _ in range(rng.randrange(1, 8)):
+                l = rng.choice((1, -1, 2, -2))
+                ints += [l, -l, l] if rng.random() < 0.3 else [l]
+            rels.append(alph.decode(ints))
+        p = Presentation(alph, rels)
+        q, log = tietze_simplify(p)
+        assert log.replay(p) == q
+        assert abelian_invariants(q) == abelian_invariants(p)

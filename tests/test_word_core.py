@@ -122,6 +122,13 @@ def test_alphabet_order_and_encoding():
         Alphabet([A, A])
 
 
+def test_decode_reduces_freely():
+    alph = alphabet("a", "b")
+    assert alph.decode((1, -1, 2)) == Word.gen(B)
+    assert alph.decode((2, 1, -1, -2, -1)) == Word.gen(A, -1)
+    assert alph.decode((1, -1)).is_identity()
+
+
 def test_exponent_sums():
     word = w((A, 1), (B, -1), (A, 1), (B, 1), (A, -1))
     assert word.exponent_sums() == {A: 1, B: 0}
