@@ -74,7 +74,9 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         raise ValueError("max_cosets must be >= 1")
     ngens = len(p.alphabet)
     ncols = 2 * ngens
-    relators = sorted(p.encoded_relators(), key=lambda r: (len(r), r))
+    # each relator's columns, and their inverses for the backward scan
+    relators = [([_col(l) for l in r], [_col(l) ^ 1 for l in r])
+                for r in sorted(p.encoded_relators(), key=lambda r: (len(r), r))]
 
     table: list[list[int | None] | None] = [None, [None] * ncols]
     parent = [0, 1]
@@ -129,28 +131,28 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         table[nu][c ^ 1] = f
         return nu
 
-    def scan_and_fill(alpha: int, w: tuple[int, ...]) -> None:
+    def scan_and_fill(alpha: int, fwd: list[int], bwd: list[int]) -> None:
         f, i = alpha, 0
-        b, j = alpha, len(w) - 1
+        b, j = alpha, len(fwd) - 1
         while True:
-            while i <= j and table[f][_col(w[i])] is not None:
-                f = find(table[f][_col(w[i])])
+            while i <= j and table[f][fwd[i]] is not None:
+                f = find(table[f][fwd[i]])
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][_col(w[j]) ^ 1] is not None:
-                b = find(table[b][_col(w[j]) ^ 1])
+            while j >= i and table[b][bwd[j]] is not None:
+                b = find(table[b][bwd[j]])
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][_col(w[i])] = b
-                table[b][_col(w[i]) ^ 1] = f
+                table[f][fwd[i]] = b
+                table[b][bwd[i]] = f
                 return
-            f = define(f, _col(w[i]))
+            f = define(f, fwd[i])
             i += 1
 
     alpha = 1
@@ -158,8 +160,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         if find(alpha) != alpha:
             alpha += 1
             continue
-        for r in relators:
-            scan_and_fill(alpha, r)
+        for fwd, bwd in relators:
+            scan_and_fill(alpha, fwd, bwd)
             if find(alpha) != alpha:
                 break
         if find(alpha) == alpha:

@@ -15,6 +15,12 @@ A braid word acts letter by letter, leftmost letter first, so that
 ``act(compose(b1, b2), w) == act(b2, act(b1, w))`` -- a right action, and
 products written on paper left-to-right can be transcribed verbatim.
 
+``act`` builds the int-word images of the strands a braid moves, reading
+its letters right to left: if Psi acts as the suffix read so far, the letter
+sigma_k before it gives d_h -> Psi((d_h) sigma_k), which rewrites only d_k
+(to Psi(d_(k+1))) and d_(k+1) (to Psi(d_(k+1))^-1 Psi(d_k) Psi(d_(k+1))).
+w is then substituted once, giving the letter-by-letter action's word.
+
 No braid normal form is imposed; braids are only ever compared through
 their actions.
 """
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .word_core import Alphabet, GenSym, Word
+from .word_core import Alphabet, Word, _iextend, _iinv
 
 BraidLetter = tuple[int, int]  # (Artin index i, sign)
 
@@ -84,28 +90,19 @@ def compose(b1: Braid, b2: Braid) -> Braid:
     return Braid(b1.strands, b1.letters + b2.letters)
 
 
-def _generator_images(fiber: tuple[GenSym, ...], i: int, sign: int) -> dict[GenSym, Word]:
-    dk, dk1 = fiber[i - 1], fiber[i]
-    if sign > 0:
-        return {
-            dk: Word.gen(dk1),
-            dk1: Word.of([(dk1, -1), (dk, 1), (dk1, 1)]),
-        }
-    return {
-        dk: Word.of([(dk, 1), (dk1, 1), (dk, -1)]),
-        dk1: Word.gen(dk),
-    }
-
-
 def act(b: Braid, w: Word, fiber: Alphabet) -> Word:
     """Right action of ``b`` on ``w``, whose letters index the strands via ``fiber``."""
     if len(fiber) != b.strands:
         raise StrandMismatchError(
             f"fiber alphabet has {len(fiber)} symbols for a {b.strands}-strand braid")
-    fiber.check_word(w)
-    syms = fiber.symbols
-    for i, sign in b.letters:
-        moved = _generator_images(syms, i, sign)
-        images = {s: moved.get(s, Word.gen(s)) for s in w.symbols() | set(moved)}
-        w = w.substitute(images)
-    return w
+    images: dict[int, list[int]] = {}   # strand -> image, moved strands only
+    for i, sign in reversed(b.letters):
+        x, y = images.get(i, [i]), images.get(i + 1, [i + 1])
+        if sign > 0:
+            images[i], images[i + 1] = y, _iextend(_iextend(list(_iinv(y)), x), y)
+        else:
+            images[i], images[i + 1] = _iextend(_iextend(list(x), y), _iinv(x)), x
+    out: list[int] = []
+    for l in fiber.encode(w):
+        _iextend(out, images.get(l, [l]) if l > 0 else _iinv(images.get(-l, [-l])))
+    return fiber.decode(out)

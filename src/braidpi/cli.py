@@ -24,7 +24,7 @@ when 2 (K + 1)^2 passes ``MAX_LETTERS``: the orbifold kernel holds the
 K + 1 rewrites of G^(K+1) and of s^(K+1).
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
-3 coset enumeration overflow.
+3 coset enumeration overflow.  ``--simplify`` notes a spent move budget on stderr.
 """
 
 from __future__ import annotations
@@ -264,10 +264,17 @@ def _cmd_act(args) -> int:
     return 0
 
 
+def _simplify(p: Presentation, budget: int = 20000) -> Presentation:
+    p, log = tietze_simplify(p, budget=budget)
+    if log.exhausted:
+        print(f"note: the Tietze budget of {budget} moves ran out", file=sys.stderr)
+    return p
+
+
 def _cmd_present(args) -> int:
     p = parse_presentation(_read_source(args.file))
     if args.simplify:
-        p, _ = tietze_simplify(p, budget=args.budget)
+        p = _simplify(p, args.budget)
     data = {"schema": "braidpi/1", "stage": "present",
             "generators": [str(g) for g in p.alphabet],
             "relatorCount": len(p.relators)}
@@ -295,7 +302,7 @@ def _cmd_schreier(args) -> int:
         t = Transversal.of(reps)
     sub, gens = subgroup_presentation(p, q, t)
     if args.simplify:
-        sub, _ = tietze_simplify(sub)
+        sub = _simplify(sub)
     lines = [str(sub), ""]
     for sym, w in gens.backmap.items():
         lines.append(f"{sym} = {w}")

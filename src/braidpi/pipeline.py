@@ -117,8 +117,15 @@ def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
     of the transversal ``reps`` and ``names``, simplified keeping ``protect``."""
     q = CyclicMap.onto(parent, modulus, images)
     raw, gens = subgroup_presentation(parent, q, Transversal.of(reps), names)
-    simplified, _ = tietze_simplify(raw, protect=protect)
-    return Cover(parent, raw, gens, simplified)
+    return Cover(parent, raw, gens, _simplify(raw, protect))
+
+
+def _simplify(p: Presentation, protect: Iterable[GenSym]) -> Presentation:
+    """The Tietze stage of every step; a stage whose move budget runs out fails."""
+    simplified, log = tietze_simplify(p, protect=protect)
+    if log.exhausted:
+        raise PipelineError(f"Tietze move budget exhausted on {p!r}")
+    return simplified
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +459,10 @@ class Pipeline:
     def __init__(self):
         full = full_alphabet()
         self.pi_prime = pi_prime()
-        self.pi_prime_simplified, _ = tietze_simplify(self.pi_prime, protect=full)
+        self.pi_prime_simplified = _simplify(self.pi_prime, full)
         twist = Word.of([(D[i], 1) for i in range(1, 6)])
         squares = [Word.gen(D[i]) ** 2 for i in range(1, 6)] + [twist ** 2]
-        self.z2_parent, _ = tietze_simplify(add_relators(self.pi_prime_simplified, squares),
-                                            protect=full)
+        self.z2_parent = _simplify(add_relators(self.pi_prime_simplified, squares), full)
         names = {(1, D[1]): DELTA, (0, GAMMA): GAMMA, (1, GAMMA): SIGMA}
         names.update({(0, D[i]): B[i] for i in range(2, 6)})
         names.update({(1, D[i]): A[i] for i in range(2, 6)})
@@ -477,8 +483,7 @@ class Pipeline:
         """Coset table of T(k): the Z/2 parent with G^m and s^m = (d1 G d1^-1)^m."""
         m = _modulus(k)
         rels = [Word.gen(GAMMA) ** m, self.z2.gens.backmap[SIGMA] ** m]
-        p, _ = tietze_simplify(add_relators(self.z2_parent, rels), protect=full_alphabet())
-        return todd_coxeter(p)
+        return todd_coxeter(_simplify(add_relators(self.z2_parent, rels), full_alphabet()))
 
     def base_word(self, entry: CorpusEntry, orbifold: Cover) -> Word:
         """Push a corpus relation down to the d/G alphabet via Schreier backmaps."""

@@ -18,13 +18,17 @@ Every change is a recorded ``TietzeMove``; the engine and
 ``TietzeLog.replay`` mutate state through the same application routine,
 so replaying the log over the source presentation reproduces the result
 exactly, and the output presents an isomorphic group by construction.
-The substring search in (b) walks r + r through the suffix automaton
-(Blumer et al., TCS 1985) of a reducer s only if some quarter-piece of s
-or s^-1, cut at floor(t |s| / 4), occurs in r + r: no piece is longer than
-ceil(|s|/4), so every match of more than |s|/2 letters holds one.  Each
-automaton is built at most once per relator value and call, which keeps
-the grinding of very long relators (thousands of letters) fast.  All
-iteration orders are fixed, so results are deterministic for a given budget.
+The substring search in (b) walks r + r (L = |r|) through the suffix
+automaton (Blumer et al., TCS 1985) of a reducer s, built at most once per
+relator value and call, only if a prefilter piece of s occurs in r + r:
+the quarter-pieces of s and s^-1 cut at floor(t |s| / 4), so every match of
+more than |s|/2 letters holds one, or for |s| < 4 (single-letter quarters)
+the cyclic windows of floor(|s|/2) + 1 letters, which pass exactly when a
+match exists.  The walk stops after L + |s| - 1 letters: a match ending at
+i >= L + |s| - 1 repeats the one ending at i - L (same start mod L, cut and
+automaton state, or an empty complement when it covers s), and the greedy
+pass never takes the repeat.  All iteration orders are fixed, so results
+are deterministic for a given budget.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .braid import Braid, act
-from .word_core import Alphabet, GenSym, Word
+from .word_core import Alphabet, GenSym, Word, _iinv
 
 IntWord = tuple[int, ...]
 
@@ -45,10 +49,6 @@ _OFS = 0x20
 
 def _enc(w: IntWord) -> str:
     return "".join(chr(_OFS + 2 * abs(l) + (0 if l > 0 else 1)) for l in w)
-
-
-def _iinv(w: IntWord) -> IntWord:
-    return tuple(-l for l in reversed(w))
 
 
 def _ired(letters: Iterable[int]) -> IntWord:
@@ -225,6 +225,7 @@ class _TietzeState:
 @dataclass
 class TietzeLog:
     moves: list[TietzeMove] = field(default_factory=list)
+    exhausted: bool = False  # the move budget ran out before the run finished
 
     def eliminations(self) -> list[tuple[GenSym, Word]]:
         return [(m.payload[0], m.payload[1]) for m in self.moves
@@ -294,11 +295,14 @@ def _reducer_automaton(s: IntWord) -> _SuffixAutomaton:
     return _SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
 
 
-def _quarter_pieces(s: IntWord) -> tuple[str, ...]:
-    """The non-empty pieces of _enc(s) and _enc(s^-1) cut at floor(t |s| / 4)."""
-    cuts = [t * len(s) // 4 for t in range(5)]
-    return tuple(dict.fromkeys(e[a:b] for e in (_enc(s), _enc(_iinv(s)))
-                               for a, b in zip(cuts, cuts[1:]) if a < b))
+def _prefilter_pieces(s: IntWord) -> tuple[str, ...]:
+    """Encoded pieces of s and s^-1 that a match of more than |s|/2 letters holds:
+    quarters cut at floor(t |s| / 4), or cyclic |s|/2 + 1 windows when |s| < 4."""
+    n = len(s)
+    cuts = [t * n // 4 for t in range(5)]
+    spans = [(a, a + n // 2 + 1) for a in range(n)] if n < 4 else list(zip(cuts, cuts[1:]))
+    encoded = [_enc(u + u[:1]) for u in (s, _iinv(s))]  # a window wraps by <= 1 letter
+    return tuple(dict.fromkeys(e[a:b] for e in encoded for a, b in spans))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,7 @@ class _Simplifier:
         self.protect = {p.alphabet.index(s) + 1 for s in protect}
         self.moves: list[TietzeMove] = []
         self.budget = budget
+        self.exhausted = False
         # reducer automata by relator value, for this call only
         self.automata: dict[IntWord, _SuffixAutomaton] = {}
 
@@ -319,6 +324,7 @@ class _Simplifier:
 
     def _afford(self, n: int) -> bool:
         if self.budget < n:
+            self.exhausted = True
             return False
         self.budget -= n
         return True
@@ -374,8 +380,9 @@ class _Simplifier:
         against a relator no longer in the presentation is not a Tietze move
         and can change the group).  Collects every match with
         2 |match| > |s| and greedily keeps a disjoint set, best gain first.
-        ``reducers`` holds (s, _quarter_pieces(s)) pairs; one whose pieces
-        all miss r + r has no such match and is not walked.  Returns arcs
+        ``reducers`` holds (s, _prefilter_pieces(s)) pairs; one whose pieces
+        all miss r + r has no such match and is not walked, and a walk ends
+        after L + |s| - 1 letters (see the module docstring).  Returns arcs
         (start, cut, complement) in the coordinates of r.
         """
         L = len(r)
@@ -396,7 +403,7 @@ class _Simplifier:
             nxt, link, length, fpos = sa.nxt, sa.link, sa.length, sa.fpos
             h = slen // 2 + 1           # shortest match with 2 |match| > |s|
             v = l = 0
-            for i, ch in enumerate(target):
+            for i, ch in enumerate(target[:L + slen - 1]):
                 while v and ch not in nxt[v]:
                     v = link[v]
                     l = length[v]
@@ -448,7 +455,7 @@ class _Simplifier:
         """Rewriting rounds until no relator shrinks.
 
         A reducer's automaton (over s + s and s^-1 + s^-1) is built the
-        first time some target passes its quarter-piece test, and is kept
+        first time some target passes its prefilter, and is kept
         by relator value for the rest of the call, so grinding a long
         relator re-walks it but never rebuilds an automaton.
         """
@@ -457,7 +464,7 @@ class _Simplifier:
             self.normalize()
             if not self.rels:
                 return any_change
-            reducers = [(s, _quarter_pieces(s)) for s in self.rels]
+            reducers = [(s, _prefilter_pieces(s)) for s in self.rels]
             order = sorted(range(len(self.rels)),
                            key=lambda j: (-len(self.rels[j]), self.rels[j]))
             changed = False
@@ -478,7 +485,7 @@ class _Simplifier:
                     any_change = True
                 if moved:
                     # later targets may reduce against this relator's new value
-                    reducers[j] = (cur, _quarter_pieces(cur))
+                    reducers[j] = (cur, _prefilter_pieces(cur))
             if not changed:
                 return any_change
         return any_change
@@ -513,7 +520,7 @@ class _Simplifier:
         quality = (sum(len(r) for r in self.rels), len(self.state.symbols), len(self.rels))
         return quality, len(self.moves)
 
-    def run(self):
+    def run(self) -> TietzeLog:
         best = self._snapshot()
         while self.budget > 0:
             self.shorten()
@@ -522,7 +529,7 @@ class _Simplifier:
                 break
             self.normalize()
             best = min(best, self._snapshot(), key=lambda s: s[0])
-        return best
+        return TietzeLog(self.moves[:best[1]], self.exhausted or self.budget == 0)
 
 
 def tietze_simplify(p: Presentation, budget: int = 20000,
@@ -530,14 +537,12 @@ def tietze_simplify(p: Presentation, budget: int = 20000,
     """Deterministic simplification by Tietze moves; see module docstring.
 
     ``budget`` caps the number of applied moves; on exhaustion the best
-    state reached so far is returned.  Symbols in ``protect`` are never
-    eliminated.  Total relator length of the result never exceeds the
-    input's, and replaying the returned log on ``p`` reproduces the
-    result exactly.
+    state reached so far is returned, with ``log.exhausted`` set.  Symbols
+    in ``protect`` are never eliminated.  Total relator length of the result
+    never exceeds the input's, and replaying the returned log on ``p``
+    reproduces the result exactly.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    sim = _Simplifier(p, budget, frozenset(protect))
-    (_, nmoves) = sim.run()
-    log = TietzeLog(sim.moves[:nmoves])
+    log = _Simplifier(p, budget, frozenset(protect)).run()
     return log.replay(p), log

@@ -17,7 +17,7 @@ in the data; ``format_word`` may compress for display only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class MissingImageError(KeyError):
@@ -72,6 +72,20 @@ def _reduce_into(out: list[Letter], letters: Iterable[Letter]) -> list[Letter]:
             out.pop()
         else:
             out.append((sym, sign))
+    return out
+
+
+def _iinv(w: Sequence[int]) -> tuple[int, ...]:
+    return tuple(-l for l in reversed(w))
+
+
+def _iextend(out: list[int], w: Sequence[int]) -> list[int]:
+    """out * w for freely reduced out and w: cancel at the tail of out, then extend."""
+    k = 0
+    while k < len(w) and out and out[-1] == -w[k]:
+        out.pop()
+        k += 1
+    out.extend(w[k:])
     return out
 
 

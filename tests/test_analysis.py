@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import random
 import sys
@@ -255,6 +256,33 @@ def test_smith_normal_form_matches_reference():
     for m in matrices:
         assert smith_normal_form(m) == _reference_smith_normal_form(m)
         _check_snf(m)
+
+
+# sha256 prefixes of repr(todd_coxeter(p).rows), recorded before relator
+# columns were encoded once per call; the tables must stay identical
+_QUOTIENT_TABLES = {1: "2aa241448b6dc099", 2: "01598fac1347db50", 3: "7e0d50d1d0a59b1f"}
+_ORBIFOLD_TABLES = {1: "4c01279a4e5b7deb", 2: "d505d881033003ad", 3: "c3b844d07118beaa"}
+_REFLECTION_GROUP_TABLES = {
+    1: ("54a74346e5154b2d", "3cd42655d2f99e52", "06ba2cd2d664a970", "f7231cc36fdcd901"),
+    2: ("87d638a22a1c6348", "77000a317627b172", "89309121480b879f", "f5736e33d55f54f9"),
+    3: ("dfa07be827b57771", "37c3cbaf53a10a2c", "027f6d25a1a5ccd9", "2ca13ca294657587"),
+}
+
+
+def _table_digest(t):
+    return hashlib.sha256(repr(t.rows).encode()).hexdigest()[:16]
+
+
+def test_coset_tables_match_recorded_digests(pipe):
+    for k in (1, 2, 3):
+        assert _table_digest(pipe.quotient(k)) == _QUOTIENT_TABLES[k]
+        assert _table_digest(todd_coxeter(pipe.orbifold(k).simplified)) == _ORBIFOLD_TABLES[k]
+    inputs = _benchmark_inputs()
+    for seed, expected in _REFLECTION_GROUP_TABLES.items():
+        tables = [todd_coxeter(parse_presentation(call.stdin))
+                  for call in inputs.groups(seed).calls if call.label.startswith("present G(")]
+        assert [t.order for t in tables] == [720, 5040, 3840, 1944]
+        assert tuple(_table_digest(t) for t in tables) == expected, seed
 
 
 def test_abelian_invariants_examples():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from braidpi import pipeline, presentation
 from braidpi.braid import Braid, StrandMismatchError, act, compose
 from braidpi.pipeline import fiber_alphabet, paper_braids
-from braidpi.word_core import GenSym, Word
+from braidpi.word_core import Alphabet, GenSym, Word
 
 FIBER = fiber_alphabet()
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
@@ -126,3 +127,57 @@ def test_strand_validation():
         compose(Braid(3, ((1, 1),)), Braid(4, ((1, 1),)))
     with pytest.raises(StrandMismatchError):
         act(Braid(3, ()), Word.gen(D[1]), FIBER)
+
+
+def reference_act(b, w, fiber):
+    """The letter-by-letter action: rebuild the images and re-substitute w per letter."""
+    syms = fiber.symbols
+    for i, sign in b.letters:
+        dk, dk1 = syms[i - 1], syms[i]
+        if sign > 0:
+            moved = {dk: Word.gen(dk1), dk1: Word.of([(dk1, -1), (dk, 1), (dk1, 1)])}
+        else:
+            moved = {dk: Word.of([(dk, 1), (dk1, 1), (dk, -1)]), dk1: Word.gen(dk)}
+        images = {s: moved.get(s, Word.gen(s)) for s in w.symbols() | set(moved)}
+        w = w.substitute(images)
+    return w
+
+
+def test_action_matches_letter_by_letter_reference():
+    rng = random.Random(31)
+    longest = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        fiber = Alphabet(GenSym("d", i) for i in range(1, n + 1))
+        b = Braid(n, tuple((rng.randrange(1, n), rng.choice((1, -1)))
+                           for _ in range(rng.randint(0, 40))))
+        w = Word.of((fiber.symbols[rng.randrange(n)], rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 8)))
+        image = act(b, w, fiber)
+        assert image == reference_act(b, w, fiber), (b, w)
+        longest = max(longest, len(image))
+    assert longest > 1000  # long images, not only short ones
+
+
+def test_paper_braid_actions_match_reference():
+    words = [d(i) for i in range(1, 6)] + [d(1) * d(2) * d(3) * d(4) * d(5),
+                                          d(4) * d(5), d(1) * d(3, -1)]
+    for b in paper_braids().values():
+        for beta in (b, b.inverse(), b * b):
+            for w in words:
+                assert act(beta, w, FIBER) == reference_act(beta, w, FIBER), (beta, w)
+
+
+def test_pi_prime_action_words_match_reference(monkeypatch):
+    # all 30 stabilizer and 5 conjugation words of Pi' come from act
+    calls = []
+
+    def checked(beta, w, fiber):
+        image = act(beta, w, fiber)
+        assert image == reference_act(beta, w, fiber), (beta, w)
+        calls.append(image)
+        return image
+
+    monkeypatch.setattr(presentation, "act", checked)
+    pipeline.pi_prime()
+    assert len(calls) == 35

@@ -7,7 +7,7 @@ from braidpi import cli
 from braidpi.cli import (MAX_NESTING, ParseError, main, parse_braid,
                          parse_presentation, parse_word)
 from braidpi.pipeline import pi_prime
-from braidpi.word_core import GenSym, Word, alphabet
+from braidpi.word_core import Alphabet, GenSym, Word, alphabet
 
 
 def test_parse_word_basic():
@@ -96,6 +96,30 @@ def test_cli_act_bounds(capsys):
     assert main(["act", "--braid", "(s1 s2')^5", "--word", "d1 d3", "--n", "3"]) == 0
     image = parse_braid("(s1 s2')^5", 3).act(parse_word("d1 d3"), alphabet("d1", "d2", "d3"))
     assert capsys.readouterr().out.strip() == str(image)
+
+
+def test_cli_act_many_strands(capsys):
+    # each braid letter rewrites two strand images, not one per strand
+    start = time.perf_counter()
+    assert main(["act", "--n", "10000", "--braid", "s1", "--word", "d1"]) == 0
+    assert capsys.readouterr().out.strip() == "d2"
+    assert main(["act", "--n", "10000", "--braid", "(s1 s9999')^400",
+                 "--word", "d1 d10000"]) == 0
+    assert time.perf_counter() - start < 2
+    fiber = Alphabet(GenSym("d", i) for i in range(1, 10001))
+    image = parse_braid("(s1 s9999')^400", 10000).act(parse_word("d1 d10000", fiber), fiber)
+    assert capsys.readouterr().out.strip() == str(image) and len(image) == 1598
+
+
+def test_cli_simplify_reports_budget_exhaustion(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("< a b c | a^2, b^2, (a b)^3, c a' b >")
+    assert main(["present", str(f), "--simplify", "--budget", "3"]) == 0
+    assert "budget of 3 moves ran out" in capsys.readouterr().err
+    assert main(["present", str(f), "--simplify"]) == 0
+    assert main(["schreier", str(f), "--mod", "2", "--images", "a=1,b=1,c=0",
+                 "--simplify"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_abelianize(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import pytest
 
+from braidpi import pipeline
 from braidpi.analysis import abelian_invariants, holds_in, is_abelian, todd_coxeter
-from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, paper_braids, pi_prime,
-                              regression_corpus, run)
+from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, PipelineError, full_alphabet,
+                              paper_braids, pi_prime, regression_corpus, run)
 from braidpi.word_core import GenSym, Word
 
 
@@ -186,6 +187,34 @@ def test_parity_law_through_k6(pipe):
         inv = abelian_invariants(pipe.orbifold(k).simplified)
         assert inv.torsion == ((4, 4) if k % 2 else (2, 4))
         assert inv.free_rank == 0
+
+
+def test_stage_budget_exhaustion_fails_the_run(monkeypatch):
+    real = pipeline.tietze_simplify
+    monkeypatch.setattr(pipeline, "tietze_simplify",
+                        lambda p, budget=20000, protect=(): real(p, 3, protect))
+    with pytest.raises(PipelineError, match="budget"):
+        pipeline._simplify(pi_prime(), full_alphabet())
+    with pytest.raises(PipelineError):
+        pipeline.Pipeline()
+
+
+def test_pipeline_stages_stay_within_budget(monkeypatch):
+    logs = []
+    real = pipeline.tietze_simplify
+
+    def recording(p, budget=20000, protect=()):
+        result = real(p, budget, protect)
+        logs.append(result[1])
+        return result
+
+    monkeypatch.setattr(pipeline, "tietze_simplify", recording)
+    pipe = pipeline.Pipeline()
+    for k in range(1, 7):
+        pipe.run(k)
+    # Pi', the Z/2 parent and cover, then an orbifold and a quotient per k
+    assert len(logs) == 15
+    assert not any(log.exhausted for log in logs)
 
 
 def test_invalid_k(pipe):

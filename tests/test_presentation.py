@@ -9,7 +9,7 @@ from braidpi.presentation import (Presentation, add_relators, conjugation_relato
                                   stabilizer_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
 
-A, B = GenSym("a"), GenSym("b")
+A, B, C = GenSym("a"), GenSym("b"), GenSym("c")
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
 G = GenSym("G")
 
@@ -136,6 +136,16 @@ def test_tietze_budget_returns_state():
     assert abelian_invariants(q) == abelian_invariants(p)
     with pytest.raises(ValueError):
         tietze_simplify(p, budget=0)
+
+
+def test_tietze_budget_exhaustion_is_flagged():
+    alph = alphabet("a", "b", "c")
+    p = Presentation(alph, [word((A, 1)) ** 2, word((B, 1)) ** 2,
+                            word((A, 1), (B, 1)) ** 3, word((C, 1), (A, -1), (B, 1))])
+    q, log = tietze_simplify(p, budget=3)
+    assert log.exhausted and len(log.moves) <= 3
+    q, log = tietze_simplify(p)
+    assert not log.exhausted and len(q.alphabet) < 3
 
 
 def test_tietze_log_rewrite_maps_to_target_alphabet():

@@ -1,16 +1,15 @@
 """The common-substring search of the Tietze shortener against a plain reference.
 
 The reference collector walks every reducer through its suffix automaton,
-with no quarter-piece test; the engine must find exactly the same arcs,
-and so the same moves.
+over the whole of r + r and with no prefilter; the engine must find exactly
+the same arcs, and so the same moves.
 """
 
 import random
 
 from braidpi import pipeline
-from braidpi.presentation import (Presentation, TietzeLog, _enc, _iinv, _icyc,
-                                  _quarter_pieces, _reducer_automaton, _Simplifier,
-                                  tietze_simplify)
+from braidpi.presentation import (Presentation, _enc, _iinv, _icyc, _prefilter_pieces,
+                                  _reducer_automaton, _Simplifier, tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym
 
 
@@ -28,6 +27,18 @@ def _walk(sa, t):
             v = 0
             l = 0
         yield i, l, sa.fpos[v]
+
+
+def _complement(s, fend, cut):
+    """The rest of the cyclic word of s or s^-1 after a match of ``cut`` letters
+    whose first occurrence in the automaton text ends at ``fend``."""
+    slen = len(s)
+    if fend < 2 * slen:
+        u, end_u = s, fend
+    else:
+        u, end_u = _iinv(s), fend - (2 * slen + 1)
+    start_u = (end_u - cut + 1) % slen
+    return tuple(u[(start_u + cut + k) % slen] for k in range(slen - cut))
 
 
 def reference_arcs(owner, r, reducers, automaton=_reducer_automaton):
@@ -53,15 +64,7 @@ def reference_arcs(owner, r, reducers, automaton=_reducer_automaton):
             continue
         for k in range(cut):
             taken[(start + k) % L] = True
-        s = reducers[j]
-        slen = len(s)
-        if fend < 2 * slen:
-            u, end_u = s, fend
-        else:
-            u, end_u = _iinv(s), fend - (2 * slen + 1)
-        start_u = (end_u - cut + 1) % slen
-        arcs.append((start, cut, tuple(u[(start_u + cut + k) % slen]
-                                       for k in range(slen - cut))))
+        arcs.append((start, cut, _complement(reducers[j], fend, cut)))
     return arcs
 
 
@@ -82,9 +85,7 @@ class _ReferenceSimplifier(_Simplifier):
 
 
 def _reference_simplify(p, budget=20000, protect=()):
-    sim = _ReferenceSimplifier(p, budget, frozenset(protect))
-    _, nmoves = sim.run()
-    log = TietzeLog(sim.moves[:nmoves])
+    log = _ReferenceSimplifier(p, budget, frozenset(protect)).run()
     return log.replay(p), log
 
 
@@ -114,13 +115,80 @@ def test_collect_arcs_matches_reference():
     found = 0
     for _ in range(300):
         sim = _Simplifier(_random_presentation(rng), 20000, frozenset())
-        reducers = [(s, _quarter_pieces(s)) for s in sim.rels]
+        reducers = [(s, _prefilter_pieces(s)) for s in sim.rels]
         plain = [s for s, _ in reducers]
         for j, r in enumerate(plain):
             arcs = sim._collect_arcs(j, r, reducers)
             assert arcs == reference_arcs(j, r, plain), (plain, j)
             found += bool(arcs)
     assert found > 100  # the comparison is not vacuous
+
+
+def _short_reducer_presentation(rng):
+    """A few long relators and several reducers of 1-3 letters, most cut from them."""
+    ngens = rng.randint(1, 4)
+    longs, count = [], rng.randint(1, 3)
+    while len(longs) < count:
+        w = _icyc(_random_word(rng, ngens, rng.randint(12, 40)))
+        if len(w) >= 8:
+            longs.append(w)
+    shorts = []
+    for _ in range(rng.randint(2, 6)):
+        n = rng.randint(1, 3)
+        if rng.random() < 0.7:
+            w = rng.choice(longs)
+            a = rng.randrange(len(w))
+            piece = (w + w)[a:a + n]
+            shorts.append(_iinv(piece) if rng.random() < 0.3 else piece)
+        else:
+            shorts.append(_random_word(rng, ngens, n))
+    alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
+    return Presentation(alph, [alph.decode(_icyc(w)) for w in longs + shorts])
+
+
+def test_short_reducers_match_reference():
+    rng = random.Random(909)
+    found = exact = 0
+    for _ in range(200):
+        sim = _Simplifier(_short_reducer_presentation(rng), 20000, frozenset())
+        reducers = [(s, _prefilter_pieces(s)) for s in sim.rels]
+        plain = [s for s, _ in reducers]
+        for j, r in enumerate(plain):
+            arcs = sim._collect_arcs(j, r, reducers)
+            assert arcs == reference_arcs(j, r, plain), (plain, j)
+            found += bool(arcs)
+            # for |s| < 4 the windows pass exactly when the walk finds a candidate
+            target = _enc(r + r)
+            for i, (s, pieces) in enumerate(reducers):
+                if i != j and len(s) < 4 and len(s) <= len(r):
+                    passes = any(p in target for p in pieces)
+                    assert passes == bool(reference_arcs(-1, r, [s])), (s, r)
+                    exact += 1
+    assert found > 150 and exact > 500
+
+
+def test_walk_cutoff_lemma():
+    # a candidate recorded at i >= L + |s| - 1 repeats the one recorded at i - L:
+    # same start mod L, cut and complement (the reducer is the walked one)
+    rng = random.Random(11)
+    repeats = 0
+    for _ in range(2000):
+        ngens = rng.randint(1, 3)
+        r = _icyc(_random_word(rng, ngens, rng.randint(1, 16)))
+        s = _icyc(_random_word(rng, ngens, rng.randint(1, 16)))
+        if not r or not s or len(s) > len(r):
+            continue
+        L, slen = len(r), len(s)
+        recorded = {}
+        for i, l, fend in _walk(_reducer_automaton(s), _enc(r + r)):
+            cut = min(l, slen)
+            if 2 * cut > slen:
+                recorded[i] = ((i - cut + 1) % L, cut, _complement(s, fend, cut))
+        for i, cand in recorded.items():
+            if i >= L + slen - 1:
+                assert recorded.get(i - L) == cand, (r, s, i)
+                repeats += 1
+    assert repeats > 1000
 
 
 def test_random_simplifications_match_reference():
@@ -164,7 +232,7 @@ def test_quarter_piece_test_is_sound():
             continue
         target = _enc(r + r)
         cuts = [min(l, len(s), len(r)) for _, l, _ in _walk(_reducer_automaton(s), target)]
-        passes = any(p in target for p in _quarter_pieces(s))
+        passes = any(p in target for p in _prefilter_pieces(s))
         if any(2 * cut > len(s) for cut in cuts):
             qualified += 1
             assert passes, (s, r)
@@ -175,10 +243,15 @@ def test_quarter_piece_test_is_sound():
     # holds a piece; distinct letters make "holds" a matter of position only
     for n in range(1, 41):
         s = tuple(range(1, n + 1))
-        pieces = _quarter_pieces(s)
+        pieces = _prefilter_pieces(s)
         for e in (_enc(s + s), _enc(_iinv(s) + _iinv(s))):
             for start in range(n):
                 window = e[start:start + n // 2 + 1]
                 assert any(p in window for p in pieces), (n, start)
-    for s in ((1,), (1, 2), (1, 2, 1)):   # pieces of short words are their letters
-        assert set(_quarter_pieces(s)) == {_enc((l,)) for l in s + _iinv(s)}
+    # for |s| < 4 the pieces are the cyclic windows of |s|/2 + 1 letters (rounded down)
+    assert set(_prefilter_pieces((1,))) == {_enc((1,)), _enc((-1,))}
+    assert set(_prefilter_pieces((1, 2))) == {_enc(w) for w in ((1, 2), (2, 1), (-2, -1),
+                                                                (-1, -2))}
+    for s in ((1, 2, 1), (1, 2, 3), (1, 1, 1)):
+        expected = {_enc((u + u)[a:a + 2]) for u in (s, _iinv(s)) for a in range(3)}
+        assert set(_prefilter_pieces(s)) == expected, s
