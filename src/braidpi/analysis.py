@@ -18,6 +18,7 @@ exponent-sum matrix of a presentation through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .presentation import Presentation
 from .word_core import Alphabet, Word
@@ -42,7 +43,6 @@ class CosetTable:
     def __init__(self, alphabet: Alphabet, rows: list[list[int]]):
         self.alphabet = alphabet
         self.rows = rows  # rows[0] unused; rows[i][_col(l)] = i . l
-        self.complete = all(all(e is not None for e in row) for row in rows[1:])
 
     @property
     def order(self) -> int:
@@ -208,45 +208,6 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(D, U, V) with U m V = D diagonal, d1 | d2 | ..., U and V unimodular."""
     rows = len(m)
@@ -339,12 +300,7 @@ class AbelianInvariants:
 
     def order(self) -> int | None:
         """Group order when finite (free rank 0), else None."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion] + ["Z"] * self.free_rank

@@ -15,11 +15,11 @@ A braid word acts letter by letter, leftmost letter first, so that
 ``act(compose(b1, b2), w) == act(b2, act(b1, w))`` -- a right action, and
 products written on paper left-to-right can be transcribed verbatim.
 
-``act`` builds the int-word images of the strands a braid moves, reading
-its letters right to left: if Psi acts as the suffix read so far, the letter
-sigma_k before it gives d_h -> Psi((d_h) sigma_k), which rewrites only d_k
-(to Psi(d_(k+1))) and d_(k+1) (to Psi(d_(k+1))^-1 Psi(d_k) Psi(d_(k+1))).
-w is then substituted once, giving the letter-by-letter action's word.
+``strand_images`` builds the int-word images of the strands a braid moves,
+reading its letters right to left: if Psi acts as the suffix read so far,
+the letter sigma_k before it gives d_h -> Psi((d_h) sigma_k), which rewrites
+only d_k (to Psi(d_(k+1))) and d_(k+1) (to Psi(d_(k+1))^-1 Psi(d_k) Psi(d_(k+1))).
+``act`` then substitutes w once, giving the letter-by-letter action's word.
 
 No braid normal form is imposed; braids are only ever compared through
 their actions.
@@ -68,10 +68,6 @@ class Braid:
     def inverse(self) -> "Braid":
         return Braid(self.strands, tuple((i, -s) for i, s in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Braid":
-        base = self if n >= 0 else self.inverse()
-        return Braid(self.strands, base.letters * abs(n))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -90,18 +86,25 @@ def compose(b1: Braid, b2: Braid) -> Braid:
     return Braid(b1.strands, b1.letters + b2.letters)
 
 
-def act(b: Braid, w: Word, fiber: Alphabet) -> Word:
-    """Right action of ``b`` on ``w``, whose letters index the strands via ``fiber``."""
+def strand_images(b: Braid, fiber: Alphabet) -> dict[int, list[int]]:
+    """Int-word images over ``fiber`` of the strands ``b`` moves, by strand
+    (1-based); the other strands are fixed."""
     if len(fiber) != b.strands:
         raise StrandMismatchError(
             f"fiber alphabet has {len(fiber)} symbols for a {b.strands}-strand braid")
-    images: dict[int, list[int]] = {}   # strand -> image, moved strands only
+    images: dict[int, list[int]] = {}
     for i, sign in reversed(b.letters):
         x, y = images.get(i, [i]), images.get(i + 1, [i + 1])
         if sign > 0:
             images[i], images[i + 1] = y, _iextend(_iextend(list(_iinv(y)), x), y)
         else:
             images[i], images[i + 1] = _iextend(_iextend(list(x), y), _iinv(x)), x
+    return images
+
+
+def act(b: Braid, w: Word, fiber: Alphabet) -> Word:
+    """Right action of ``b`` on ``w``, whose letters index the strands via ``fiber``."""
+    images = strand_images(b, fiber)
     out: list[int] = []
     for l in fiber.encode(w):
         _iextend(out, images.get(l, [l]) if l > 0 else _iinv(images.get(-l, [-l])))

@@ -483,7 +483,7 @@ class Pipeline:
         """Coset table of T(k): the Z/2 parent with G^m and s^m = (d1 G d1^-1)^m."""
         m = _modulus(k)
         rels = [Word.gen(GAMMA) ** m, self.z2.gens.backmap[SIGMA] ** m]
-        return todd_coxeter(_simplify(add_relators(self.z2_parent, rels), full_alphabet()))
+        return todd_coxeter(add_relators(self.z2_parent, rels))
 
     def base_word(self, entry: CorpusEntry, orbifold: Cover) -> Word:
         """Push a corpus relation down to the d/G alphabet via Schreier backmaps."""
@@ -515,6 +515,9 @@ class Pipeline:
             raise PipelineError(
                 f"order {table.order} != product of invariants {invs.order()}")
         quotient = self.quotient(k)
+        # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
+        if quotient.order != 2 * (k + 1) * table.order:
+            raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")
         corpus = regression_corpus(k)
         holds = {e.ident: holds_in(quotient, self.base_word(e, orb)) for e in corpus}
         regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}

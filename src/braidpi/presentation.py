@@ -19,16 +19,18 @@ Every change is a recorded ``TietzeMove``; the engine and
 so replaying the log over the source presentation reproduces the result
 exactly, and the output presents an isomorphic group by construction.
 The substring search in (b) walks r + r (L = |r|) through the suffix
-automaton (Blumer et al., TCS 1985) of a reducer s, built at most once per
-relator value and call, only if a prefilter piece of s occurs in r + r:
-the quarter-pieces of s and s^-1 cut at floor(t |s| / 4), so every match of
-more than |s|/2 letters holds one, or for |s| < 4 (single-letter quarters)
-the cyclic windows of floor(|s|/2) + 1 letters, which pass exactly when a
-match exists.  The walk stops after L + |s| - 1 letters: a match ending at
-i >= L + |s| - 1 repeats the one ending at i - L (same start mod L, cut and
-automaton state, or an empty complement when it covers s), and the greedy
-pass never takes the repeat.  All iteration orders are fixed, so results
-are deterministic for a given budget.
+automaton (Blumer et al., TCS 1985) of a reducer s only if a prefilter
+piece of s occurs in r + r: for |s| < 16 every cyclic window of s and s^-1
+of floor(|s|/2) + 1 letters, which passes exactly when a match exists, else
+the quarter-pieces cut at floor(t |s| / 4), one of which every match of
+more than |s|/2 letters holds.  The walk stops after L + |s| - 1 letters: a
+match ending at i >= L + |s| - 1 repeats the one ending at i - L (same
+start mod L, cut and state, or an empty complement), which the greedy pass
+never takes.  Each relator value has one record per call (pieces, r + r,
+canonical key, automaton), and a target value that came up empty is next
+tested only against the reducers that entered the list since and the
+owner it left out (``_Simplifier.shorten``).  All iteration orders are
+fixed, so results are deterministic for a given budget.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .braid import Braid, act
+from .braid import Braid, strand_images
 from .word_core import Alphabet, GenSym, Word, _iinv
 
 IntWord = tuple[int, ...]
@@ -51,23 +53,19 @@ def _enc(w: IntWord) -> str:
     return "".join(chr(_OFS + 2 * abs(l) + (0 if l > 0 else 1)) for l in w)
 
 
-def _ired(letters: Iterable[int]) -> IntWord:
-    out: list[int] = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
-
-
 def _icyc(letters: Iterable[int]) -> IntWord:
-    w = _ired(letters)
+    """Free, then cyclic reduction of an int word."""
+    w: list[int] = []
+    for l in letters:
+        if w and w[-1] == -l:
+            w.pop()
+        else:
+            w.append(l)
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
         j -= 1
-    return w[i:j]
+    return tuple(w[i:j])
 
 
 def _least_rotation(s: IntWord) -> int:
@@ -147,25 +145,27 @@ class Presentation:
                 f"{len(self.relators)} relators, total length {self.total_length()})")
 
 
+def _fiber_images(fiber: Alphabet, beta: Braid) -> list[Word]:
+    """(d) beta for each d of the fiber, from one set of strand images."""
+    images = strand_images(beta, fiber)
+    return [fiber.decode(images.get(i, (i,))) for i in range(1, len(fiber) + 1)]
+
+
 def conjugation_relators(fiber: Alphabet, gamma: GenSym, beta: Braid) -> list[Word]:
     """Relators gamma d gamma^-1 ((d) beta)^-1: conjugation by gamma acts as beta."""
     g = Word.gen(gamma)
-    return [g * Word.gen(d) * g.inverse() * act(beta, Word.gen(d), fiber).inverse()
-            for d in fiber]
+    return [g * Word.gen(d) * g.inverse() * image.inverse()
+            for d, image in zip(fiber, _fiber_images(fiber, beta))]
 
 
 def stabilizer_relators(fiber: Alphabet, braids: Sequence[Braid]) -> list[Word]:
-    """Relators d_i^-1 (d_i) beta stating that each braid fixes the fiber."""
+    """Relators d_i^-1 (d_i) beta stating that each braid fixes the fiber,
+    cyclically reduced; ``Presentation`` drops the duplicates among them."""
     out: list[Word] = []
-    seen: set[IntWord] = set()
     for beta in braids:
-        for d in fiber:
-            w = (Word.gen(d, -1) * act(beta, Word.gen(d), fiber)).cyclically_reduced()
-            if w.is_identity():
-                continue
-            key = _canon_key(fiber.encode(w))
-            if key not in seen:
-                seen.add(key)
+        for d, image in zip(fiber, _fiber_images(fiber, beta)):
+            w = (Word.gen(d, -1) * image).cyclically_reduced()
+            if w:
                 out.append(w)
     return out
 
@@ -179,7 +179,7 @@ def add_relators(p: Presentation, ws: Iterable[Word]) -> Presentation:
 
 @dataclass(frozen=True)
 class TietzeMove:
-    kind: str  # add-relator | remove-relator | add-generator | eliminate-generator
+    kind: str  # add-relator | remove-relator | eliminate-generator
     payload: tuple
 
 
@@ -200,11 +200,6 @@ class _TietzeState:
             self.rels.append(self.enc(move.payload[0]))
         elif move.kind == "remove-relator":
             self.rels.remove(self.enc(move.payload[0]))
-        elif move.kind == "add-generator":
-            sym, defining = move.payload
-            self.symbols.append(sym)
-            self.source = Alphabet(self.source.symbols + (sym,))
-            self.rels.append(self.enc(defining))
         elif move.kind == "eliminate-generator":
             sym, expr, defining = move.payload
             g = self.source.index(sym) + 1
@@ -227,18 +222,6 @@ class TietzeLog:
     moves: list[TietzeMove] = field(default_factory=list)
     exhausted: bool = False  # the move budget ran out before the run finished
 
-    def eliminations(self) -> list[tuple[GenSym, Word]]:
-        return [(m.payload[0], m.payload[1]) for m in self.moves
-                if m.kind == "eliminate-generator"]
-
-    def rewrite(self, w: Word) -> Word:
-        """Map a word over the source alphabet to the target alphabet."""
-        for g, expr in self.eliminations():
-            if g in w.symbols():
-                w = w.substitute({s: (expr if s == g else Word.gen(s))
-                                  for s in w.symbols()})
-        return w
-
     def replay(self, p: Presentation) -> Presentation:
         """Re-apply the recorded moves to ``p``, reproducing the target."""
         state = _TietzeState(p)
@@ -254,12 +237,10 @@ class _SuffixAutomaton:
     __slots__ = ("nxt", "link", "length", "fpos")
 
     def __init__(self, s: str):
-        self.nxt: list[dict[str, int]] = [{}]
-        self.link: list[int] = [-1]
-        self.length: list[int] = [0]
-        self.fpos: list[int] = [-1]
+        nxt: list[dict[str, int]] = [{}]
+        link, length, fpos = [-1], [0], [-1]
+        self.nxt, self.link, self.length, self.fpos = nxt, link, length, fpos
         last = 0
-        nxt, link, length, fpos = self.nxt, self.link, self.length, self.fpos
         for i, ch in enumerate(s):
             cur = len(length)
             nxt.append({})
@@ -295,14 +276,44 @@ def _reducer_automaton(s: IntWord) -> _SuffixAutomaton:
     return _SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
 
 
+# Below this length a reducer's prefilter pieces are all 2 |s| cyclic windows of
+# floor(|s|/2) + 1 letters, which pass exactly when a walk finds a match, so no
+# walk or automaton build is futile; longer reducers use four quarter-pieces.
+# Pi' and the orbifold covers for k <= 20 simplify fastest with the bound at
+# 16-24: below, futile walks remain; above, extra substring searches cost as much.
+_EXACT_WINDOWS = 16
+
+
 def _prefilter_pieces(s: IntWord) -> tuple[str, ...]:
     """Encoded pieces of s and s^-1 that a match of more than |s|/2 letters holds:
-    quarters cut at floor(t |s| / 4), or cyclic |s|/2 + 1 windows when |s| < 4."""
+    its cyclic floor(|s|/2) + 1 windows when |s| < _EXACT_WINDOWS, else the
+    quarters cut at floor(t |s| / 4)."""
     n = len(s)
-    cuts = [t * n // 4 for t in range(5)]
-    spans = [(a, a + n // 2 + 1) for a in range(n)] if n < 4 else list(zip(cuts, cuts[1:]))
-    encoded = [_enc(u + u[:1]) for u in (s, _iinv(s))]  # a window wraps by <= 1 letter
+    if n < _EXACT_WINDOWS:
+        h = n // 2 + 1
+        spans = [(a, a + h) for a in range(n)]
+    else:
+        h = 1
+        cuts = [t * n // 4 for t in range(5)]
+        spans = list(zip(cuts, cuts[1:]))
+    encoded = [_enc(u + u[:h - 1]) for u in (s, _iinv(s))]  # a window wraps by < h letters
     return tuple(dict.fromkeys(e[a:b] for e in encoded for a, b in spans))
+
+
+@dataclass(eq=False, slots=True)
+class _Relator:
+    """One relator value for one ``tietze_simplify`` call: its encodings, each
+    computed at most once, and its place in the rescan rule (see ``shorten``)."""
+
+    word: IntWord
+    text: str = ""                   # _enc(word + word), as a target
+    pieces: tuple[str, ...] = ()     # _prefilter_pieces(word), as a reducer
+    key: IntWord = ()                # _canon_key(word)
+    automaton: _SuffixAutomaton | None = None
+    born: int = 0                    # stamp of its last entry into the reducer list
+    clean: int = 0                   # stamp at its last scan that found no arc
+    excluded: _Relator | None = None  # the owner that scan left out
+    slots: list[int] = field(default_factory=list)  # its places in the reducer list
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +326,10 @@ class _Simplifier:
         self.moves: list[TietzeMove] = []
         self.budget = budget
         self.exhausted = False
-        # reducer automata by relator value, for this call only
-        self.automata: dict[IntWord, _SuffixAutomaton] = {}
+        # relator records by value, for this call only
+        self.records: dict[IntWord, _Relator] = {}
+        self.reducers: list[_Relator] = []   # the latest round's reducer list
+        self.born: list[_Relator] = []       # born[t - 1] got birth stamp t
 
     @property
     def rels(self) -> list[IntWord]:
@@ -341,17 +354,18 @@ class _Simplifier:
         self._emit("add-relator", self._word(new))
         self._emit("remove-relator", self._word(old))
 
+    def _record(self, w: IntWord) -> _Relator:
+        rec = self.records.get(w)
+        if rec is None:
+            rec = self.records[w] = _Relator(w)
+        return rec
+
     # -- (c) normalization --------------------------------------------------
 
     def normalize(self) -> bool:
+        """Drop empty relators and repeats up to rotation and inversion (every
+        relator is already cyclically reduced: ``_TietzeState`` stores no other)."""
         changed = False
-        for ow in list(self.rels):
-            nw = _icyc(ow)
-            if nw != ow:
-                if not self._afford(2):
-                    return changed
-                self._replace(ow, nw)
-                changed = True
         seen: set[IntWord] = set()
         for w in list(self.rels):
             if not w:
@@ -360,19 +374,37 @@ class _Simplifier:
                 self._emit("remove-relator", self._word(w))
                 changed = True
                 continue
-            key = _canon_key(w)
-            if key in seen:
+            rec = self._record(w)
+            rec.key = rec.key or _canon_key(w)
+            if rec.key in seen:
                 if not self._afford(1):
                     return changed
                 self._emit("remove-relator", self._word(w))
                 changed = True
             else:
-                seen.add(key)
+                seen.add(rec.key)
         return changed
 
     # -- (b) common-substring shortening --------------------------------------
 
-    def _collect_arcs(self, owner: int, r: IntWord, reducers):
+    def _birth(self, rec: _Relator) -> None:
+        self.born.append(rec)
+        rec.born = len(self.born)
+        rec.pieces = rec.pieces or _prefilter_pieces(rec.word)
+
+    def _admit(self, words: Sequence[IntWord]) -> list[_Relator]:
+        """The reducer list of a new round; values absent from the last one are born."""
+        last = set(self.reducers)
+        for rec in self.reducers:
+            rec.slots = []
+        self.reducers = [self._record(w) for w in words]
+        for j, rec in enumerate(self.reducers):
+            if not rec.slots and rec not in last:
+                self._birth(rec)
+            rec.slots.append(j)
+        return self.reducers
+
+    def _collect_arcs(self, owner: int, r: IntWord, reducers: list[_Relator]):
         """Disjoint positive-gain replacement arcs on the cyclic word r.
 
         Walks r + r through each reducer's automaton (reducers are other
@@ -380,26 +412,35 @@ class _Simplifier:
         against a relator no longer in the presentation is not a Tietze move
         and can change the group).  Collects every match with
         2 |match| > |s| and greedily keeps a disjoint set, best gain first.
-        ``reducers`` holds (s, _prefilter_pieces(s)) pairs; one whose pieces
-        all miss r + r has no such match and is not walked, and a walk ends
-        after L + |s| - 1 letters (see the module docstring).  Returns arcs
-        (start, cut, complement) in the coordinates of r.
+        ``reducers`` is the round's list from ``_admit``.  A reducer whose
+        prefilter pieces all miss r + r has no such match and is not walked
+        (below _EXACT_WINDOWS letters a hit means one exists), and a walk ends
+        after L + |s| - 1 letters.  A value of r scanned before without an arc
+        tests only the reducers that scan did not (the rule is in ``shorten``).
+        Returns arcs (start, cut, complement) in the coordinates of r.
         """
         L = len(r)
-        target = _enc(r + r)
+        rec = self._record(r)
+        target = rec.text = rec.text or _enc(r + r)
+        if rec.clean:                    # a rescan: only what its last scan did not test
+            scan = sorted({j for s in self.born[rec.clean:] if s.born > rec.clean
+                           for j in s.slots}.union(rec.excluded.slots))
+        else:
+            scan = range(len(reducers))
         cands: list[tuple[int, int, int, int, int]] = []
-        for j, (s, pieces) in enumerate(reducers):
-            slen = len(s)
-            if j == owner or not s or slen > L:
+        for j in scan:
+            s = reducers[j]
+            slen = len(s.word)
+            if j == owner or not slen or slen > L:
                 continue
-            for p in pieces:
+            for p in s.pieces:
                 if p in target:
                     break
             else:
                 continue
-            sa = self.automata.get(s)
+            sa = s.automaton
             if sa is None:
-                sa = self.automata[s] = _reducer_automaton(s)
+                sa = s.automaton = _reducer_automaton(s.word)
             nxt, link, length, fpos = sa.nxt, sa.link, sa.length, sa.fpos
             h = slen // 2 + 1           # shortest match with 2 |match| > |s|
             v = l = 0
@@ -416,6 +457,7 @@ class _Simplifier:
                     cut = l if l < slen else slen
                     cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, fpos[v]))
         if not cands:
+            rec.clean, rec.excluded = len(self.born), reducers[owner]
             return []
         cands.sort(key=lambda c: (-c[0], c[1], c[3], c[2]))
         taken = 0                        # bits p and p + L both mark letter p of r
@@ -425,7 +467,7 @@ class _Simplifier:
             if taken & span:
                 continue
             taken |= span | span << L | span >> L
-            s = reducers[j][0]
+            s = reducers[j].word
             slen = len(s)
             if fend < 2 * slen:          # match inside the s + s half
                 u, end_u = s, fend
@@ -454,22 +496,27 @@ class _Simplifier:
     def shorten(self) -> bool:
         """Rewriting rounds until no relator shrinks.
 
-        A reducer's automaton (over s + s and s^-1 + s^-1) is built the
-        first time some target passes its prefilter, and is kept
-        by relator value for the rest of the call, so grinding a long
-        relator re-walks it but never rebuilds an automaton.
+        Each relator value has one ``_Relator`` record for the call, so its
+        pieces, encodings and automaton are built at most once.  Rescan rule:
+        a value's candidates against a reducer depend only on the two values,
+        so a pair once tested without a match never needs testing again.  A
+        value gets a birth stamp whenever it enters the round's reducer list,
+        and a target scan that finds no arc stamps the target value clean.
+        On its next scan it tests only the reducers born since then, plus
+        the value it left out as owner (which may now sit in another slot);
+        every other reducer in the list was in it, unchanged, at that scan.
         """
         any_change = False
         while self.budget > 0:
             self.normalize()
             if not self.rels:
                 return any_change
-            reducers = [(s, _prefilter_pieces(s)) for s in self.rels]
+            reducers = self._admit(self.rels)
             order = sorted(range(len(self.rels)),
                            key=lambda j: (-len(self.rels[j]), self.rels[j]))
             changed = False
             for j in order:
-                cur = reducers[j][0]
+                cur = reducers[j].word
                 moved = False
                 while cur and cur in self.rels:
                     arcs = self._collect_arcs(j, cur, reducers)
@@ -485,7 +532,10 @@ class _Simplifier:
                     any_change = True
                 if moved:
                     # later targets may reduce against this relator's new value
-                    reducers[j] = (cur, _prefilter_pieces(cur))
+                    reducers[j].slots.remove(j)
+                    reducers[j] = self._record(cur)
+                    reducers[j].slots.append(j)
+                    self._birth(reducers[j])
             if not changed:
                 return any_change
         return any_change

@@ -20,9 +20,8 @@ g^-1 at residue r contributes s(r - q(g), g)^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
 from math import gcd
+from typing import Iterable, Mapping
 
 from .presentation import Presentation
 from .word_core import Alphabet, GenSym, Word
@@ -60,9 +59,7 @@ class CyclicMap:
             if q.residue(r) != 0:
                 raise QuotientMapError(f"relator {r} maps to {q.residue(r)} != 0 mod {modulus}")
         if modulus > 1:
-            d = modulus
-            for g in p.alphabet:
-                d = gcd(d, q.images[g])
+            d = gcd(modulus, *(q.images[g] for g in p.alphabet))
             if d != 1:
                 raise QuotientMapError(f"images generate {d}Z/{modulus}Z, map not onto")
         return q

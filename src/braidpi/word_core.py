@@ -17,6 +17,7 @@ in the data; ``format_word`` may compress for display only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -43,6 +44,15 @@ class GenSym:
             raise ValueError(f"symbol name {self.name!r} must not end in a digit")
         if self.index is not None and self.index < 0:
             raise ValueError("negative symbol index")
+        # the dataclass hash, computed once: symbols key every hot dict
+        object.__setattr__(self, "_hash", hash((self.name, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes, so never pickle _hash
+        return GenSym, (self.name, self.index)
 
     @staticmethod
     def parse(token: str) -> "GenSym":
@@ -68,7 +78,7 @@ def _reduce_into(out: list[Letter], letters: Iterable[Letter]) -> list[Letter]:
     for sym, sign in letters:
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +-1, got {sign}")
-        if out and out[-1][0] == sym and out[-1][1] == -sign:
+        if out and out[-1][1] == -sign and out[-1][0] == sym:
             out.pop()
         else:
             out.append((sym, sign))
@@ -135,9 +145,6 @@ class Word:
 
     def is_identity(self) -> bool:
         return not self.letters
-
-    def symbols(self) -> set[GenSym]:
-        return {s for s, _ in self.letters}
 
     def cyclically_reduced(self) -> "Word":
         ls = self.letters
@@ -213,9 +220,6 @@ class Alphabet:
                 raise AlphabetError(f"word uses foreign symbol {s}")
         return w
 
-    def extend(self, symbols: Iterable[GenSym]) -> "Alphabet":
-        return Alphabet(self.symbols + tuple(symbols))
-
     def encode(self, w: Word) -> tuple[int, ...]:
         pos = self._pos
         try:
@@ -236,23 +240,10 @@ def alphabet(*names: str) -> Alphabet:
     return Alphabet(GenSym.parse(n) for n in names)
 
 
-def format_word(w: Word, compress: bool = True) -> str:
+def format_word(w: Word) -> str:
     """Render a word; ``'`` marks inverses, ``^n`` compresses runs for display."""
-    if not w.letters:
-        return "1"
     parts: list[str] = []
-    i = 0
-    ls = w.letters
-    while i < len(ls):
-        sym, sign = ls[i]
-        j = i
-        while j < len(ls) and ls[j] == (sym, sign):
-            j += 1
-        run = j - i
-        tok = str(sym) + ("'" if sign < 0 else "")
-        if compress and run > 1:
-            parts.append(f"{str(sym)}^{run * sign}")
-        else:
-            parts.extend([tok] * run)
-        i = j
-    return " ".join(parts)
+    for (sym, sign), run in groupby(w.letters):
+        n = len(list(run))
+        parts.append(f"{sym}^{n * sign}" if n > 1 else f"{sym}'" if sign < 0 else str(sym))
+    return " ".join(parts) or "1"

@@ -6,7 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import random
 import time
 
-from braidpi.analysis import det, holds_in, mat_mul, smith_normal_form, todd_coxeter
+from braidpi.analysis import holds_in, smith_normal_form, todd_coxeter
 from braidpi.braid import Braid, act
 from braidpi.cli import main
 from braidpi.curves import verify_persson_configuration
@@ -15,7 +15,7 @@ from braidpi.presentation import Presentation, tietze_simplify
 from braidpi.schreier import CyclicMap, subgroup_presentation
 from braidpi.word_core import GenSym, Word, alphabet
 
-from .test_analysis import ORACLE_CORPUS, pres
+from .test_analysis import ORACLE_CORPUS, det, mat_mul, pres
 from .test_schreier import paper_relators_after_cover
 from .bruteforce import group_order_by_enumeration
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidpi import pipeline, presentation
-from braidpi.braid import Braid, StrandMismatchError, act, compose
+from braidpi.braid import Braid, StrandMismatchError, act, compose, strand_images
 from braidpi.pipeline import fiber_alphabet, paper_braids
 from braidpi.word_core import Alphabet, GenSym, Word
 
@@ -138,7 +138,7 @@ def reference_act(b, w, fiber):
             moved = {dk: Word.gen(dk1), dk1: Word.of([(dk1, -1), (dk, 1), (dk1, 1)])}
         else:
             moved = {dk: Word.of([(dk, 1), (dk1, 1), (dk, -1)]), dk1: Word.gen(dk)}
-        images = {s: moved.get(s, Word.gen(s)) for s in w.symbols() | set(moved)}
+        images = {s: moved.get(s, Word.gen(s)) for s in {s for s, _ in w} | set(moved)}
         w = w.substitute(images)
     return w
 
@@ -169,15 +169,18 @@ def test_paper_braid_actions_match_reference():
 
 
 def test_pi_prime_action_words_match_reference(monkeypatch):
-    # all 30 stabilizer and 5 conjugation words of Pi' come from act
+    # all 30 stabilizer and 5 conjugation words of Pi' come from the strand
+    # images of its 7 braids, each built once
     calls = []
 
-    def checked(beta, w, fiber):
-        image = act(beta, w, fiber)
-        assert image == reference_act(beta, w, fiber), (beta, w)
-        calls.append(image)
-        return image
+    def checked(beta, fiber):
+        images = strand_images(beta, fiber)
+        for i, sym in enumerate(fiber.symbols, 1):
+            image = fiber.decode(images.get(i, (i,)))
+            assert image == reference_act(beta, Word.gen(sym), fiber), (beta, sym)
+            calls.append(image)
+        return images
 
-    monkeypatch.setattr(presentation, "act", checked)
+    monkeypatch.setattr(presentation, "strand_images", checked)
     pipeline.pi_prime()
     assert len(calls) == 35

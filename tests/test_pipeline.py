@@ -153,6 +153,25 @@ def test_run_k2_regressions(pipe):
     assert not report.suspects[0].printed_holds
 
 
+def test_run_k20(pipe):
+    report = pipe.run(20)
+    assert report.m == 21 and report.order == 8
+    assert report.invariants.torsion == (2, 4) and report.invariants.free_rank == 0
+    assert report.abelian and report.all_regressions_hold
+    verdict = report.suspects[0]
+    assert not verdict.printed_holds and verdict.corrected_holds
+    assert verdict.printed_refuted_in_abelianization
+
+
+def test_index_law_mismatch_fails_the_run(monkeypatch):
+    # T(k+1) has 2 (m+1) |G| cosets, not 2 m |G|
+    pipe = pipeline.Pipeline()
+    real = pipe.quotient
+    monkeypatch.setattr(pipe, "quotient", lambda k: real(k + 1))
+    with pytest.raises(PipelineError, match=r"T\(1\)"):
+        pipe.run(1)
+
+
 def test_finite_quotient_orders(pipe):
     # |T(k)| = 2 m |final group|
     assert pipe.quotient(1).order == 2 * 2 * 16 == 64
@@ -212,8 +231,9 @@ def test_pipeline_stages_stay_within_budget(monkeypatch):
     pipe = pipeline.Pipeline()
     for k in range(1, 7):
         pipe.run(k)
-    # Pi', the Z/2 parent and cover, then an orbifold and a quotient per k
-    assert len(logs) == 15
+    # Pi', the Z/2 parent and cover, then an orbifold per k (T(k) goes to
+    # coset enumeration unsimplified)
+    assert len(logs) == 9
     assert not any(log.exhausted for log in logs)
 
 

@@ -44,7 +44,8 @@ def test_foreign_symbol_rejected():
 
 def test_monodromy_relators_identity_braid():
     fiber = fiber_alphabet()
-    p = Presentation(fiber.extend([G]), conjugation_relators(fiber, G, Braid.identity(5)))
+    p = Presentation(Alphabet(fiber.symbols + (G,)),
+                     conjugation_relators(fiber, G, Braid.identity(5)))
     assert len(p.alphabet) == 6
     # relators are the commutators [G, d_i]; abelianization free of rank 6
     inv = abelian_invariants(p)
@@ -54,7 +55,8 @@ def test_monodromy_relators_identity_braid():
 def test_monodromy_relators_b0():
     fiber = fiber_alphabet()
     g0 = GenSym("g", 0)
-    p = Presentation(fiber.extend([g0]), conjugation_relators(fiber, g0, paper_braids()["b0"]))
+    p = Presentation(Alphabet(fiber.symbols + (g0,)),
+                     conjugation_relators(fiber, g0, paper_braids()["b0"]))
     image = word((D[3], -1), (D[2], 1), (D[3], 1))  # (d2) b0 computed by hand
     expected = (word((g0, 1), (D[2], 1), (g0, -1)) * image.inverse()).cyclically_reduced()
     assert any(r == expected for r in p.relators)
@@ -153,7 +155,12 @@ def test_tietze_log_rewrite_maps_to_target_alphabet():
     p = Presentation(alph, [word((A, 1), (B, -1))])
     q, log = tietze_simplify(p)
     kept = q.alphabet.symbols[0]
-    image = log.rewrite(word((A, 1), (B, 1)))
+    image = word((A, 1), (B, 1))
+    # substitute each eliminated generator's expression, in log order
+    for mv in log.moves:
+        if mv.kind == "eliminate-generator":
+            g, expr = mv.payload[:2]
+            image = image.substitute({s: expr if s == g else Word.gen(s) for s, _ in image})
     assert image == Word.gen(kept) ** 2
 
 

@@ -1,16 +1,19 @@
 """The common-substring search of the Tietze shortener against a plain reference.
 
 The reference collector walks every reducer through its suffix automaton,
-over the whole of r + r and with no prefilter; the engine must find exactly
-the same arcs, and so the same moves.
+over the whole of r + r, with no prefilter and no memory of earlier scans;
+the engine must find exactly the same arcs, and so the same moves.
 """
 
+import hashlib
 import random
 
 from braidpi import pipeline
-from braidpi.presentation import (Presentation, _enc, _iinv, _icyc, _prefilter_pieces,
-                                  _reducer_automaton, _Simplifier, tietze_simplify)
-from braidpi.word_core import Alphabet, GenSym
+from braidpi.pipeline import GAMMA, SIGMA, full_alphabet
+from braidpi.presentation import (_EXACT_WINDOWS, Presentation, _enc, _iinv, _icyc,
+                                  _prefilter_pieces, _reducer_automaton, _Simplifier,
+                                  add_relators, tietze_simplify)
+from braidpi.word_core import Alphabet, GenSym, Word
 
 
 def _walk(sa, t):
@@ -81,7 +84,7 @@ class _ReferenceSimplifier(_Simplifier):
         return self.built[s]
 
     def _collect_arcs(self, owner, r, reducers):
-        return reference_arcs(owner, r, [s for s, _ in reducers], self._automaton)
+        return reference_arcs(owner, r, [s.word for s in reducers], self._automaton)
 
 
 def _reference_simplify(p, budget=20000, protect=()):
@@ -115,26 +118,31 @@ def test_collect_arcs_matches_reference():
     found = 0
     for _ in range(300):
         sim = _Simplifier(_random_presentation(rng), 20000, frozenset())
-        reducers = [(s, _prefilter_pieces(s)) for s in sim.rels]
-        plain = [s for s, _ in reducers]
+        reducers = sim._admit(sim.rels)
+        plain = [s.word for s in reducers]
         for j, r in enumerate(plain):
             arcs = sim._collect_arcs(j, r, reducers)
             assert arcs == reference_arcs(j, r, plain), (plain, j)
             found += bool(arcs)
+        # rescans of the same values under the same list, now from the
+        # stamps that the scans above left
+        for j, r in enumerate(plain):
+            assert sim._collect_arcs(j, r, reducers) == reference_arcs(j, r, plain), (plain, j)
     assert found > 100  # the comparison is not vacuous
 
 
 def _short_reducer_presentation(rng):
-    """A few long relators and several reducers of 1-3 letters, most cut from them."""
+    """A few long relators and several reducers shorter than _EXACT_WINDOWS, most
+    cut from them."""
     ngens = rng.randint(1, 4)
     longs, count = [], rng.randint(1, 3)
     while len(longs) < count:
-        w = _icyc(_random_word(rng, ngens, rng.randint(12, 40)))
-        if len(w) >= 8:
+        w = _icyc(_random_word(rng, ngens, rng.randint(_EXACT_WINDOWS, 3 * _EXACT_WINDOWS)))
+        if len(w) >= _EXACT_WINDOWS:
             longs.append(w)
     shorts = []
     for _ in range(rng.randint(2, 6)):
-        n = rng.randint(1, 3)
+        n = rng.randint(1, _EXACT_WINDOWS - 1)
         if rng.random() < 0.7:
             w = rng.choice(longs)
             a = rng.randrange(len(w))
@@ -149,22 +157,42 @@ def _short_reducer_presentation(rng):
 def test_short_reducers_match_reference():
     rng = random.Random(909)
     found = exact = 0
+    outcomes = set()
     for _ in range(200):
         sim = _Simplifier(_short_reducer_presentation(rng), 20000, frozenset())
-        reducers = [(s, _prefilter_pieces(s)) for s in sim.rels]
-        plain = [s for s, _ in reducers]
+        reducers = sim._admit(sim.rels)
+        plain = [s.word for s in reducers]
         for j, r in enumerate(plain):
             arcs = sim._collect_arcs(j, r, reducers)
             assert arcs == reference_arcs(j, r, plain), (plain, j)
             found += bool(arcs)
-            # for |s| < 4 the windows pass exactly when the walk finds a candidate
+            # for |s| < _EXACT_WINDOWS the windows pass exactly when the walk
+            # finds a candidate
             target = _enc(r + r)
-            for i, (s, pieces) in enumerate(reducers):
-                if i != j and len(s) < 4 and len(s) <= len(r):
-                    passes = any(p in target for p in pieces)
+            for i, s in enumerate(plain):
+                if i != j and len(s) < _EXACT_WINDOWS and len(s) <= len(r):
+                    passes = any(p in target for p in _prefilter_pieces(s))
                     assert passes == bool(reference_arcs(-1, r, [s])), (s, r)
+                    outcomes.add((len(s), passes))
                     exact += 1
     assert found > 150 and exact > 500
+    # every length below the constant met both a passing and a failing target
+    assert outcomes == {(n, b) for n in range(1, _EXACT_WINDOWS) for b in (False, True)}
+
+
+def test_rescan_meets_a_duplicate_of_its_owner():
+    # r is scanned clean while it owns slot 0, so it left itself out; on the
+    # rescan another value owns slot 0 and a copy of r sits in slot 2, which
+    # was never tested against r and reduces it to the empty word
+    r, a, x = (1, 2, 1, 2, -1), (3, 3), (1, 3, 1, 3)
+    alph = Alphabet(GenSym("x", i) for i in range(1, 4))
+    sim = _Simplifier(Presentation(alph, [alph.decode(w) for w in (r, a, x)]), 20000,
+                      frozenset())
+    first = sim._admit([r, a])
+    assert sim._collect_arcs(0, r, first) == [] == reference_arcs(0, r, [r, a])
+    second = sim._admit([x, a, r])
+    arcs = sim._collect_arcs(0, r, second)
+    assert arcs == reference_arcs(0, r, [x, a, r]) == [(0, len(r), ())]
 
 
 def test_walk_cutoff_lemma():
@@ -218,6 +246,53 @@ def test_pipeline_stages_match_reference(monkeypatch):
         ref_result, ref_log = _reference_simplify(p, budget, protect)
         assert log == ref_log, repr(p)
         assert result == ref_result, repr(p)
+
+
+def test_rescan_meets_a_value_that_came_back():
+    # v leaves the reducer list, r is scanned clean without it, and v comes
+    # back: it must be born again, or the rescan of r would skip it
+    r, v, x = (1, 2, 1, 2, -1), (2, 1, 2), (3, 3)
+    alph = Alphabet(GenSym("x", i) for i in range(1, 4))
+    sim = _Simplifier(Presentation(alph, [alph.decode(w) for w in (r, v, x)]), 20000,
+                      frozenset())
+    sim._admit([r, v])
+    assert sim._collect_arcs(0, r, sim._admit([r, x])) == []
+    arcs = sim._collect_arcs(0, r, sim._admit([r, x, v]))
+    assert arcs and arcs == reference_arcs(0, r, [r, x, v])
+
+
+# sha256 prefixes of repr((log.moves, log.exhausted)), recorded before the
+# shortener kept its rescan state; every log must stay byte-identical
+_STAGE_LOGS = ("344aa1c34215005c", "34f2c35e1a1556ac", "468dbc63446313b0")
+_ORBIFOLD_LOGS = {1: "1968f7d83494dea0", 2: "7d1b7d592e672dd6", 3: "0f583a9770b9d763"}
+_QUOTIENT_LOG = "e6e251545cb4a57c"  # no moves: T(k) is enumerated as it is
+
+
+def _log_digest(log):
+    return hashlib.sha256(repr((log.moves, log.exhausted)).encode()).hexdigest()[:16]
+
+
+def test_tietze_logs_match_recorded_digests(monkeypatch):
+    logs = []
+    real = pipeline.tietze_simplify
+
+    def recording(p, budget=20000, protect=()):
+        result = real(p, budget, protect)
+        logs.append(result[1])
+        return result
+
+    monkeypatch.setattr(pipeline, "tietze_simplify", recording)
+    pipe = pipeline.Pipeline()           # Pi', the Z/2 parent, the Z/2 cover
+    assert tuple(_log_digest(log) for log in logs) == _STAGE_LOGS
+    for k in (1, 2, 3):
+        logs.clear()
+        pipe.orbifold(k)
+        assert [_log_digest(log) for log in logs] == [_ORBIFOLD_LOGS[k]], k
+        m = k + 1
+        t_k = add_relators(pipe.z2_parent, [Word.gen(GAMMA) ** m,
+                                            pipe.z2.gens.backmap[SIGMA] ** m])
+        simplified, log = tietze_simplify(t_k, protect=full_alphabet())
+        assert _log_digest(log) == _QUOTIENT_LOG and simplified == t_k, k
 
 
 def test_quarter_piece_test_is_sound():

@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +143,26 @@ def test_format_word():
     assert format_word(w((A, 1), (A, 1), (A, 1))) == "a^3"
     assert format_word(w((A, 1), (B, -1))) == "a b'"
     assert format_word(w((A, -1), (A, -1))) == "a^-2"
+
+
+_LOAD_IN_CHILD = """
+import pickle, sys
+from braidpi.word_core import Alphabet, GenSym
+syms = pickle.loads(sys.stdin.buffer.read())
+alph = Alphabet(syms)
+assert [alph.index(GenSym("d", i)) for i in range(1, 4)] == [0, 1, 2]
+assert alph.index(GenSym("G")) == 3
+assert {s: True for s in syms}[GenSym("G")] and hash(syms[0]) == hash(("d", 1))
+"""
+
+
+def test_gensym_hash_is_the_dataclass_hash_and_survives_pickling():
+    syms = [GenSym("d", i) for i in range(1, 4)] + [GenSym("G")]
+    assert [hash(s) for s in syms] == [hash((s.name, s.index)) for s in syms]
+    data = pickle.dumps(syms)
+    # str hashes are salted per process: load the symbols under other seeds
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _LOAD_IN_CHILD], input=data, env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
