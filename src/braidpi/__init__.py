@@ -4,7 +4,9 @@ Submodules: ``word_core`` (free-group words), ``braid`` (Artin actions),
 ``presentation`` (finitely presented groups, Tietze moves), ``schreier``
 (subgroup presentations), ``analysis`` (Todd-Coxeter, Smith normal form),
 ``curves`` (exact conic/cubic geometry on one sparse ``Poly``),
-``pipeline`` (the cover computation), ``cli`` (command line).
+``grammar`` (the text grammar of words and presentations), ``pipeline``
+(the cover computation, its regression corpus read from the printed
+relations), ``cli`` (command line).
 
 The cover computation is a ``Pipeline``: its constructor builds Pi' and
 the Z/2 cover once, and ``Pipeline.run(k)`` builds the Z/(k+1) orbifold

@@ -1,27 +1,15 @@
-"""Command-line surface and text formats.
+"""Command-line surface.
 
-Grammar (shared by words, braids and presentations)::
-
-    presentation := '<' SYM* '|' relations? '>'
-    relations    := relation (',' relation)*
-    relation     := product ('=' product)?          # u = v means u v^-1
-    product      := factor+
-    factor       := atom ("'" | '^' INT)*           # ' inverse, ^n power
-    atom         := SYM | '(' product ')'
-    SYM          := letter (letter | digit | '_')*  # trailing digits = index
-    INT          := '-'? digit+
-
-Examples: ``d2' d1' d2 d1 d2``, ``(d1 d2)^6 (d2 d1)^-6``,
-``< a b | a^4, b^4, a b a' b' >``; braid words use ``s1 s2' s4^12``.
-
-Parentheses nested deeper than ``MAX_NESTING``, and words or presentations
-that expand past ``MAX_LETTERS`` letters, are parse errors.  ``act`` on
+Words, braids and presentations are read by the grammar in ``grammar``
+(for example ``d2' d1' d2 d1 d2`` or ``< a b | a^4, b^4, a b a' b' >``);
+its bounds ``MAX_NESTING`` and ``MAX_LETTERS`` make parse errors.  ``act`` on
 more than ``MAX_STRANDS`` strands or with an image past ``MAX_LETTERS``
 letters, and ``schreier`` with a modulus n where n * (generators + total
 relator length) passes ``MAX_LETTERS``, are usage errors.  So are
 ``pipeline --k K``, ``pipeline --all --max-k K`` and ``regression --k K``
 when 2 (K + 1)^2 passes ``MAX_LETTERS``: the orbifold kernel holds the
-K + 1 rewrites of G^(K+1) and of s^(K+1).
+K + 1 rewrites of G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with
+``--max-k`` below 1, which would check nothing.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.  ``--simplify`` notes a spent move budget on stderr.
@@ -32,204 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import pipeline
 from .analysis import (CosetLimitExceeded, abelian_invariants, todd_coxeter)
 from .braid import Braid
 from .curves import verify_persson_configuration
+from .grammar import MAX_LETTERS, ParseError, parse_braid, parse_presentation, parse_word
 from .presentation import Presentation, tietze_simplify
-from .word_core import Alphabet, GenSym, Word
+from .word_core import Alphabet, GenSym
 
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # sym | int | punct | end
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("sym", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in "<>|,=()'^":
-            tokens.append(_Token("punct", c, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
-# Parse bounds: nesting far below the recursion limit, and words (and whole
-# presentations) far longer than any real input (Pi' totals 12038 letters).
-MAX_NESTING = 200
-MAX_LETTERS = 1_000_000
+# the strand count ``act`` accepts
 MAX_STRANDS = 10_000
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r} ", tok.line, tok.column)
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def bound(self, letters: int, tok: _Token) -> None:
-        if letters > MAX_LETTERS:
-            raise ParseError(f"input expands to more than {MAX_LETTERS} letters",
-                             tok.line, tok.column)
-
-    def product(self, stop: tuple[str, ...]) -> Word:
-        letters: list[tuple[GenSym, int]] = []
-        saw = False
-        while True:
-            tok = self.peek()
-            if tok.kind == "end" or (tok.kind == "punct" and tok.text in stop):
-                break
-            letters.extend(self.factor(stop))
-            self.bound(len(letters), tok)
-            saw = True
-        if not saw:
-            self.fail("expected a word")
-        return Word.of(letters)
-
-    def factor(self, stop: tuple[str, ...]) -> Word:
-        tok = self.next()
-        if tok.kind == "sym":
-            base = Word.gen(GenSym.parse(tok.text))
-        elif tok.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok.line, tok.column)
-            self.depth += 1
-            base = self.product((")",))
-            self.depth -= 1
-            self.expect(")")
-        else:
-            raise ParseError(f"expected a symbol, found {tok.text!r}", tok.line, tok.column)
-        while True:
-            tok = self.peek()
-            if tok.text == "'":
-                self.next()
-                base = base.inverse()
-            elif tok.text == "^":
-                self.next()
-                exp = self.next()
-                if exp.kind != "int":
-                    raise ParseError("expected an integer exponent", exp.line, exp.column)
-                n = int(exp.text)
-                self.bound(len(base) * abs(n), exp)
-                base = base ** n
-            else:
-                return base
-
-    def relation(self, stop: tuple[str, ...]) -> Word:
-        lhs = self.product(stop + ("=",))
-        if self.peek().text == "=":
-            self.next()
-            rhs = self.product(stop)
-            return lhs * rhs.inverse()
-        return lhs
-
-    def presentation(self) -> Presentation:
-        self.expect("<")
-        syms: list[GenSym] = []
-        while self.peek().kind == "sym":
-            syms.append(GenSym.parse(self.next().text))
-        self.expect("|")
-        alph = Alphabet(syms)
-        relators: list[Word] = []
-        total = 0
-        if self.peek().text != ">":
-            while True:
-                w = self.relation((",", ">"))
-                alph.check_word(w)
-                relators.append(w)
-                total += len(w)
-                self.bound(total, self.peek())
-                if self.peek().text == ",":
-                    self.next()
-                else:
-                    break
-        self.expect(">")
-        if self.peek().kind != "end":
-            self.fail("trailing input after presentation")
-        return Presentation(alph, relators)
-
-
-def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
-    p = _Parser(text)
-    w = p.relation(())
-    if p.peek().kind != "end":
-        p.fail("trailing input after word")
-    if alphabet is not None:
-        alphabet.check_word(w)
-    return w
-
-
-def parse_braid(text: str, n: int) -> Braid:
-    strand_alphabet = Alphabet(GenSym("s", i) for i in range(1, n))
-    w = parse_word(text, strand_alphabet)
-    return Braid(n, tuple((sym.index, sign) for sym, sign in w))
-
-
-def parse_presentation(text: str) -> Presentation:
-    return _Parser(text).presentation()
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +98,7 @@ def _cmd_schreier(args) -> int:
     q = CyclicMap.onto(p, args.mod, images)
     t = None
     if args.transversal:
-        reps = [parse_word(part, p.alphabet) if part.strip() != "1" else Word.identity()
-                for part in args.transversal.split(";")]
+        reps = [parse_word(part, p.alphabet) for part in args.transversal.split(";")]
         t = Transversal.of(reps)
     sub, gens = subgroup_presentation(p, q, t)
     if args.simplify:
@@ -356,6 +156,8 @@ def _report_text(report) -> str:
 def _check_ks(ks: list[int]) -> None:
     """Each k >= 1, and the orbifold kernel for m = k + 1 (at least 2 m^2
     letters: the m rewrites of G^m and of s^m) within MAX_LETTERS."""
+    if not ks:
+        raise ValueError("no k to run: --max-k must be >= 1")
     if not all(k >= 1 for k in ks):
         raise ValueError("k must be >= 1")
     m = max(ks, default=0) + 1

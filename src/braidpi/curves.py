@@ -9,9 +9,9 @@ sqrt(6), sqrt(10), and the slope sqrt(128/125) is rewritten as
 
 ``Poly`` is the one sparse polynomial class (any number of variables,
 QuadScalar coefficients, mixed total degrees allowed), supporting
-evaluation, partials, linear substitution, restriction to a line,
-univariate division, and Sylvester resultants with respect to one
-variable (cofactor expansion; the matrices here are at most 5x5).
+evaluation, partials, linear substitution, univariate division, and
+Sylvester resultants with respect to one variable (cofactor expansion;
+the matrices here are at most 5x5).
 Curves and lines are forms: ``gradient``, ``hessian`` and
 ``is_tangent_at`` check homogeneity where the geometry relies on it.
 
@@ -422,43 +422,12 @@ def hessian(f: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # tangency
 
-def _points_spanning(l: Poly) -> tuple[ProjPoint, ProjPoint]:
-    a = l.terms.get((1, 0, 0), ZERO)
-    b = l.terms.get((0, 1, 0), ZERO)
-    c = l.terms.get((0, 0, 1), ZERO)
-    if not a.is_zero():
-        return (ProjPoint.of(-b / a, 1, 0), ProjPoint.of(-c / a, 0, 1))
-    if not b.is_zero():
-        return (ProjPoint.of(1, -a / b, 0), ProjPoint.of(0, -c / b, 1))
-    return (ProjPoint.of(1, 0, 0), ProjPoint.of(0, 1, 0))
-
-
-def restrict_to_line(curve: Poly, p1: ProjPoint, p2: ProjPoint) -> Poly:
-    """Binary form F(s, t) = curve(s p1 + t p2)."""
-    images = []
-    for i in range(3):
-        images.append(Poly(2, {(1, 0): p1.coords[i], (0, 1): p2.coords[i]}))
-    return curve.substitute_linear(images)
-
-
-def _line_parameter(p: ProjPoint, p1: ProjPoint, p2: ProjPoint):
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = p1.coords[i] * p2.coords[j] - p1.coords[j] * p2.coords[i]
-        if not det.is_zero():
-            s = (p.coords[i] * p2.coords[j] - p.coords[j] * p2.coords[i]) / det
-            t = (p1.coords[i] * p.coords[j] - p1.coords[j] * p.coords[i]) / det
-            combo = tuple(s * p1.coords[k] + t * p2.coords[k] for k in range(3))
-            if ProjPoint(combo) == p:
-                return s, t
-            return None
-    return None
-
-
 def is_tangent_at(curve: Poly, l: Poly, p: ProjPoint) -> bool:
     """Does ``l`` meet ``curve`` at ``p`` with multiplicity at least two?
 
-    The curve is restricted to a parametrization of the line; tangency
-    means the binary form and both its partials vanish at p's parameter.
+    Tangency means the curve's gradient at p is a multiple of the line's
+    coefficients (zero at a singular point): by the chain rule, that is the
+    curve restricted to the line vanishing at p with both its partials.
     Raises if p is not on both the line and the curve, or if the curve is
     not a form or ``l`` not a linear form.
     """
@@ -469,15 +438,9 @@ def is_tangent_at(curve: Poly, l: Poly, p: ProjPoint) -> bool:
         raise ValueError(f"point {p} not on the line")
     if not curve.evaluate(p.coords).is_zero():
         raise ValueError(f"point {p} not on the curve")
-    p1, p2 = _points_spanning(l)
-    param = _line_parameter(p, p1, p2)
-    if param is None:
-        raise ValueError(f"point {p} not on the line")
-    s, t = param
-    f = restrict_to_line(curve, p1, p2)
-    return (f.evaluate((s, t)).is_zero()
-            and f.partial(0).evaluate((s, t)).is_zero()
-            and f.partial(1).evaluate((s, t)).is_zero())
+    g = gradient(curve, p)
+    c = [l.terms.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return all((g[i] * c[j] - g[j] * c[i]).is_zero() for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,24 +26,35 @@ regression corpus never compares relator strings, only consequences.
 
 Regression corpus
 -----------------
-All relations displayed along the reduction are checked as consequences
-in one finite quotient per k, ``Pipeline.quotient(k)``: the group T(k)
-obtained by adjoining d_i^2, (d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi'
-(T(k) has order 2m * |final group|).  Words at later stages are pushed
-down to the d/G alphabet by composing the Schreier backmaps, then traced
-from every coset of T(k)'s table.  The one suspect entry, the printed
+The corpus is the paper's printed text: one table per stage holds each
+displayed relation as printed, and ``regression_corpus(k)`` reads it with
+the grammar of ``grammar``, so an entry's ident is the relation it
+checks.  A line may carry a ``label:`` and a trailing note such as ``as
+printed`` or ``(even index)``; ``(w) b1^-1 = v`` states that b1^-1 takes
+w to v.  Only lines that name a word instead of displaying it (a printed
+N-letter word, a later printed form) carry the formula next to their
+text.  Orbifold lines are templates in i, with subscripts read mod m.
+
+Every entry is checked as a consequence in one finite quotient per k,
+``Pipeline.quotient(k)``: the group T(k) obtained by adjoining d_i^2,
+(d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi' (T(k) has order
+2m * |final group|).  Words at later stages are pushed down to the d/G
+alphabet by composing the Schreier backmaps, then traced from every coset
+of T(k)'s table.  The one suspect entry, the printed
 (B4 A5)^6 = (B5 A4)^3, is quarantined: both it and its exponent-6
 correction are reported, never asserted.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .analysis import (AbelianInvariants, CosetTable, abelian_invariants, holds_in,
                        is_abelian, todd_coxeter, trivial_in_abelianization)
 from .braid import Braid
+from .grammar import parse_word
 from .presentation import (Presentation, add_relators, conjugation_relators,
                            stabilizer_relators, tietze_simplify)
 from .schreier import CyclicMap, SchreierGenSet, Transversal, subgroup_presentation
@@ -140,245 +151,131 @@ class CorpusEntry:
     note: str = ""
 
 
-def _eq(lhs: Word, rhs: Word) -> Word:
-    return lhs * rhs.inverse()
+# The printed forms of two words the text rewrites step by step: the
+# image of d1 d3 under b1^-1, and of the conjugated b- relation.
+_D13 = ("d1 d2 d3 d5' d4 d5 d3' d5' d4' d5 d4 d2' d1' d2",
+        "d1 d2 d3 d4 d5 d3' d5' d2' d1' d2",
+        "d1 d2 d3 d4 d5 d3' d2' d1'")
+_CONJ_BM = ("d1 d2 d3 d5' d4' (d3' d5' d4' d5 d4 d5 d3) d4 d5 d3' d2' d1'",
+            "d1 d2 d3 d5' d4' (d5' d4' d5 d4 d5) d4 d5 d3' d2' d1'",
+            "d1 d2 d3 (d4 d5)^-2 d5 (d4 d5)^2 d3' d2' d1'")
 
+# A row is the printed text of a relation, or (text, relation) where the
+# text names the relation instead of displaying it.
+_PI_PRIME = (
+    "b0 twist: (d4 d5)^6 = (d5 d4)^6",
+    "b0 commutation: d2 d3 = d3 d2",
+    "b+ : d5 = d2' d1' d2 d1 d2",
+    "b- : d3' d1' d3 d1 d3 = (d4 d5)^-3 d5 (d4 d5)^3",
+    "conj b0: (d1 d2)^6 = (d2 d1)^6",
+    "conj b0: d5 d3 d5' d4' d5 d4 = d4' d5 d4 d5 d3 d5'",
+    "conj b+: d5 = d2' d1 d2 d4' d5 d3 d5' d4 d2' d1' d2",
+    "conj b-: d3' d1 d2 d1' d3 = (d4 d5)^-2 d5 (d4 d5)^2",
+    # the five G-conjugation relations
+    "G d2 G' = d2' d1 d2 d3' d5 d3 d2' d1' d2",
+    "G d4 G' = d4' d2' d1' d2 d4 d2' d1 d2 d4",
+    "G d5 G' = d5",
+    ("G d3 G' = (printed 21-letter word)",
+     "G d3 G' = d4' d2' d1' d2 d4 d2' d1 d2 d3' d5' d3 d5 d3 d2' d1' d2 d4' d2' d1 d2 d4"),
+    "G d1 G' = (G d2 G') d4' d2' d1 d2 d4 (G d2' G')",
+    # action identities that the text reduces with earlier relations
+    "(d4 d5) b1^-1 = d1 d2 (modulo the b+ relation)",
+    "((d4 d5)^-3 d5 (d4 d5)^3) b1^-1 = (d1 d2)^-4 d2 (d1 d2)^4",
+    ("(d1 d3) b1^-1 = (printed 14-letter word)", f"(d1 d3) b1^-1 = {_D13[0]}"),
+    ("(d1 d3) b1^-1, second printed form", f"{_D13[0]} = {_D13[1]}"),
+    ("(d1 d3) b1^-1, third printed form", f"{_D13[1]} = {_D13[2]}"),
+    ("conjugated b- relation, first printed form",
+     f"((d1 d3)' d3 d1 d3) b1^-1 = {_CONJ_BM[0]}"),
+    ("conjugated b- relation, second printed form", f"{_CONJ_BM[0]} = {_CONJ_BM[1]}"),
+    ("conjugated b- relation, third printed form", f"{_CONJ_BM[1]} = {_CONJ_BM[2]}"),
+    "d3 (d4 d5)^-2 d5 (d4 d5)^2 d3' = (d1 d2)^-5 d2 (d1 d2)^5",
+    "(d1 d2)^-5 d2 (d1 d2)^5 = d1 d2 d1'",
+)
 
-def _d(i: int, e: int = 1) -> Word:
-    return Word.gen(D[i], 1 if e > 0 else -1) ** abs(e)
+_Z2 = (
+    "(B4 A5)^6 = (B5 A4)^3 as printed", "(B4 A5)^6 = (B5 A4)^6 (exponent-6 correction)",
+    "B3 A2 = B2 A3", "B5 = B2^3", "B3^3 = (B5 A4)^6 B5", "A2^12 = 1",
+    "B5 A3 B5 A4 B5 A4 = B4 A5 B4 A5 B3 A5", "B5 = B2^2 A4 B5 A3 B5 A4 B2^2",
+    "B3 B2 B3 = (B5 A4)^4 B5", "s A2^2 G' = A4 B2^2 A4", "G B2 s' = B2^2 A3 B5 A3 B2^2",
+    "G B3 s' = B4 A2^2 B4 A2^2 B3 A5 B3 A5 B3 A2^2 B4 A2^2 B4",
+    "G B4 s' = B4 A2^2 B4 A2^2 B4", "G B5 s' = B5", "A2 B3 A4 B5 B2 A3 B4 A5 = 1",
+    "A2 A3' A4 A5' A2' A3 A4' A5 = 1", "D = 1 (the cancellation relation)",
+    "B2 A2 = 1", "B3 A3 = 1", "B4 A4 = 1", "B5 A5 = 1", "B4 A2 B4 = B5 A3 B5",
+    "B2^4 = 1", "B5 = A2", "(A2 A4)^2 = A3 A2 B3^2", "B3 B2 = A2 A3", "B3 = B4 A2 B4",
+    "A2 A4 = A4 A2", "A4^4 = 1", "A5 = A2'", "A3 = A2' A4^2", "A2^4 = 1",
+    "s A2^2 G' = A2^2 A4^2", "G A2' = A2' s", "G A2 A4^2 = A2 A4^2 s", "G A4' = A4 s",
+    "G A2 = A2 s",
+)
 
-
-def _pi_prime_entries() -> list[CorpusEntry]:
-    beta = paper_braids()
-    fiber = fiber_alphabet()
-    b1inv = beta["b1"].inverse()
-    g = Word.gen(GAMMA)
-    d45 = _d(4) * _d(5)
-    d12 = _d(1) * _d(2)
-    e: list[tuple[str, Word]] = []
-    e.append(("b0 twist: (d4 d5)^6 = (d5 d4)^6",
-              _eq(d45 ** 6, (_d(5) * _d(4)) ** 6)))
-    e.append(("b0 commutation: d2 d3 = d3 d2",
-              _eq(_d(2) * _d(3), _d(3) * _d(2))))
-    e.append(("b+ : d5 = d2' d1' d2 d1 d2",
-              _eq(_d(5), _d(2, -1) * _d(1, -1) * _d(2) * _d(1) * _d(2))))
-    e.append(("b- : d3' d1' d3 d1 d3 = (d4 d5)^-3 d5 (d4 d5)^3",
-              _eq(_d(3, -1) * _d(1, -1) * _d(3) * _d(1) * _d(3),
-                  d45 ** -3 * _d(5) * d45 ** 3)))
-    e.append(("conj b0: (d1 d2)^6 = (d2 d1)^6",
-              _eq(d12 ** 6, (_d(2) * _d(1)) ** 6)))
-    e.append(("conj b0: d5 d3 d5' d4' d5 d4 = d4' d5 d4 d5 d3 d5'",
-              _eq(_d(5) * _d(3) * _d(5, -1) * _d(4, -1) * _d(5) * _d(4),
-                  _d(4, -1) * _d(5) * _d(4) * _d(5) * _d(3) * _d(5, -1))))
-    e.append(("conj b+: d5 = d2' d1 d2 d4' d5 d3 d5' d4 d2' d1' d2",
-              _eq(_d(5), _d(2, -1) * _d(1) * _d(2) * _d(4, -1) * _d(5) * _d(3)
-                  * _d(5, -1) * _d(4) * _d(2, -1) * _d(1, -1) * _d(2))))
-    e.append(("conj b-: d3' d1 d2 d1' d3 = (d4 d5)^-2 d5 (d4 d5)^2",
-              _eq(_d(3, -1) * _d(1) * _d(2) * _d(1, -1) * _d(3),
-                  d45 ** -2 * _d(5) * d45 ** 2)))
-    # the five G-conjugation relations, as printed
-    g2rhs = (_d(2, -1) * _d(1) * _d(2) * _d(3, -1) * _d(5) * _d(3)
-             * _d(2, -1) * _d(1, -1) * _d(2))
-    e.append(("G d2 G' = d2' d1 d2 d3' d5 d3 d2' d1' d2",
-              _eq(g * _d(2) * g.inverse(), g2rhs)))
-    g4rhs = (_d(4, -1) * _d(2, -1) * _d(1, -1) * _d(2) * _d(4)
-             * _d(2, -1) * _d(1) * _d(2) * _d(4))
-    e.append(("G d4 G' = d4' d2' d1' d2 d4 d2' d1 d2 d4",
-              _eq(g * _d(4) * g.inverse(), g4rhs)))
-    e.append(("G d5 G' = d5", _eq(g * _d(5) * g.inverse(), _d(5))))
-    g3rhs = (_d(4, -1) * _d(2, -1) * _d(1, -1) * _d(2) * _d(4) * _d(2, -1)
-             * _d(1) * _d(2) * _d(3, -1) * _d(5, -1) * _d(3) * _d(5) * _d(3)
-             * _d(2, -1) * _d(1, -1) * _d(2) * _d(4, -1) * _d(2, -1) * _d(1)
-             * _d(2) * _d(4))
-    e.append(("G d3 G' = (printed 21-letter word)",
-              _eq(g * _d(3) * g.inverse(), g3rhs)))
-    g1rhs = (g * _d(2) * g.inverse() * _d(4, -1) * _d(2, -1) * _d(1) * _d(2)
-             * _d(4) * g * _d(2, -1) * g.inverse())
-    e.append(("G d1 G' = (G d2 G') d4' d2' d1 d2 d4 (G d2' G')",
-              _eq(g * _d(1) * g.inverse(), g1rhs)))
-    # displayed action identities that the text reduces with earlier relations
-    e.append(("(d4 d5) b1^-1 = d1 d2 (modulo the b+ relation)",
-              _eq(b1inv.act(d45, fiber), d12)))
-    e.append(("((d4 d5)^-3 d5 (d4 d5)^3) b1^-1 = (d1 d2)^-4 d2 (d1 d2)^4",
-              _eq(b1inv.act(d45 ** -3 * _d(5) * d45 ** 3, fiber),
-                  d12 ** -4 * _d(2) * d12 ** 4)))
-    d13a = (_d(1) * _d(2) * _d(3) * _d(5, -1) * _d(4) * _d(5) * _d(3, -1)
-            * _d(5, -1) * _d(4, -1) * _d(5) * _d(4) * _d(2, -1) * _d(1, -1) * _d(2))
-    e.append(("(d1 d3) b1^-1 = (printed 14-letter word)",
-              _eq(b1inv.act(_d(1) * _d(3), fiber), d13a)))
-    d13b = (_d(1) * _d(2) * _d(3) * _d(4) * _d(5) * _d(3, -1) * _d(5, -1)
-            * _d(2, -1) * _d(1, -1) * _d(2))
-    d13c = _d(1) * _d(2) * _d(3) * _d(4) * _d(5) * _d(3, -1) * _d(2, -1) * _d(1, -1)
-    e.append(("(d1 d3) b1^-1, second printed form", _eq(d13a, d13b)))
-    e.append(("(d1 d3) b1^-1, third printed form", _eq(d13b, d13c)))
-    w1 = (_d(1) * _d(2) * _d(3) * _d(5, -1) * _d(4, -1)
-          * (_d(3, -1) * _d(5, -1) * _d(4, -1) * _d(5) * _d(4) * _d(5) * _d(3))
-          * _d(4) * _d(5) * _d(3, -1) * _d(2, -1) * _d(1, -1))
-    e.append(("conjugated b- relation, first printed form",
-              _eq(b1inv.act((_d(1) * _d(3)).inverse() * _d(3) * _d(1) * _d(3), fiber), w1)))
-    w2 = (_d(1) * _d(2) * _d(3) * _d(5, -1) * _d(4, -1)
-          * (_d(5, -1) * _d(4, -1) * _d(5) * _d(4) * _d(5))
-          * _d(4) * _d(5) * _d(3, -1) * _d(2, -1) * _d(1, -1))
-    w3 = _d(1) * _d(2) * _d(3) * d45 ** -2 * _d(5) * d45 ** 2 * _d(3, -1) * _d(2, -1) * _d(1, -1)
-    e.append(("conjugated b- relation, second printed form", _eq(w1, w2)))
-    e.append(("conjugated b- relation, third printed form", _eq(w2, w3)))
-    e.append(("d3 (d4 d5)^-2 d5 (d4 d5)^2 d3' = (d1 d2)^-5 d2 (d1 d2)^5",
-              _eq(_d(3) * d45 ** -2 * _d(5) * d45 ** 2 * _d(3, -1),
-                  d12 ** -5 * _d(2) * d12 ** 5)))
-    e.append(("(d1 d2)^-5 d2 (d1 d2)^5 = d1 d2 d1'",
-              _eq(d12 ** -5 * _d(2) * d12 ** 5, _d(1) * _d(2) * _d(1, -1))))
-    return [CorpusEntry(f"pi_prime: {name}", "pi_prime", rel) for name, rel in e]
-
-
-def _s(sym: GenSym, e: int = 1) -> Word:
-    return Word.gen(sym, 1 if e > 0 else -1) ** abs(e)
-
-
-# the corpus entry that corrects the suspect's exponent
+# the suspect entry, its note, and the entry that corrects its exponent
+_SUSPECT = "z2: (B4 A5)^6 = (B5 A4)^3 as printed"
+_SUSPECT_NOTE = "suspected typo: exponent 3 should read 6"
 _CORRECTED = "z2: (B4 A5)^6 = (B5 A4)^6 (exponent-6 correction)"
 
+# Templates in i with j = i + 1, and even = 2i, odd = 2i + 1 mod m;
+# subscripts are read mod m.
+_ORBIFOLD = (
+    "A2_{i}^4 = 1", "A4_{i}^4 = 1", "A2_{i} A4_{i} = A4_{i} A2_{i}",
+    "s_{i} A2_{j}^2 = A2_{i}^2 A4_{i}^2", "A2_{j}' = A2_{i}' s_{i}",
+    "A2_{j} A4_{j}^2 = A2_{i} A4_{i}^2 s_{i}", "A4_{j}' = A4_{i} s_{i}",
+    "A2_{j} = A2_{i} s_{i}",
+    # the six displayed expressions for s_i
+    "s_{i} = A2_{i}^2 A4_{i}^2 A2_{j}^2", "s_{i} = A2_{i} A2_{j}'",
+    "s_{i} = A4_{i}^2 A2_{i}' A2_{j} A4_{j}^2", "s_{i} = A2_{i}' A4_{i}^2 A4_{j}^2 A2_{j}",
+    "s_{i} = A4_{i}' A4_{j}'", "s_{i} = A2_{i}' A2_{j}",
+    "A2_{i}^2 = A2_0^2", "s_{i} = A4_{i}^2", "A4_{i} = A4_0", "s_{i} = A4_0^2",
+    "A4_0^2 = A2_{i}' A2_{j}", "A4_0^2 = A2_{i} A2_{j}'",
+    "A2_{even} = A2_0 (even index)", "A2_{odd} = A2_0 A4_0^2 (odd index)",
+)
 
-def _z2_entries() -> list[CorpusEntry]:
-    g, s = Word.gen(GAMMA), Word.gen(SIGMA)
-    b4a5 = _s(B[4]) * _s(A[5])
-    b5a4 = _s(B[5]) * _s(A[4])
-    entries: list[CorpusEntry] = []
-
-    def add(name: str, rel: Word, suspect=False, note=""):
-        entries.append(CorpusEntry(f"z2: {name}", "z2", rel, suspect, note))
-
-    add("(B4 A5)^6 = (B5 A4)^3 as printed", _eq(b4a5 ** 6, b5a4 ** 3),
-        suspect=True, note="suspected typo: exponent 3 should read 6")
-    add("(B4 A5)^6 = (B5 A4)^6 (exponent-6 correction)", _eq(b4a5 ** 6, b5a4 ** 6))
-    add("B3 A2 = B2 A3", _eq(_s(B[3]) * _s(A[2]), _s(B[2]) * _s(A[3])))
-    add("B5 = B2^3", _eq(_s(B[5]), _s(B[2]) ** 3))
-    add("B3^3 = (B5 A4)^6 B5", _eq(_s(B[3]) ** 3, b5a4 ** 6 * _s(B[5])))
-    add("A2^12 = 1", _s(A[2]) ** 12)
-    add("B5 A3 B5 A4 B5 A4 = B4 A5 B4 A5 B3 A5",
-        _eq(_s(B[5]) * _s(A[3]) * _s(B[5]) * _s(A[4]) * _s(B[5]) * _s(A[4]),
-            _s(B[4]) * _s(A[5]) * _s(B[4]) * _s(A[5]) * _s(B[3]) * _s(A[5])))
-    add("B5 = B2^2 A4 B5 A3 B5 A4 B2^2",
-        _eq(_s(B[5]), _s(B[2]) ** 2 * _s(A[4]) * _s(B[5]) * _s(A[3]) * _s(B[5])
-            * _s(A[4]) * _s(B[2]) ** 2))
-    add("B3 B2 B3 = (B5 A4)^4 B5",
-        _eq(_s(B[3]) * _s(B[2]) * _s(B[3]), b5a4 ** 4 * _s(B[5])))
-    add("s A2^2 G' = A4 B2^2 A4",
-        _eq(s * _s(A[2]) ** 2 * g.inverse(), _s(A[4]) * _s(B[2]) ** 2 * _s(A[4])))
-    add("G B2 s' = B2^2 A3 B5 A3 B2^2",
-        _eq(g * _s(B[2]) * s.inverse(),
-            _s(B[2]) ** 2 * _s(A[3]) * _s(B[5]) * _s(A[3]) * _s(B[2]) ** 2))
-    add("G B3 s' = B4 A2^2 B4 A2^2 B3 A5 B3 A5 B3 A2^2 B4 A2^2 B4",
-        _eq(g * _s(B[3]) * s.inverse(),
-            _s(B[4]) * _s(A[2]) ** 2 * _s(B[4]) * _s(A[2]) ** 2 * _s(B[3])
-            * _s(A[5]) * _s(B[3]) * _s(A[5]) * _s(B[3]) * _s(A[2]) ** 2
-            * _s(B[4]) * _s(A[2]) ** 2 * _s(B[4])))
-    add("G B4 s' = B4 A2^2 B4 A2^2 B4",
-        _eq(g * _s(B[4]) * s.inverse(),
-            _s(B[4]) * _s(A[2]) ** 2 * _s(B[4]) * _s(A[2]) ** 2 * _s(B[4])))
-    add("G B5 s' = B5", _eq(g * _s(B[5]) * s.inverse(), _s(B[5])))
-    add("A2 B3 A4 B5 B2 A3 B4 A5 = 1",
-        _s(A[2]) * _s(B[3]) * _s(A[4]) * _s(B[5]) * _s(B[2]) * _s(A[3])
-        * _s(B[4]) * _s(A[5]))
-    add("A2 A3' A4 A5' A2' A3 A4' A5 = 1",
-        _s(A[2]) * _s(A[3], -1) * _s(A[4]) * _s(A[5], -1) * _s(A[2], -1)
-        * _s(A[3]) * _s(A[4], -1) * _s(A[5]))
-    add("D = 1 (the cancellation relation)", _s(DELTA))
-    for i in range(2, 6):
-        add(f"B{i} A{i} = 1", _s(B[i]) * _s(A[i]))
-    add("B4 A2 B4 = B5 A3 B5",
-        _eq(_s(B[4]) * _s(A[2]) * _s(B[4]), _s(B[5]) * _s(A[3]) * _s(B[5])))
-    add("B2^4 = 1", _s(B[2]) ** 4)
-    add("B5 = A2", _eq(_s(B[5]), _s(A[2])))
-    add("(A2 A4)^2 = A3 A2 B3^2",
-        _eq((_s(A[2]) * _s(A[4])) ** 2, _s(A[3]) * _s(A[2]) * _s(B[3]) ** 2))
-    add("B3 B2 = A2 A3", _eq(_s(B[3]) * _s(B[2]), _s(A[2]) * _s(A[3])))
-    add("B3 = B4 A2 B4", _eq(_s(B[3]), _s(B[4]) * _s(A[2]) * _s(B[4])))
-    add("A2 A4 = A4 A2", _eq(_s(A[2]) * _s(A[4]), _s(A[4]) * _s(A[2])))
-    add("A4^4 = 1", _s(A[4]) ** 4)
-    add("A5 = A2'", _eq(_s(A[5]), _s(A[2], -1)))
-    add("A3 = A2' A4^2", _eq(_s(A[3]), _s(A[2], -1) * _s(A[4]) ** 2))
-    add("A2^4 = 1", _s(A[2]) ** 4)
-    add("s A2^2 G' = A2^2 A4^2",
-        _eq(s * _s(A[2]) ** 2 * g.inverse(), _s(A[2]) ** 2 * _s(A[4]) ** 2))
-    add("G A2' = A2' s", _eq(g * _s(A[2], -1), _s(A[2], -1) * s))
-    add("G A2 A4^2 = A2 A4^2 s",
-        _eq(g * _s(A[2]) * _s(A[4]) ** 2, _s(A[2]) * _s(A[4]) ** 2 * s))
-    add("G A4' = A4 s", _eq(g * _s(A[4], -1), _s(A[4]) * s))
-    add("G A2 = A2 s", _eq(g * _s(A[2]), _s(A[2]) * s))
-    return entries
+# a trailing note: "as printed", or a parenthesized phrase in words
+_NOTE = re.compile(r" (as printed|\([^()]*[a-z]{3}[^()]*\))$")
+_ACTION = re.compile(r"\((.+)\) b1\^-1 = (.+)")
 
 
-def _a2(i: int, m: int, e: int = 1) -> Word:
-    return Word.gen(GenSym("A2_", i % m), 1 if e > 0 else -1) ** abs(e)
-
-
-def _a4(i: int, m: int, e: int = 1) -> Word:
-    return Word.gen(GenSym("A4_", i % m), 1 if e > 0 else -1) ** abs(e)
-
-
-def _sig(i: int, m: int, e: int = 1) -> Word:
-    return Word.gen(GenSym("s_", i % m), 1 if e > 0 else -1) ** abs(e)
-
-
-def _orbifold_entries(m: int) -> list[CorpusEntry]:
-    entries: list[CorpusEntry] = []
-    seen: set[tuple] = set()
-
-    def add(name: str, rel: Word):
-        key = rel.cyclically_reduced().letters
-        if key in seen or not key:
-            return
-        seen.add(key)
-        entries.append(CorpusEntry(f"orbifold: {name}", "orbifold", rel))
-
-    for i in range(m):
-        j = i + 1
-        add(f"A2_{i}^4 = 1", _a2(i, m) ** 4)
-        add(f"A4_{i}^4 = 1", _a4(i, m) ** 4)
-        add(f"A2_{i} A4_{i} = A4_{i} A2_{i}",
-            _eq(_a2(i, m) * _a4(i, m), _a4(i, m) * _a2(i, m)))
-        add(f"s_{i} A2_{j}^2 = A2_{i}^2 A4_{i}^2",
-            _eq(_sig(i, m) * _a2(j, m) ** 2, _a2(i, m) ** 2 * _a4(i, m) ** 2))
-        add(f"A2_{j}' = A2_{i}' s_{i}",
-            _eq(_a2(j, m, -1), _a2(i, m, -1) * _sig(i, m)))
-        add(f"A2_{j} A4_{j}^2 = A2_{i} A4_{i}^2 s_{i}",
-            _eq(_a2(j, m) * _a4(j, m) ** 2, _a2(i, m) * _a4(i, m) ** 2 * _sig(i, m)))
-        add(f"A4_{j}' = A4_{i} s_{i}", _eq(_a4(j, m, -1), _a4(i, m) * _sig(i, m)))
-        add(f"A2_{j} = A2_{i} s_{i}", _eq(_a2(j, m), _a2(i, m) * _sig(i, m)))
-        # the six displayed expressions for s_i
-        add(f"s_{i} = A2_{i}^2 A4_{i}^2 A2_{j}^2",
-            _eq(_sig(i, m), _a2(i, m) ** 2 * _a4(i, m) ** 2 * _a2(j, m) ** 2))
-        add(f"s_{i} = A2_{i} A2_{j}'", _eq(_sig(i, m), _a2(i, m) * _a2(j, m, -1)))
-        add(f"s_{i} = A4_{i}^2 A2_{i}' A2_{j} A4_{j}^2",
-            _eq(_sig(i, m), _a4(i, m) ** 2 * _a2(i, m, -1) * _a2(j, m) * _a4(j, m) ** 2))
-        add(f"s_{i} = A2_{i}' A4_{i}^2 A4_{j}^2 A2_{j}",
-            _eq(_sig(i, m), _a2(i, m, -1) * _a4(i, m) ** 2 * _a4(j, m) ** 2 * _a2(j, m)))
-        add(f"s_{i} = A4_{i}' A4_{j}'", _eq(_sig(i, m), _a4(i, m, -1) * _a4(j, m, -1)))
-        add(f"s_{i} = A2_{i}' A2_{j}", _eq(_sig(i, m), _a2(i, m, -1) * _a2(j, m)))
-        add(f"A2_{i}^2 = A2_0^2", _eq(_a2(i, m) ** 2, _a2(0, m) ** 2))
-        add(f"s_{i} = A4_{i}^2", _eq(_sig(i, m), _a4(i, m) ** 2))
-        add(f"A4_{i} = A4_0", _eq(_a4(i, m), _a4(0, m)))
-        add(f"s_{i} = A4_0^2", _eq(_sig(i, m), _a4(0, m) ** 2))
-        add(f"A4_0^2 = A2_{i}' A2_{j}", _eq(_a4(0, m) ** 2, _a2(i, m, -1) * _a2(j, m)))
-        add(f"A4_0^2 = A2_{i} A2_{j}'", _eq(_a4(0, m) ** 2, _a2(i, m) * _a2(j, m, -1)))
-        add(f"A2_{2 * i % m} = A2_0 (even index)", _eq(_a2(2 * i, m), _a2(0, m)))
-        add(f"A2_{(2 * i + 1) % m} = A2_0 A4_0^2 (odd index)",
-            _eq(_a2(2 * i + 1, m), _a2(0, m) * _a4(0, m) ** 2))
-    sig_product = Word.identity()
-    for i in range(m):
-        sig_product = sig_product * _sig(i, m)
-    add("s_0 s_1 ... s_(m-1) = 1", sig_product)
-    add("A4_0^(2m) = 1", _a4(0, m) ** (2 * m))
-    if m % 2 == 1:
-        add("A4_0^2 = 1 (m odd)", _a4(0, m) ** 2)
-    add("commutative: A2_0 A4_0 = A4_0 A2_0",
-        _eq(_a2(0, m) * _a4(0, m), _a4(0, m) * _a2(0, m)))
-    return entries
+def _printed(text: str) -> Word:
+    """The relation a printed line displays, after any ``label:`` and before
+    any note; ``(w) b1^-1 = v`` says that b1^-1 takes w to v."""
+    text = _NOTE.sub("", text.rpartition(": ")[2])
+    action = _ACTION.fullmatch(text)
+    if action is None:
+        return parse_word(text)
+    w, v = (parse_word(side) for side in action.groups())
+    return paper_braids()["b1"].inverse().act(w, fiber_alphabet()) * v.inverse()
 
 
 def regression_corpus(k: int) -> list[CorpusEntry]:
-    """Every relation displayed along the reduction, instantiated for this k."""
-    return _pi_prime_entries() + _z2_entries() + _orbifold_entries(k + 1)
+    """Every relation displayed along the reduction, read from its printed
+    text and instantiated for this k."""
+    m = _modulus(k)
+    corpus = []
+    for stage, table in (("pi_prime", _PI_PRIME), ("z2", _Z2)):
+        for row in table:
+            text, formula = (row, row) if isinstance(row, str) else row
+            ident = f"{stage}: {text}"
+            suspect = ident == _SUSPECT
+            corpus.append(CorpusEntry(ident, stage, _printed(formula), suspect,
+                                      _SUSPECT_NOTE if suspect else ""))
+    seen: set[tuple] = set()
+
+    def orbifold(text: str, rel: Word | None = None) -> None:
+        """Add the relation, subscripts read mod m, unless an earlier entry has it."""
+        rel = _printed(text) if rel is None else rel
+        rel = Word.of((GenSym(s.name, s.index % m), e) for s, e in rel)
+        key = rel.cyclically_reduced().letters
+        if key and key not in seen:
+            seen.add(key)
+            corpus.append(CorpusEntry(f"orbifold: {text}", "orbifold", rel))
+
+    for i in range(m):
+        for template in _ORBIFOLD:
+            orbifold(template.format(i=i, j=i + 1, even=2 * i % m, odd=(2 * i + 1) % m))
+    orbifold("s_0 s_1 ... s_(m-1) = 1", Word.of((GenSym("s_", i), 1) for i in range(m)))
+    orbifold("A4_0^(2m) = 1", Word.gen(GenSym("A4_", 0)) ** (2 * m))
+    if m % 2:
+        orbifold("A4_0^2 = 1 (m odd)")
+    orbifold("commutative: A2_0 A4_0 = A4_0 A2_0")
+    return corpus
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,10 @@ def subgroup_presentation(
     Rewrites every relator of ``p`` from every residue (the transversal
     conjugates t R t^-1); redundancy among these is left to
     ``tietze_simplify``.  ``names`` may assign chosen symbols to
-    particular (residue, generator) pairs.
+    particular (residue, generator) pairs.  ``q`` is checked on ``p`` as
+    ``CyclicMap.onto`` checks it.
     """
-    for g in p.alphabet:
-        if g not in q.images:
-            raise QuotientMapError(f"no image for generator {g}")
-    for r in p.relators:
-        if q.residue(r) != 0:
-            raise QuotientMapError(f"relator {r} maps to nonzero residue")
+    CyclicMap.onto(p, q.modulus, q.images)
     if t is None:
         t = Transversal.schreier_default(p, q)
     t.validate(q)

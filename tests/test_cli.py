@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from braidpi import cli
-from braidpi.cli import (MAX_NESTING, ParseError, main, parse_braid,
-                         parse_presentation, parse_word)
+from braidpi import grammar
+from braidpi.cli import main
+from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
+                             parse_word)
 from braidpi.pipeline import pi_prime
 from braidpi.word_core import Alphabet, GenSym, Word, alphabet
 
@@ -42,6 +43,18 @@ def test_parse_errors_carry_position():
         parse_word("a ^ x")
     with pytest.raises(ParseError):
         parse_presentation("< a b | a, ")
+
+
+def test_parse_identity_atom():
+    a = GenSym("a")
+    assert parse_word("a^4 = 1") == parse_word("a^4") == Word.gen(a) ** 4
+    assert parse_word("1") == Word.identity()
+    assert parse_word("a 1 a' 1^3 (1)'") == Word.identity()
+    for text in ("2", "a 01", "-1", "a^1 1^"):
+        with pytest.raises(ParseError):
+            parse_word(text)
+    with pytest.raises(ParseError):
+        parse_presentation("< 1 | a >")
 
 
 def test_parse_braid():
@@ -139,6 +152,10 @@ def test_cli_schreier(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["stage"] == "schreier"
     assert len(data["generators"]) >= 1
+    # the identity representative is the grammar's 1, spaces allowed
+    assert main(["schreier", str(f), "--mod", "2", "--images", "a=1,b=1",
+                 "--transversal", " 1 ; a", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == data
 
 
 def test_cli_schreier_modulus_bound(tmp_path, capsys):
@@ -160,6 +177,15 @@ def test_cli_cover_parameter_bound(argv, capsys):
     assert main(argv) == 2
     assert time.perf_counter() - start < 2
     assert "letters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_k", ["0", "-3"])
+def test_cli_pipeline_empty_k_range(max_k, capsys):
+    # a range with no k checks nothing, so it cannot report success
+    assert main(["pipeline", "--all", "--max-k", max_k]) == 2
+    assert main(["pipeline", "--all", "--max-k", max_k, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-k" in captured.err
 
 
 def test_cli_pipeline_json(shared_pipeline, capsys):
@@ -227,7 +253,7 @@ def test_cli_power_bound(tmp_path, capsys, monkeypatch):
     # the longest presentation the pipeline builds parses back unchanged
     assert parse_presentation(str(pi_prime())) == pi_prime()
     # powers, products and whole presentations are held to the cap
-    monkeypatch.setattr(cli, "MAX_LETTERS", 100)
+    monkeypatch.setattr(grammar, "MAX_LETTERS", 100)
     assert len(parse_word("(a^10)^10")) == 100
     for text in ("a^101", "(a^10)^10 a", "(a^5 b^5)^-11"):
         with pytest.raises(ParseError):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidpi.curves import (Poly, ProjPoint, QuadScalar, RadicalMismatchError,
-                            conic, cubic_discriminant, divide_univariate,
+from braidpi.curves import (ZERO, Poly, ProjPoint, QuadScalar, RadicalMismatchError,
+                            _check_form, conic, cubic_discriminant, divide_univariate,
                             family_cubic, gradient, hessian, is_tangent_at, line,
                             nodal_cubic, poly3, sylvester_resultant, unipoly,
                             verify_persson_configuration)
@@ -160,6 +160,85 @@ def test_not_tangent_at_transverse_point():
     pt = ProjPoint.of(1, -1, 1)
     assert q.evaluate(pt.coords).is_zero() and l.evaluate(pt.coords).is_zero()
     assert not is_tangent_at(q, l, pt)
+
+
+def _tangent_by_restriction(curve, l, p):
+    """The earlier tangency routine, kept as the reference: restrict the
+    curve to a parametrization of the line; tangency means the binary form
+    and both its partials vanish at p's parameter."""
+    _check_form(curve)
+    if l.degree != 1 or not l.is_homogeneous():
+        raise ValueError("second argument must be a line")
+    if not l.evaluate(p.coords).is_zero():
+        raise ValueError(f"point {p} not on the line")
+    if not curve.evaluate(p.coords).is_zero():
+        raise ValueError(f"point {p} not on the curve")
+    a, b, c = (l.terms.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    if not a.is_zero():
+        p1, p2 = ProjPoint.of(-b / a, 1, 0), ProjPoint.of(-c / a, 0, 1)
+    elif not b.is_zero():
+        p1, p2 = ProjPoint.of(1, -a / b, 0), ProjPoint.of(0, -c / b, 1)
+    else:
+        p1, p2 = ProjPoint.of(1, 0, 0), ProjPoint.of(0, 1, 0)
+    param = None
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = p1.coords[i] * p2.coords[j] - p1.coords[j] * p2.coords[i]
+        if not det.is_zero():
+            s = (p.coords[i] * p2.coords[j] - p.coords[j] * p2.coords[i]) / det
+            t = (p1.coords[i] * p.coords[j] - p1.coords[j] * p.coords[i]) / det
+            if ProjPoint(tuple(s * p1.coords[k] + t * p2.coords[k] for k in range(3))) == p:
+                param = (s, t)
+            break
+    if param is None:
+        raise ValueError(f"point {p} not on the line")
+    f = curve.substitute_linear([Poly(2, {(1, 0): p1.coords[k], (0, 1): p2.coords[k]})
+                                 for k in range(3)])
+    return all(g.evaluate(param).is_zero() for g in (f, f.partial(0), f.partial(1)))
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_tangency_matches_restriction_on_random_lines():
+    # the configuration's points with curves through them, lines through
+    # each point (random, the tangent, the line's own radical) and off it
+    rng = random.Random(54)
+    q, c = conic(), nodal_cubic()
+    cases = [(q, ProjPoint.of(1, 1, -1)), (q, ProjPoint.of(1, -1, 1)),
+             (q, ProjPoint.of(0, 1, 0)), (c, ProjPoint.of(0, 1, 0)),
+             (c, ProjPoint.of(-3, -3, 4)), (c, ProjPoint.of(3, -3, 4)),
+             (c, ProjPoint.of(root(10, -24), -75, 80)), (c, ProjPoint.of(root(10, 24), -75, 80)),
+             (c, ProjPoint.of(0, 9, -16)), (c, ProjPoint.of(1, 0, 0)),
+             (c, ProjPoint.of(root(6, 16), 39, -48)), (c, ProjPoint.of(root(6, -16), 39, -48)),
+             (family_cubic(1), ProjPoint.of(0, 0, 1)), (family_cubic(3), ProjPoint.of(-2, -2, 3)),
+             (hessian(c), ProjPoint.of(1, 0, 0))]
+    verdicts = []
+    for curve, p in cases:
+        d = max(x.d for x in p.coords)
+
+        def scalar():
+            b = rng.randint(-3, 3) if d != 1 and rng.random() < 0.5 else 0
+            return QuadScalar(rng.randint(-5, 5), b, d)
+
+        lines = [line(*gradient(curve, p))] if any(not g.is_zero() for g in gradient(curve, p)) else []
+        for _ in range(24):
+            u, v = p.coords, (scalar(), scalar(), scalar())
+            through = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                       u[0] * v[1] - u[1] * v[0])
+            if any(not x.is_zero() for x in through):
+                lines.append(line(*through))
+            lines.append(line(*v) if any(not x.is_zero() for x in v) else line(1, 0, 0))
+        lines += [line(root(2), 0, 0), lines[-1] * lines[-1]]
+        for shape, l in [(curve, l) for l in lines] + [(curve + c, lines[0])]:
+            expected = _outcome(_tangent_by_restriction, shape, l, p)
+            assert _outcome(is_tangent_at, shape, l, p) == expected, (str(l), str(p))
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 15 and verdicts.count(False) >= 200
+    assert sum(isinstance(v, tuple) for v in verdicts) >= 200
 
 
 def test_sylvester_resultant_examples():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from braidpi import pipeline
@@ -188,6 +190,26 @@ def test_regression_corpus_shape():
     assert stages == {"pi_prime", "z2", "orbifold"}
 
 
+# sha256 of repr([(ident, stage, relation letters, suspect, note)]) of the
+# corpus as built word by word, before it was read from the printed text
+CORPUS_SHA256 = {
+    1: "a486770ed822220568c072b59b4635e6fe996612933c3ce3cde8068e42f09044",
+    2: "102844bed427f3807d45c6fe230a6c2dbc84c70d82815d6778ef74937a49e140",
+    3: "0c492eecfad18db6d49a6922dc7f868899363833d02e77523a35d79dbe69fd93",
+    4: "2a7d32e71bbf8ba755dc7b0a3237125968e315a48b6b9eb20077824f6f7111e2",
+    5: "59c50ea6aa0772cb6789db017e821c3ac3e281bce8a05cf60031bb5584facc27",
+    6: "e3359bb947032aca7183268628d3767d7c81cc231d37b47e8a214ea670e1deb7",
+    20: "982a71ca4090caf6da1a3b80b005add82851d95b2067bad08c758002c7f9465b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CORPUS_SHA256))
+def test_regression_corpus_pinned(k):
+    rows = [(e.ident, e.stage, e.relation.letters, e.suspect, e.note)
+            for e in regression_corpus(k)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CORPUS_SHA256[k]
+
+
 def test_corpus_relations_trace_in_both_quotients(pipe):
     for k in (1, 2):
         probe = pipe.quotient(k)
@@ -206,6 +228,12 @@ def test_parity_law_through_k6(pipe):
         inv = abelian_invariants(pipe.orbifold(k).simplified)
         assert inv.torsion == ((4, 4) if k % 2 else (2, 4))
         assert inv.free_rank == 0
+
+
+@pytest.mark.parametrize("k,invariants", [(39, (4, 4)), (40, (2, 4))])
+def test_parity_law_at_k39_k40(pipe, k, invariants):
+    inv = abelian_invariants(pipe.orbifold(k).simplified)
+    assert inv.torsion == invariants and inv.free_rank == 0
 
 
 def test_stage_budget_exhaustion_fails_the_run(monkeypatch):
@@ -244,3 +272,5 @@ def test_invalid_k(pipe):
         pipe.orbifold(0)
     with pytest.raises(ValueError):
         pipe.quotient(0)
+    with pytest.raises(ValueError):
+        regression_corpus(0)

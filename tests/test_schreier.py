@@ -58,6 +58,15 @@ def test_inconsistent_map_rejected():
         CyclicMap.onto(free("a", "b"), 2, {A: 1})  # missing image
 
 
+def test_subgroup_presentation_validates_the_map():
+    # the checks of CyclicMap.onto, for a map built without them
+    p = Presentation(alphabet("a"), [word((A, 1)) ** 5])
+    for bad, q in ((p, CyclicMap(3, {A: 1})), (free("a", "b"), CyclicMap(4, {A: 2, B: 0})),
+                   (free("a", "b"), CyclicMap(2, {A: 1}))):
+        with pytest.raises(QuotientMapError):
+            subgroup_presentation(bad, q)
+
+
 def test_transversal_validation():
     p = free("a", "b")
     q = CyclicMap.onto(p, 2, {A: 1, B: 0})
