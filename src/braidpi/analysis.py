@@ -3,10 +3,15 @@
 ``todd_coxeter`` runs HLT-style enumeration over the trivial subgroup:
 scan-and-fill every relator from every live coset, fill remaining row
 entries, and process coincidences through a union-find with full table
-repair.  Cosets are numbered in definition order and compacted at the
-end, so a given presentation and budget always yield the identical
-table.  A complete table is the regular permutation representation; its
-size is the group order.
+repair (Holt-Eick-O'Brien 5.1), which clears every entry naming a dead
+coset: outside it no live row points at one, so scans need no union-find
+lookup.  Cosets are numbered in definition order and compacted at the end,
+so a given presentation and budget always yield the identical table, of
+at most ``MAX_TABLE_CELLS`` entries (cosets times columns).  A complete
+table is the regular permutation representation; its size is the group
+order.  It is certified on whole columns: entries in 1..n (``min``/``max``),
+inverse columns undoing generators, and relators, composed as permutations
+of all cosets at once, the identity.
 
 ``smith_normal_form`` diagonalizes an integer matrix by unimodular row
 and column operations (smallest-pivot selection with remainder steps),
@@ -19,11 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
+from typing import Iterable
 
 from .presentation import Presentation
 from .word_core import Alphabet, Word
 
 IntMatrix = list[list[int]]
+
+# the most entries (cosets times columns) a coset table may hold: 10^6
+# cosets of a 6-generator table fit (about 220 MB at peak)
+MAX_TABLE_CELLS = 12 * 10**6
 
 
 class CosetLimitExceeded(RuntimeError):
@@ -38,7 +49,10 @@ def _col(l: int) -> int:
 
 class CosetTable:
     """Complete coset table over an alphabet: rows are cosets (1-based),
-    columns alternate generator / inverse in alphabet order."""
+    columns alternate generator / inverse in alphabet order.  Enumeration
+    records the cosets it ever ``defined`` and the ``coincidences`` it found."""
+
+    defined = coincidences = 0
 
     def __init__(self, alphabet: Alphabet, rows: list[list[int]]):
         self.alphabet = alphabet
@@ -48,37 +62,55 @@ class CosetTable:
     def order(self) -> int:
         return len(self.rows) - 1
 
+    def columns(self, cs: Iterable[int]) -> dict[int, list[int]]:
+        """Column c for each c in ``cs``, read from ``rows``: indexed by coset, 0 at 0."""
+        body = self.rows[1:]
+        return {c: [0, *map(itemgetter(c), body)] for c in cs}
+
     def validate(self, p: Presentation | None = None) -> None:
         """Closed table, mutually inverse columns, and relators tracing trivially."""
         n = self.order
-        for i in range(1, n + 1):
-            for g in range(1, len(self.alphabet) + 1):
-                fwd, bwd = self.rows[i][_col(g)], self.rows[i][_col(-g)]
-                if not (1 <= fwd <= n and 1 <= bwd <= n):
-                    raise AssertionError(f"table not closed at coset {i}")
-                if self.rows[fwd][_col(-g)] != i or self.rows[bwd][_col(g)] != i:
-                    raise AssertionError(f"columns not mutually inverse at coset {i}")
-        if p is not None:
-            for r in p.relators:
-                if not holds_in(self, r):
-                    raise AssertionError(f"relator {r} does not fix every coset")
+        cols = self.columns(range(2 * len(self.alphabet)))
+        for c, col in cols.items():
+            if n and not (1 <= min(col[1:]) and max(col) <= n):
+                raise AssertionError(f"table not closed in column {c}")
+        ident = list(range(n + 1))
+        for c in range(0, len(cols), 2):
+            # on a closed table, this makes column c a bijection and c + 1 its inverse
+            inverse = cols[c + 1]
+            if [inverse[x] for x in cols[c]] != ident:
+                raise AssertionError(f"columns {c} and {c + 1} not mutually inverse")
+        for r in p.relators if p else ():
+            if _trace(cols, [_col(l) for l in self.alphabet.encode(r)], n) != ident:
+                raise AssertionError(f"relator {r} does not fix every coset")
+
+
+def _trace(cols: dict[int, list[int]], word: list[int], n: int) -> list[int]:
+    """Coset i . w at index i, for every coset at once: the permutation of w."""
+    img = list(range(n + 1))
+    for c in word:
+        col = cols[c]
+        img = [col[x] for x in img]
+    return img
 
 
 def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; the table size is the group order.
 
     Raises CosetLimitExceeded when more than ``max_cosets`` cosets would
-    ever be defined (counting ones later merged away).
+    ever be defined (counting ones later merged away), or when the table
+    would hold more than ``MAX_TABLE_CELLS`` entries.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    ngens = len(p.alphabet)
-    ncols = 2 * ngens
+    ncols = 2 * len(p.alphabet)
+    limit = min(max_cosets, MAX_TABLE_CELLS // max(ncols, 1))
     # each relator's columns, and their inverses for the backward scan
     relators = [([_col(l) for l in r], [_col(l) ^ 1 for l in r])
                 for r in sorted(p.encoded_relators(), key=lambda r: (len(r), r))]
 
-    table: list[list[int | None] | None] = [None, [None] * ncols]
+    # table[x][c] = x . c, or 0 while undefined
+    table: list[list[int] | None] = [None, [0] * ncols]
     parent = [0, 1]
 
     def find(x: int) -> int:
@@ -107,75 +139,71 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
             row = table[y]
             for c in range(ncols):
                 d = row[c]
-                if d is None:
+                if not d:
                     continue
-                row[c] = None
+                row[c] = 0
                 if table[d][c ^ 1] == y:
-                    table[d][c ^ 1] = None
+                    table[d][c ^ 1] = 0
                 mu, nu = find(y), find(d)
-                if table[mu][c] is not None:
+                if table[mu][c]:
                     merge(nu, table[mu][c])
-                elif table[nu][c ^ 1] is not None:
+                elif table[nu][c ^ 1]:
                     merge(mu, table[nu][c ^ 1])
                 else:
                     table[mu][c] = nu
                     table[nu][c ^ 1] = mu
 
     def define(f: int, c: int) -> int:
-        if len(table) - 1 >= max_cosets:
-            raise CosetLimitExceeded(f"budget of {max_cosets} cosets exhausted")
-        table.append([None] * ncols)
-        parent.append(len(table) - 1)
-        nu = len(table) - 1
+        nu = len(table)
+        if nu > limit:
+            raise CosetLimitExceeded(f"budget of {max_cosets} cosets exhausted" if limit == max_cosets
+                                     else f"{nu} cosets would pass {MAX_TABLE_CELLS} table cells")
+        table.append([0] * ncols)
+        parent.append(nu)
         table[f][c] = nu
         table[nu][c ^ 1] = f
         return nu
 
-    def scan_and_fill(alpha: int, fwd: list[int], bwd: list[int]) -> None:
-        f, i = alpha, 0
-        b, j = alpha, len(fwd) - 1
-        while True:
-            while i <= j and table[f][fwd[i]] is not None:
-                f = find(table[f][fwd[i]])
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][bwd[j]] is not None:
-                b = find(table[b][bwd[j]])
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][fwd[i]] = b
-                table[b][bwd[i]] = f
-                return
-            f = define(f, fwd[i])
-            i += 1
-
+    coincidences = 0
     alpha = 1
     while alpha < len(table):
-        if find(alpha) != alpha:
+        if parent[alpha] != alpha:
             alpha += 1
             continue
         for fwd, bwd in relators:
-            scan_and_fill(alpha, fwd, bwd)
-            if find(alpha) != alpha:
-                break
-        if find(alpha) == alpha:
+            # scan and fill the relator at alpha, from both ends
+            f, i = alpha, 0
+            b, j = alpha, len(fwd) - 1
+            while True:
+                while i <= j and (x := table[f][fwd[i]]):
+                    f, i = x, i + 1
+                while j >= i and (x := table[b][bwd[j]]):
+                    b, j = x, j - 1
+                if j <= i:
+                    if j == i:  # deduction: the one-letter gap closes the relator
+                        table[f][fwd[i]], table[b][bwd[i]] = b, f
+                        f = b
+                    break
+                f, i = define(f, fwd[i]), i + 1
+            if f != b:
+                coincidences += 1
+                coincidence(f, b)
+                if parent[alpha] != alpha:
+                    break
+        if parent[alpha] == alpha:
+            row = table[alpha]
             for c in range(ncols):
-                if table[alpha][c] is None:
+                if not row[c]:
                     define(alpha, c)
         alpha += 1
 
-    live = [i for i in range(1, len(table)) if find(i) == i]
-    renumber = {old: new + 1 for new, old in enumerate(live)}
-    rows: list[list[int]] = [None]
-    for old in live:
-        rows.append([renumber[find(e)] for e in table[old]])
-    result = CosetTable(p.alphabet, rows)
+    live = [i for i in range(1, len(table)) if parent[i] == i]
+    renumber = [0] * len(table)
+    for new, old in enumerate(live, 1):
+        renumber[old] = new
+    result = CosetTable(p.alphabet, [None, *([renumber[e] for e in table[old]] for old in live)])
+    result.defined, result.coincidences = len(table) - 1, coincidences
+    del table[:], parent[:]
     result.validate(p)
     return result
 
@@ -183,15 +211,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
 def holds_in(t: CosetTable, w: Word) -> bool:
     """True iff w traces back to itself from every coset (w = 1 in the group,
     for a trivial-subgroup table)."""
-    cols = [_col(l) for l in t.alphabet.encode(w)]
-    rows = t.rows
-    for start in range(1, t.order + 1):
-        c = start
-        for j in cols:
-            c = rows[c][j]
-        if c != start:
-            return False
-    return True
+    word = [_col(l) for l in t.alphabet.encode(w)]
+    return _trace(t.columns(set(word)), word, t.order) == list(range(t.order + 1))
 
 
 def is_abelian(t: CosetTable) -> bool:
@@ -237,25 +258,17 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[dst] += q * row[src]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     def pivot_to(t) -> bool:
         # smallest nonzero entry of the trailing block (first in row-major
         # order) to (t, t): it controls coefficient growth; False if none
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (pivot is None or x < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = min(((abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
+                     if a[i][j]), default=None)
         if pivot is None:
             return False
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
         if pivot[1] != t:
-            swap_cols(t, pivot[1])
+            swap_rows(t, pivot[1])
+        if pivot[2] != t:
+            swap_cols(t, pivot[2])
         return True
 
     t = 0
@@ -274,16 +287,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 pivot_to(t)
                 continue
             if a[t][t] < 0:
-                negate_row(t)
+                a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
             # pivot must divide the remaining block, else the chain d1 | d2 fails
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][j] % a[t][t] for j in range(t + 1, cols))), None)
             if offender is None:
                 break
             add_row(t, offender, 1)
@@ -340,11 +347,5 @@ def trivial_in_abelianization(p: Presentation, w: Word) -> bool:
     d, _, v = smith_normal_form(mat)
     wv = [sum(vec[i] * v[i][j] for i in range(len(vec))) for j in range(len(vec))]
     r = min(len(mat), len(vec))
-    for j in range(len(vec)):
-        dj = d[j][j] if j < r else 0
-        if dj == 0:
-            if wv[j] != 0:
-                return False
-        elif wv[j] % dj != 0:
-            return False
-    return True
+    return all(x == 0 if j >= r or d[j][j] == 0 else x % d[j][j] == 0
+               for j, x in enumerate(wv))

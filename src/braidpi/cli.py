@@ -9,7 +9,9 @@ relator length) passes ``MAX_LETTERS``, are usage errors.  So are
 ``pipeline --k K``, ``pipeline --all --max-k K`` and ``regression --k K``
 when 2 (K + 1)^2 passes ``MAX_LETTERS``: the orbifold kernel holds the
 K + 1 rewrites of G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with
-``--max-k`` below 1, which would check nothing.
+``--max-k`` below 1, which would check nothing, and a coset budget ``--max``
+above ``MAX_COSETS``.  A coset table past ``analysis.MAX_TABLE_CELLS``
+entries (cosets times twice the generators) is an overflow, exit 3.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.  ``--simplify`` notes a spent move budget on stderr.
@@ -22,15 +24,15 @@ import json
 import sys
 
 from . import pipeline
-from .analysis import (CosetLimitExceeded, abelian_invariants, todd_coxeter)
+from .analysis import CosetLimitExceeded, abelian_invariants, todd_coxeter
 from .braid import Braid
 from .curves import verify_persson_configuration
 from .grammar import MAX_LETTERS, ParseError, parse_braid, parse_presentation, parse_word
 from .presentation import Presentation, tietze_simplify
 from .word_core import Alphabet, GenSym
 
-# the strand count ``act`` accepts
-MAX_STRANDS = 10_000
+# the strand count ``act`` and the coset budget ``--max`` accept
+MAX_STRANDS, MAX_COSETS = 10_000, 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_json(sub.add_parser("tc", help="Todd-Coxeter order of a presented group"))
     p.add_argument("file")
-    p.add_argument("--max", type=int, default=10**6, help="coset budget")
+    p.add_argument("--max", type=int, default=MAX_COSETS, help="coset budget")
     p.set_defaults(func=_cmd_tc)
 
     p = with_json(sub.add_parser("abelianize", help="abelian invariants"))
@@ -255,12 +257,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--all", action="store_true", help="run k = 1..max-k")
     p.add_argument("--max-k", type=int, default=6, dest="max_k")
-    p.add_argument("--max", type=int, default=10**6, help="coset budget")
+    p.add_argument("--max", type=int, default=MAX_COSETS, help="coset budget")
     p.set_defaults(func=_cmd_pipeline)
 
     p = with_json(sub.add_parser("regression", help="trace the printed-relation corpus"))
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--max", type=int, default=10**6)
+    p.add_argument("--max", type=int, default=MAX_COSETS, help="coset budget")
     p.set_defaults(func=_cmd_regression)
 
     p = with_json(sub.add_parser("verify-config", help="exact checks of the curve configuration"))
@@ -276,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "max", 0) > MAX_COSETS:
+            raise ValueError(f"--max {args.max} is more than {MAX_COSETS} cosets")
         return args.func(args)
     except CosetLimitExceeded as exc:
         print(f"overflow: {exc}", file=sys.stderr)

@@ -38,9 +38,9 @@ text.  Orbifold lines are templates in i, with subscripts read mod m.
 Every entry is checked as a consequence in one finite quotient per k,
 ``Pipeline.quotient(k)``: the group T(k) obtained by adjoining d_i^2,
 (d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi' (T(k) has order
-2m * |final group|).  Words at later stages are pushed down to the d/G
-alphabet by composing the Schreier backmaps, then traced from every coset
-of T(k)'s table.  The one suspect entry, the printed
+2m * |final group|).  A Schreier generator u_r g u_{r+q(g)}^-1 permutes
+T(k)'s cosets as that word does, so each entry is traced in its own
+stage's alphabet, from every coset.  The one suspect entry, the printed
 (B4 A5)^6 = (B5 A4)^3, is quarantined: both it and its exponent-6
 correction are reported, never asserted.
 """
@@ -131,6 +131,29 @@ def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
     return Cover(parent, raw, gens, _simplify(raw, protect))
 
 
+def _cover_table(parent: CosetTable, gens: SchreierGenSet) -> CosetTable:
+    """``parent``'s cosets under a cover's Schreier generators, each acting
+    as its defining word u_r g u_{r+q(g)}^-1 does."""
+    cols = parent.columns(range(2 * len(parent.alphabet)))
+    act = {s: (cols[2 * i], cols[2 * i + 1]) for i, s in enumerate(parent.alphabet)}
+    ident, reps = list(range(parent.order + 1)), gens.transversal.reps
+    perm = {(): (ident, ident)}     # each representative's and its inverse's, by prefix
+    for u in sorted(reps, key=len)[1:]:
+        (sym, sign), (img, inv) = u.letters[-1], perm[u.letters[:-1]]
+        fwd, bwd = act[sym][::sign]
+        perm[u.letters] = ([fwd[x] for x in img], [inv[x] for x in bwd])
+    images = []
+    for (r, g), sym in gens.gens.items():   # in the order of gens.alphabet
+        if sym is not None:
+            ur, ur_inv = perm[reps[r].letters]
+            us, us_inv = perm[reps[(r + gens.q.images[g]) % gens.q.modulus].letters]
+            fwd, bwd = act[g]
+            images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
+    rows = [list(row) for row in zip(*images)]
+    rows[0] = None
+    return CosetTable(gens.alphabet, rows)
+
+
 def _simplify(p: Presentation, protect: Iterable[GenSym]) -> Presentation:
     """The Tietze stage of every step; a stage whose move budget runs out fails."""
     simplified, log = tietze_simplify(p, protect=protect)
@@ -187,6 +210,8 @@ _PI_PRIME = (
     ("conjugated b- relation, first printed form",
      f"((d1 d3)' d3 d1 d3) b1^-1 = {_CONJ_BM[0]}"),
     ("conjugated b- relation, second printed form", f"{_CONJ_BM[0]} = {_CONJ_BM[1]}"),
+    # the third form only restates the second: (d4 d5)^-2 = d5' d4' d5' d4', so
+    # its relation is the empty word, which holds everywhere and checks nothing
     ("conjugated b- relation, third printed form", f"{_CONJ_BM[1]} = {_CONJ_BM[2]}"),
     "d3 (d4 d5)^-2 d5 (d4 d5)^2 d3' = (d1 d2)^-5 d2 (d1 d2)^5",
     "(d1 d2)^-5 d2 (d1 d2)^5 = d1 d2 d1'",
@@ -382,17 +407,9 @@ class Pipeline:
         rels = [Word.gen(GAMMA) ** m, self.z2.gens.backmap[SIGMA] ** m]
         return todd_coxeter(add_relators(self.z2_parent, rels))
 
-    def base_word(self, entry: CorpusEntry, orbifold: Cover) -> Word:
-        """Push a corpus relation down to the d/G alphabet via Schreier backmaps."""
-        w = entry.relation
-        if entry.stage == "orbifold":
-            w = orbifold.gens.backmap_word(w)
-        if entry.stage in ("orbifold", "z2"):
-            w = self.z2.gens.backmap_word(w)
-        return w
-
     def run(self, k: int, max_cosets: int = 10**6) -> PipelineReport:
-        """Build the stages for cover parameter k and certify the result."""
+        """Build the stages for k, certify the result, and trace each corpus
+        entry in its own stage's alphabet on T(k)'s cosets."""
         orb = self.orbifold(k)
         stages = tuple(StageInfo.of(name, p) for name, p in (
             ("pi_prime", self.pi_prime),
@@ -415,8 +432,10 @@ class Pipeline:
         # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
         if quotient.order != 2 * (k + 1) * table.order:
             raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")
+        z2 = _cover_table(quotient, self.z2.gens)
+        tables = {"pi_prime": quotient, "z2": z2, "orbifold": _cover_table(z2, orb.gens)}
         corpus = regression_corpus(k)
-        holds = {e.ident: holds_in(quotient, self.base_word(e, orb)) for e in corpus}
+        holds = {e.ident: holds_in(tables[e.stage], e.relation) for e in corpus}
         regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}
         # the raw and simplified Z/2 covers present one group, and the raw
         # one has every generator the printed suspect is written in

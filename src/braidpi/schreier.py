@@ -169,10 +169,6 @@ class SchreierGenSet:
                 out.append((sym, e))
         return Word.of(out)
 
-    def backmap_word(self, w: Word) -> Word:
-        """Expand a word over the subgroup alphabet into the parent alphabet."""
-        return w.substitute(self.backmap)
-
 
 def _default_name(g: GenSym, r: int, modulus: int) -> GenSym:
     if modulus == 1:

@@ -1,0 +1,163 @@
+"""Reference implementations that the package's faster routines must match.
+
+The coset-table routines are the earlier HLT enumeration, with a
+union-find lookup on every table read, and the per-coset certificate and
+tracing loops.  The backmap routines push a word at a cover stage down to
+the parent alphabet by substituting each Schreier generator's defining
+word, which is what tracing a stage's own alphabet on T(k) must agree with.
+"""
+
+from braidpi.analysis import CosetLimitExceeded, _col
+from braidpi.word_core import Word
+
+
+def todd_coxeter_rows(p, max_cosets=10**6):
+    """The coset table of p over the trivial subgroup, as ``CosetTable.rows``."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    ncols = 2 * len(p.alphabet)
+    relators = [([_col(l) for l in r], [_col(l) ^ 1 for l in r])
+                for r in sorted(p.encoded_relators(), key=lambda r: (len(r), r))]
+
+    table = [None, [None] * ncols]
+    parent = [0, 1]
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    dead = []
+
+    def merge(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        dead.append(b)
+
+    def coincidence(a, b):
+        merge(a, b)
+        while dead:
+            y = dead.pop()
+            row = table[y]
+            for c in range(ncols):
+                d = row[c]
+                if d is None:
+                    continue
+                row[c] = None
+                if table[d][c ^ 1] == y:
+                    table[d][c ^ 1] = None
+                mu, nu = find(y), find(d)
+                if table[mu][c] is not None:
+                    merge(nu, table[mu][c])
+                elif table[nu][c ^ 1] is not None:
+                    merge(mu, table[nu][c ^ 1])
+                else:
+                    table[mu][c] = nu
+                    table[nu][c ^ 1] = mu
+
+    def define(f, c):
+        if len(table) - 1 >= max_cosets:
+            raise CosetLimitExceeded(f"budget of {max_cosets} cosets exhausted")
+        table.append([None] * ncols)
+        parent.append(len(table) - 1)
+        nu = len(table) - 1
+        table[f][c] = nu
+        table[nu][c ^ 1] = f
+        return nu
+
+    def scan_and_fill(alpha, fwd, bwd):
+        f, i = alpha, 0
+        b, j = alpha, len(fwd) - 1
+        while True:
+            while i <= j and table[f][fwd[i]] is not None:
+                f = find(table[f][fwd[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][bwd[j]] is not None:
+                b = find(table[b][bwd[j]])
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][fwd[i]] = b
+                table[b][bwd[i]] = f
+                return
+            f = define(f, fwd[i])
+            i += 1
+
+    alpha = 1
+    while alpha < len(table):
+        if find(alpha) != alpha:
+            alpha += 1
+            continue
+        for fwd, bwd in relators:
+            scan_and_fill(alpha, fwd, bwd)
+            if find(alpha) != alpha:
+                break
+        if find(alpha) == alpha:
+            for c in range(ncols):
+                if table[alpha][c] is None:
+                    define(alpha, c)
+        alpha += 1
+
+    live = [i for i in range(1, len(table)) if find(i) == i]
+    renumber = {old: new + 1 for new, old in enumerate(live)}
+    rows = [None]
+    for old in live:
+        rows.append([renumber[find(e)] for e in table[old]])
+    validate(p.alphabet, rows, p)
+    return rows
+
+
+def validate(alphabet, rows, p=None):
+    """Closed table, mutually inverse columns, and relators tracing trivially."""
+    n = len(rows) - 1
+    for i in range(1, n + 1):
+        for g in range(1, len(alphabet) + 1):
+            fwd, bwd = rows[i][_col(g)], rows[i][_col(-g)]
+            if not (1 <= fwd <= n and 1 <= bwd <= n):
+                raise AssertionError(f"table not closed at coset {i}")
+            if rows[fwd][_col(-g)] != i or rows[bwd][_col(g)] != i:
+                raise AssertionError(f"columns not mutually inverse at coset {i}")
+    if p is not None:
+        for r in p.relators:
+            if not holds_in(alphabet, rows, r):
+                raise AssertionError(f"relator {r} does not fix every coset")
+
+
+def holds_in(alphabet, rows, w):
+    """True iff w traces back to itself from every coset."""
+    cols = [_col(l) for l in alphabet.encode(w)]
+    for start in range(1, len(rows)):
+        c = start
+        for j in cols:
+            c = rows[c][j]
+        if c != start:
+            return False
+    return True
+
+
+def backmap_word(gens, w: Word) -> Word:
+    """Expand a word over a cover's Schreier generators into the parent alphabet."""
+    return w.substitute(gens.backmap)
+
+
+def base_word(pipe, entry, orbifold) -> Word:
+    """Push a corpus relation down to the d/G alphabet via the Schreier backmaps."""
+    w = entry.relation
+    if entry.stage == "orbifold":
+        w = backmap_word(orbifold.gens, w)
+    if entry.stage in ("orbifold", "z2"):
+        w = backmap_word(pipe.z2.gens, w)
+    return w

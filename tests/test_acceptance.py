@@ -18,6 +18,7 @@ from braidpi.word_core import GenSym, Word, alphabet
 from .test_analysis import ORACLE_CORPUS, det, mat_mul, pres
 from .test_schreier import paper_relators_after_cover
 from .bruteforce import group_order_by_enumeration
+from .reference import backmap_word
 
 FIBER = fiber_alphabet()
 
@@ -122,7 +123,7 @@ def test_criterion_4_reidemeister_schreier_soundness(pipe):
             assert len(simplified.alphabet) == n * (g - 1) + 1, (n, g)
     relation = Word.of([(A[2], 1), (A[3], -1), (A[4], 1), (A[5], -1),
                         (A[2], -1), (A[3], 1), (A[4], -1), (A[5], 1)])
-    base = pipe.z2.gens.backmap_word(relation)
+    base = backmap_word(pipe.z2.gens, relation)
     assert holds_in(pipe.quotient(1), base)
     assert holds_in(pipe.quotient(2), base)
     _report(4, True,

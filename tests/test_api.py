@@ -3,8 +3,10 @@ import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import braidpi
+from braidpi import cli, pipeline
 
 MODULES = ("analysis", "braid", "cli", "curves", "pipeline", "presentation",
            "schreier", "word_core")
@@ -45,4 +47,17 @@ def test_no_module_level_caches():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", _SIZES_ACROSS_RUN], env=env,
                           capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_harness_hooks_resolve():
+    # benchmarks/tracer.py times layers by replacing these names; a renamed
+    # one would silently read 0 there
+    for owner, name in ((cli, "todd_coxeter"), (pipeline, "todd_coxeter"),
+                        (pipeline, "holds_in"), (cli, "parse_presentation")):
+        assert callable(getattr(owner, name, None)), (owner.__name__, name)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, str(root / "benchmarks" / "test_checks.py")],
+                          cwd=root, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -1,10 +1,15 @@
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
 from braidpi import grammar
-from braidpi.cli import main
+from braidpi.cli import MAX_COSETS, main
 from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
                              parse_word)
 from braidpi.pipeline import pi_prime
@@ -83,6 +88,31 @@ def test_cli_tc_overflow(tmp_path, capsys):
     f = tmp_path / "free.txt"
     f.write_text("< a b | >")
     assert main(["tc", str(f), "--max", "10"]) == 3
+
+
+@pytest.mark.parametrize("command", [["tc", "-"], ["pipeline"], ["regression"]])
+def test_cli_coset_budget_bound(command, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("< a | a^2 >"))
+    assert main([*command, "--max", str(MAX_COSETS + 1)]) == 2
+    assert f"more than {MAX_COSETS} cosets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,stdin,cap_kb", [
+    (["tc", "-"], "< " + " ".join(f"a{i}" for i in range(300)) + " | >", 800_000),
+    (["tc", "-", "--max", "100000000"], "< a | >", 600_000),
+], ids=["300 free generators", "budget past MAX_COSETS"])
+def test_cli_tc_memory_bounded(argv, stdin, cap_kb):
+    # a free group fills the table until a bound stops it; under an
+    # address-space cap on the child alone, that is an exit code, never a
+    # MemoryError (exit 1, "a check failed")
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_kb * 1024, cap_kb * 1024))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "braidpi.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, preexec_fn=cap,
+                          timeout=5)
+    assert done.returncode in (2, 3), done.stderr
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -1,0 +1,178 @@
+"""The coset-table layer against its reference: the same enumeration process,
+the same certificates, the same verdicts."""
+
+import io
+import random
+
+import pytest
+
+from braidpi import analysis, cli
+from braidpi.analysis import CosetLimitExceeded, holds_in, todd_coxeter
+from braidpi.grammar import parse_presentation
+from braidpi.presentation import Presentation
+from braidpi.word_core import GenSym, Word, alphabet
+
+from . import reference
+from .test_analysis import S3, _benchmark_inputs, pres, word
+
+A = GenSym("a")
+BUDGET = 3000
+
+
+def _random_presentation(rng):
+    """Coxeter-like relators (powers, pair products, commutators) and at
+    most one random word: finite groups of many sizes, some too large."""
+    names = ["a", "b", "c", "d"][:rng.randint(2, 4)]
+    syms = [Word.gen(GenSym(n)) for n in names]
+    rels = [x ** rng.randint(2, 5) for x in syms]
+    for i, x in enumerate(syms):
+        for y in syms[i + 1:]:
+            rels.append(rng.choice([(x * y) ** rng.randint(2, 4),
+                                    x * y * x.inverse() * y.inverse(), Word.identity()]))
+    if rng.random() < 0.5:
+        rels.append(Word.of((rng.choice(syms).letters[0][0], rng.choice((1, -1)))
+                            for _ in range(rng.randint(2, 6))))
+    return Presentation(alphabet(*names), rels)
+
+
+def _outcome(enumerate_, p, budget):
+    try:
+        return enumerate_(p, budget)
+    except CosetLimitExceeded:
+        return "overflow"
+
+
+def _random_cases(count):
+    rng = random.Random(808)
+    return [_random_presentation(rng) for _ in range(count)]
+
+
+def test_todd_coxeter_matches_reference_on_random_presentations():
+    finished = 0
+    for p in _random_cases(450):
+        expected = _outcome(reference.todd_coxeter_rows, p, BUDGET)
+        table = _outcome(todd_coxeter, p, BUDGET)
+        if expected == "overflow":
+            assert table == "overflow", p
+            continue
+        finished += 1
+        assert table.rows == expected, p
+        # the least budget that succeeds, here and in the reference
+        for budget in (table.defined - 1, table.defined, table.defined + 1):
+            if budget >= 1:
+                new = _outcome(todd_coxeter, p, budget)
+                old = _outcome(reference.todd_coxeter_rows, p, budget)
+                assert (new == "overflow") == (old == "overflow") == (budget < table.defined)
+    assert finished >= 200
+
+
+def test_holds_in_matches_reference_on_random_words():
+    rng = random.Random(809)
+    verdicts = []
+    for p in _random_cases(60):
+        table = _outcome(todd_coxeter, p, BUDGET)
+        if table == "overflow":
+            continue
+        syms = list(p.alphabet)
+        words = [r ** rng.randint(1, 2) for r in p.relators]
+        words += [Word.of((rng.choice(syms), rng.choice((1, -1)))
+                          for _ in range(rng.randint(0, 12))) for _ in range(8)]
+        for w in words:
+            verdict = holds_in(table, w)
+            assert verdict == reference.holds_in(p.alphabet, table.rows, w), (p, w)
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def _s4():
+    b = GenSym("b")
+    return pres(["a", "b"], [word((A, 1)) ** 4, word((b, 1)) ** 2,
+                             (word((A, 1)) * word((b, 1))) ** 3])
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("zero entry", "not closed"),
+    ("negative entry", "not closed"),
+    ("entry past n", "not closed"),
+    ("non-inverse pair", "not mutually inverse"),
+    ("relator moves a coset", "does not fix"),
+])
+def test_validate_rejects_planted_faults(fault, message):
+    p = _s4()
+    t = todd_coxeter(p)
+    n, rows = t.order, t.rows
+    if fault == "zero entry":
+        rows[5][1] = 0
+    elif fault == "negative entry":
+        rows[5][2] = -1
+    elif fault == "entry past n":
+        rows[5][0] = n + 1
+    elif fault == "non-inverse pair":
+        rows[3][0], rows[4][0] = rows[4][0], rows[3][0]
+    else:
+        # b acts as before and then swaps cosets 1 and 2: the columns stay
+        # closed and mutually inverse, but the relators fail
+        swap = {1: 2, 2: 1}
+        fwd, bwd = [row[2] for row in rows[1:]], [row[3] for row in rows[1:]]
+        for i in range(1, n + 1):
+            rows[i][2] = swap.get(fwd[i - 1], fwd[i - 1])
+            rows[i][3] = bwd[swap.get(i, i) - 1]
+        reference.validate(t.alphabet, rows)   # still a closed permutation table
+    with pytest.raises(AssertionError, match=message):
+        t.validate(p)
+    # the reference walks coset by coset, so it may name another fault first
+    with pytest.raises(AssertionError):
+        reference.validate(t.alphabet, rows, p)
+
+
+def test_table_cell_bound(monkeypatch):
+    defined = todd_coxeter(S3).defined
+    monkeypatch.setattr(analysis, "MAX_TABLE_CELLS", 4 * defined)
+    assert todd_coxeter(S3).order == 6
+    monkeypatch.setattr(analysis, "MAX_TABLE_CELLS", 4 * defined - 1)
+    with pytest.raises(CosetLimitExceeded, match="table cells"):
+        todd_coxeter(S3)
+    # the coset budget keeps its own message below the cell bound
+    with pytest.raises(CosetLimitExceeded, match="budget of 5 cosets"):
+        todd_coxeter(S3, max_cosets=5)
+
+
+def test_columns_are_read_from_rows():
+    t = todd_coxeter(S3)
+    before = t.columns(range(4))
+    assert all(before[c][i] == t.rows[i][c] for c in range(4) for i in range(1, 7))
+    assert all(before[c][0] == 0 for c in range(4))
+    # nothing is kept on the table: an edit to rows shows in the next read
+    t.rows[1][0], t.rows[2][0] = t.rows[2][0], t.rows[1][0]
+    assert t.columns([0])[0][1:3] == before[0][2:0:-1]
+
+
+def _cli_text(argv, stdin, monkeypatch, capsys):
+    """The presentation a CLI call prints (before any backmap lines)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out.partition("\n\n")[0]
+
+
+# cosets defined on the way to each table, measured on the earlier
+# enumeration as the least budget that succeeds: the process, not only its
+# result, is unchanged
+_QUOTIENT_DEFINED = {1: 14016, 3: 16604, 6: 19388}
+_GROUPS_DEFINED = {"tc of G(1,1,7)": 12575, "tc of G(2,1,5)": 8480,
+                   "tc of kernel mod 2 of G(1,1,8)": 40437}
+
+
+def test_enumeration_counters_pinned(pipe, monkeypatch, capsys):
+    for k, defined in _QUOTIENT_DEFINED.items():
+        table = pipe.quotient(k)
+        assert table.defined == defined, k
+        assert table.coincidences > 0
+    calls = _benchmark_inputs().groups(1).calls
+    printed = {}
+    for i, call in enumerate(calls):
+        if call.label in _GROUPS_DEFINED:
+            source = calls[call.feeds]
+            printed[call.label] = _cli_text(source.argv, source.stdin, monkeypatch, capsys)
+    assert set(printed) == set(_GROUPS_DEFINED)
+    for label, text in printed.items():
+        assert todd_coxeter(parse_presentation(text)).defined == _GROUPS_DEFINED[label], label

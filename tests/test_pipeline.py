@@ -8,6 +8,8 @@ from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, PipelineError, full_
                               paper_braids, pi_prime, regression_corpus, run)
 from braidpi.word_core import GenSym, Word
 
+from .reference import base_word
+
 
 def test_paper_braids_shape():
     b = paper_braids()
@@ -215,12 +217,35 @@ def test_corpus_relations_trace_in_both_quotients(pipe):
         probe = pipe.quotient(k)
         orbifold = pipe.orbifold(k)
         for entry in regression_corpus(k):
-            base = pipe.base_word(entry, orbifold)
+            base = base_word(pipe, entry, orbifold)
             holds = holds_in(probe, base)
             if entry.suspect:
                 assert not holds
             else:
                 assert holds, entry.ident
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 20])
+def test_stage_tracing_matches_pushdown(pipe, k):
+    # each entry traced in its stage's alphabet, against the same entry
+    # pushed down to d/G through the backmaps and traced on T(k)
+    report = pipe.run(k)
+    probe, orbifold = pipe.quotient(k), pipe.orbifold(k)
+    pushed = {e.ident: holds_in(probe, base_word(pipe, e, orbifold))
+              for e in regression_corpus(k)}
+    assert report.regressions == {i: v for i, v in pushed.items() if i in report.regressions}
+    assert len(pushed) == len(report.regressions) + 1
+    verdict = report.suspects[0]
+    assert verdict.printed_holds == pushed[verdict.ident]
+    assert verdict.corrected_holds == pushed[pipeline._CORRECTED]
+
+
+def test_only_the_restated_entry_is_freely_trivial():
+    # the third printed form of the conjugated b- relation restates the
+    # second in other notation, so its relation is the empty word
+    for k in range(1, 7):
+        trivial = [e.ident for e in regression_corpus(k) if e.relation.is_identity()]
+        assert trivial == ["pi_prime: conjugated b- relation, third printed form"], k
 
 
 def test_parity_law_through_k6(pipe):
