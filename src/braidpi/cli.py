@@ -10,11 +10,19 @@ relator length) passes ``MAX_LETTERS``, are usage errors.  So are
 when 2 (K + 1)^2 passes ``MAX_LETTERS``: the orbifold kernel holds the
 K + 1 rewrites of G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with
 ``--max-k`` below 1, which would check nothing, and a coset budget ``--max``
-above ``MAX_COSETS``.  A coset table past ``analysis.MAX_TABLE_CELLS``
+above ``MAX_COSETS``, and a ``schreier --images`` name that is not a
+generator or is given twice.  A coset table past ``analysis.MAX_TABLE_CELLS``
 entries (cosets times twice the generators) is an overflow, exit 3.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.  ``--simplify`` notes a spent move budget on stderr.
+
+Each subcommand loads only the layers it runs: ``grammar``, ``presentation`` and
+``analysis`` always, ``schreier`` for ``schreier``, ``pipeline`` and
+``regression``, ``pipeline`` for the last two, ``curves`` for ``verify-config``.
+The names ``benchmarks/tracer.py`` hooks (``parse_presentation``,
+``tietze_simplify``, ``todd_coxeter``, ``verify_persson_configuration``) stay
+globals here, looked up when a command runs.
 """
 
 from __future__ import annotations
@@ -23,10 +31,7 @@ import argparse
 import json
 import sys
 
-from . import pipeline
 from .analysis import CosetLimitExceeded, abelian_invariants, todd_coxeter
-from .braid import Braid
-from .curves import verify_persson_configuration
 from .grammar import MAX_LETTERS, ParseError, parse_braid, parse_presentation, parse_word
 from .presentation import Presentation, tietze_simplify
 from .word_core import Alphabet, GenSym
@@ -45,14 +50,25 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
-def _emit(data: dict, as_json: bool, text: str) -> None:
+def _emit(stage: str, data: dict, as_json: bool, text: str) -> None:
     if as_json:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps({"schema": "braidpi/1", "stage": stage, **data},
+                         indent=2, sort_keys=True))
     else:
         print(text)
 
 
+def _sizes(p: Presentation) -> dict:
+    return {"generators": [str(g) for g in p.alphabet], "relatorCount": len(p.relators)}
+
+
+def verify_persson_configuration():
+    from . import curves  # loaded by verify-config alone
+    return curves.verify_persson_configuration()
+
+
 def _cmd_act(args) -> int:
+    from .braid import Braid
     if args.n > MAX_STRANDS:
         raise ValueError(f"--n {args.n} is more than {MAX_STRANDS} strands")
     braid = parse_braid(args.braid, args.n)
@@ -62,8 +78,7 @@ def _cmd_act(args) -> int:
         image = Braid(args.n, (letter,)).act(image, fiber)
         if len(image) > MAX_LETTERS:
             raise ValueError(f"the image passes {MAX_LETTERS} letters")
-    _emit({"schema": "braidpi/1", "stage": "act", "image": str(image)},
-          args.json, str(image))
+    _emit("act", {"image": str(image)}, args.json, str(image))
     return 0
 
 
@@ -78,10 +93,7 @@ def _cmd_present(args) -> int:
     p = parse_presentation(_read_source(args.file))
     if args.simplify:
         p = _simplify(p, args.budget)
-    data = {"schema": "braidpi/1", "stage": "present",
-            "generators": [str(g) for g in p.alphabet],
-            "relatorCount": len(p.relators)}
-    _emit(data, args.json, str(p))
+    _emit("present", _sizes(p), args.json, str(p))
     return 0
 
 
@@ -96,7 +108,11 @@ def _cmd_schreier(args) -> int:
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"image spec {item!r} is not NAME=RESIDUE", 1, 1)
-        images[GenSym.parse(name.strip())] = int(value)
+        sym = GenSym.parse(name.strip())
+        if sym not in p.alphabet or sym in images:
+            why = "is given twice" if sym in images else "is not a generator"
+            raise ValueError(f"--images: {sym} {why}")
+        images[sym] = int(value)
     q = CyclicMap.onto(p, args.mod, images)
     t = None
     if args.transversal:
@@ -108,32 +124,23 @@ def _cmd_schreier(args) -> int:
     lines = [str(sub), ""]
     for sym, w in gens.backmap.items():
         lines.append(f"{sym} = {w}")
-    data = {"schema": "braidpi/1", "stage": "schreier",
-            "generators": [str(g) for g in sub.alphabet],
-            "relatorCount": len(sub.relators),
-            "backmap": {str(s): str(w) for s, w in gens.backmap.items()}}
-    _emit(data, args.json, "\n".join(lines))
+    backmap = {str(s): str(w) for s, w in gens.backmap.items()}
+    _emit("schreier", {**_sizes(sub), "backmap": backmap}, args.json, "\n".join(lines))
     return 0
 
 
 def _cmd_tc(args) -> int:
     p = parse_presentation(_read_source(args.file))
     table = todd_coxeter(p, args.max)
-    data = {"schema": "braidpi/1", "stage": "tc",
-            "generators": [str(g) for g in p.alphabet],
-            "relatorCount": len(p.relators), "order": table.order}
-    _emit(data, args.json, f"order {table.order}")
+    _emit("tc", {**_sizes(p), "order": table.order}, args.json, f"order {table.order}")
     return 0
 
 
 def _cmd_abelianize(args) -> int:
     p = parse_presentation(_read_source(args.file))
     inv = abelian_invariants(p)
-    data = {"schema": "braidpi/1", "stage": "abelianize",
-            "generators": [str(g) for g in p.alphabet],
-            "relatorCount": len(p.relators),
-            "invariants": list(inv.torsion), "freeRank": inv.free_rank}
-    _emit(data, args.json, str(inv))
+    data = {**_sizes(p), "invariants": list(inv.torsion), "freeRank": inv.free_rank}
+    _emit("abelianize", data, args.json, str(inv))
     return 0
 
 
@@ -169,6 +176,7 @@ def _check_ks(ks: list[int]) -> None:
 
 
 def _cmd_pipeline(args) -> int:
+    from . import pipeline
     ks = list(range(1, args.max_k + 1)) if args.all else [args.k]
     _check_ks(ks)
     # one Pipeline shares the k-independent stages across every k
@@ -190,27 +198,26 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_regression(args) -> int:
+    from . import pipeline
     _check_ks([args.k])
     report = pipeline.run(args.k, max_cosets=args.max)
     full = report.to_dict()
-    data = {"schema": "braidpi/1", "stage": "regression", "k": args.k,
-            "regressions": full["regressions"], "suspects": full["suspects"]}
+    data = {"k": args.k, "regressions": full["regressions"], "suspects": full["suspects"]}
     lines = []
     for ident, ok in sorted(report.regressions.items()):
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {ident}")
     for s in report.suspects:
         lines.append(f"[VERDICT] {s.ident}: {s.summary()}")
-    _emit(data, args.json, "\n".join(lines))
+    _emit("regression", data, args.json, "\n".join(lines))
     return 0 if report.all_regressions_hold else 1
 
 
 def _cmd_verify_config(args) -> int:
     report = verify_persson_configuration()
-    data = {"schema": "braidpi/1", "stage": "verify-config",
-            "items": [{"item": c.item, "title": c.title, "passed": c.passed,
+    data = {"items": [{"item": c.item, "title": c.title, "passed": c.passed,
                        "detail": c.detail} for c in report.checks],
             "allPassed": report.all_passed}
-    _emit(data, args.json, str(report))
+    _emit("verify-config", data, args.json, str(report))
     return 0 if report.all_passed else 1
 
 

@@ -188,6 +188,22 @@ def test_cli_schreier(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == data
 
 
+def test_cli_schreier_image_names(monkeypatch, capsys):
+    # a name outside the alphabet, or given twice, is a usage error naming it
+    for spec, message in (("a=1,b=0,c=1", "c is not a generator"),
+                          ("a=1,a=0,b=0", "a is given twice")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("< a b | a^2, b^3, a b a b >"))
+        assert main(["schreier", "-", "--mod", "2", "--images", spec]) == 2
+        assert message in capsys.readouterr().err
+    # a correct spec, in any order and spacing, prints what it always did
+    for spec in ("a=1,b=0", " b=0 , a=1"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("< a b | a^2, b^3, a b a b >"))
+        assert main(["schreier", "-", "--mod", "2", "--images", spec]) == 0
+        assert capsys.readouterr().out == (
+            "< a_1 b_0 b_1 | a_1, b_0^3, b_1^3, b_1 a_1 b_0 >\n\n"
+            "a_1 = a^2\nb_0 = b\nb_1 = a b a'\n")
+
+
 def test_cli_schreier_modulus_bound(tmp_path, capsys):
     # 10^7 cosets of < a b | > would give 2 * 10^7 Schreier generators
     f = tmp_path / "free.txt"
@@ -291,3 +307,20 @@ def test_cli_power_bound(tmp_path, capsys, monkeypatch):
     assert len(parse_presentation("< a b | a^50, b^50 >").relators) == 2
     with pytest.raises(ParseError):
         parse_presentation("< a b | a^50, b^51 >")
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in (
+        "act", "present", "schreier", "tc", "abelianize", "pipeline", "regression",
+        "verify-config")),
+    ["tc", "-"],
+], ids=" ".join)
+def test_cli_runs_under_warnings_as_errors(argv):
+    # runpy warns when the package has already imported braidpi.cli; that, or
+    # any warning on the import path, fails the call here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "braidpi.cli", *argv],
+                          input="< a b | a^2, b^3, a b a b >", capture_output=True,
+                          text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert argv[-1] == "--help" or done.stdout == "order 6\n"
