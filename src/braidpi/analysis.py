@@ -22,10 +22,9 @@ exponent-sum matrix of a presentation through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .presentation import Presentation
 from .word_core import Alphabet, Word
@@ -298,8 +297,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return a, u, v
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Torsion coefficients in a divisibility chain, plus the free rank."""
 
     torsion: tuple[int, ...]

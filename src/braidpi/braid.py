@@ -27,9 +27,7 @@ their actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .word_core import Alphabet, Word, _iextend, _iinv
+from .word_core import Alphabet, Word, _iextend, _iinv, _Record
 
 BraidLetter = tuple[int, int]  # (Artin index i, sign)
 
@@ -38,21 +36,20 @@ class StrandMismatchError(ValueError):
     """Braids on different strand counts, or a fiber of the wrong size."""
 
 
-@dataclass(frozen=True)
-class Braid:
+class Braid(_Record):
     """A word in the Artin generators of the braid group on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[BraidLetter, ...] = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 2:
+    def __init__(self, strands: int, letters: tuple[BraidLetter, ...] = ()):
+        if strands < 2:
             raise ValueError("need at least 2 strands")
-        for i, sign in self.letters:
-            if not 1 <= i <= self.strands - 1:
-                raise ValueError(f"Artin index {i} out of range for {self.strands} strands")
+        for i, sign in letters:
+            if not 1 <= i <= strands - 1:
+                raise ValueError(f"Artin index {i} out of range for {strands} strands")
             if sign not in (1, -1):
                 raise ValueError("braid letter sign must be +-1")
+        self._init(strands, letters)
 
     @staticmethod
     def identity(strands: int) -> "Braid":

@@ -19,7 +19,8 @@ Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 
 Each subcommand loads only the layers it runs: ``grammar``, ``presentation`` and
 ``analysis`` always, ``schreier`` for ``schreier``, ``pipeline`` and
-``regression``, ``pipeline`` for the last two, ``curves`` for ``verify-config``.
+``regression``, ``pipeline`` for the last two, ``curves`` for ``verify-config``;
+``json`` is imported only to print ``--json`` output.
 The names ``benchmarks/tracer.py`` hooks (``parse_presentation``,
 ``tietze_simplify``, ``todd_coxeter``, ``verify_persson_configuration``) stay
 globals here, looked up when a command runs.
@@ -28,7 +29,6 @@ globals here, looked up when a command runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .analysis import CosetLimitExceeded, abelian_invariants, todd_coxeter
@@ -52,6 +52,7 @@ def _read_source(path: str) -> str:
 
 def _emit(stage: str, data: dict, as_json: bool, text: str) -> None:
     if as_json:
+        import json  # loaded only to print JSON
         print(json.dumps({"schema": "braidpi/1", "stage": stage, **data},
                          indent=2, sort_keys=True))
     else:
@@ -189,6 +190,7 @@ def _cmd_pipeline(args) -> int:
         if not (report.abelian and report.all_regressions_hold):
             code = 1
     if args.json:
+        import json
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if not args.all else payload,
                          indent=2, sort_keys=True))

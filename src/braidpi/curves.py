@@ -23,9 +23,10 @@ the conic in a single point of multiplicity six.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+from .word_core import _Record
 
 
 class RadicalMismatchError(ValueError):
@@ -43,23 +44,19 @@ def _squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuadScalar:
+class QuadScalar(_Record):
     """a + b sqrt(d) with rational a, b; d squarefree, d = 1 iff rational."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == 0 and self.d != 1:
-            object.__setattr__(self, "d", 1)
-        if self.d != 1 and not _squarefree(self.d):
-            raise ValueError(f"radicand {self.d} is not squarefree")
-        if self.d == 1 and self.b != 0:
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        a, b = Fraction(a), Fraction(b)
+        d = d if b else 1
+        if d != 1 and not _squarefree(d):
+            raise ValueError(f"radicand {d} is not squarefree")
+        if d == 1 and b != 0:
             raise ValueError("rational scalar with nonzero radical part")
+        self._init(a, b, d)
 
     _SCALARS = (int, Fraction)
 
@@ -303,11 +300,13 @@ def line(a, b, c) -> Poly:
                   (0, 0, 1): QuadScalar.of(c)})
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(_Record):
     """Projective point; equality through vanishing 2x2 minors."""
 
-    coords: tuple[QuadScalar, QuadScalar, QuadScalar]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[QuadScalar, QuadScalar, QuadScalar]):
+        self._init(coords)
 
     @staticmethod
     def of(x, y, z) -> "ProjPoint":
@@ -478,16 +477,14 @@ def unipoly(coeffs: Sequence) -> Poly:
 # ---------------------------------------------------------------------------
 # the configuration report
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     item: int
     title: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ConfigReport:
+class ConfigReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

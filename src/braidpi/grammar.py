@@ -20,7 +20,7 @@ that expand past ``MAX_LETTERS`` letters, are parse errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .braid import Braid
 from .presentation import Presentation
@@ -34,8 +34,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # sym | int | punct | end
     text: str
     line: int

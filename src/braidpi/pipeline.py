@@ -48,7 +48,6 @@ correction are reported, never asserted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .analysis import (AbelianInvariants, CosetTable, abelian_invariants, holds_in,
@@ -165,8 +164,7 @@ def _simplify(p: Presentation, protect: Iterable[GenSym]) -> Presentation:
 # ---------------------------------------------------------------------------
 # regression corpus: every relation displayed along the reduction
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     ident: str
     stage: str          # pi_prime | z2 | orbifold
     relation: Word      # lhs * rhs^-1 over the stage alphabet
@@ -210,9 +208,9 @@ _PI_PRIME = (
     ("conjugated b- relation, first printed form",
      f"((d1 d3)' d3 d1 d3) b1^-1 = {_CONJ_BM[0]}"),
     ("conjugated b- relation, second printed form", f"{_CONJ_BM[0]} = {_CONJ_BM[1]}"),
-    # the third form only restates the second: (d4 d5)^-2 = d5' d4' d5' d4', so
-    # its relation is the empty word, which holds everywhere and checks nothing
-    ("conjugated b- relation, third printed form", f"{_CONJ_BM[1]} = {_CONJ_BM[2]}"),
+    # the third form restates the second, so it is checked against the action
+    ("conjugated b- relation, third printed form",
+     f"((d1 d3)' d3 d1 d3) b1^-1 = {_CONJ_BM[2]}"),
     "d3 (d4 d5)^-2 d5 (d4 d5)^2 d3' = (d1 d2)^-5 d2 (d1 d2)^5",
     "(d1 d2)^-5 d2 (d1 d2)^5 = d1 d2 d1'",
 )
@@ -306,8 +304,7 @@ def regression_corpus(k: int) -> list[CorpusEntry]:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class StageInfo:
+class StageInfo(NamedTuple):
     name: str
     generators: tuple[str, ...]
     relator_count: int
@@ -319,8 +316,7 @@ class StageInfo:
                          len(p.relators), p.total_length())
 
 
-@dataclass(frozen=True)
-class SuspectVerdict:
+class SuspectVerdict(NamedTuple):
     ident: str
     printed_holds: bool
     corrected_holds: bool
@@ -333,8 +329,7 @@ class SuspectVerdict:
                 f"{self.printed_refuted_in_abelianization}")
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     k: int
     m: int
     stages: tuple[StageInfo, ...]
@@ -401,11 +396,11 @@ class Pipeline:
                   for s in parent.alphabet}
         return cover(parent, m, images, [g ** i for i in range(m)], {(m - 1, GAMMA): GHAT})
 
-    def quotient(self, k: int) -> CosetTable:
+    def quotient(self, k: int, max_cosets: int = 10**6) -> CosetTable:
         """Coset table of T(k): the Z/2 parent with G^m and s^m = (d1 G d1^-1)^m."""
         m = _modulus(k)
         rels = [Word.gen(GAMMA) ** m, self.z2.gens.backmap[SIGMA] ** m]
-        return todd_coxeter(add_relators(self.z2_parent, rels))
+        return todd_coxeter(add_relators(self.z2_parent, rels), max_cosets)
 
     def run(self, k: int, max_cosets: int = 10**6) -> PipelineReport:
         """Build the stages for k, certify the result, and trace each corpus
@@ -428,7 +423,7 @@ class Pipeline:
         if abelian and invs.free_rank == 0 and table.order != invs.order():
             raise PipelineError(
                 f"order {table.order} != product of invariants {invs.order()}")
-        quotient = self.quotient(k)
+        quotient = self.quotient(k, max_cosets)
         # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
         if quotient.order != 2 * (k + 1) * table.order:
             raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")

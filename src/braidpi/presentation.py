@@ -35,11 +35,10 @@ fixed, so results are deterministic for a given budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
-from .word_core import Alphabet, GenSym, Word, _iinv
+from .word_core import Alphabet, GenSym, Word, _iinv, _Record
 
 IntWord = tuple[int, ...]
 
@@ -177,8 +176,7 @@ def add_relators(p: Presentation, ws: Iterable[Word]) -> Presentation:
 # ---------------------------------------------------------------------------
 # Tietze moves: one application routine shared by the engine and replay
 
-@dataclass(frozen=True)
-class TietzeMove:
+class TietzeMove(NamedTuple):
     kind: str  # add-relator | remove-relator | eliminate-generator
     payload: tuple
 
@@ -217,10 +215,11 @@ class _TietzeState:
                             [self.source.decode(r) for r in self.rels])
 
 
-@dataclass
-class TietzeLog:
-    moves: list[TietzeMove] = field(default_factory=list)
-    exhausted: bool = False  # the move budget ran out before the run finished
+class TietzeLog(_Record):
+    __slots__ = ("moves", "exhausted")  # exhausted: the move budget ran out first
+
+    def __init__(self, moves: list[TietzeMove] | None = None, exhausted: bool = False):
+        self._init([] if moves is None else moves, exhausted)
 
     def replay(self, p: Presentation) -> Presentation:
         """Re-apply the recorded moves to ``p``, reproducing the target."""
@@ -300,20 +299,22 @@ def _prefilter_pieces(s: IntWord) -> tuple[str, ...]:
     return tuple(dict.fromkeys(e[a:b] for e in encoded for a, b in spans))
 
 
-@dataclass(eq=False, slots=True)
 class _Relator:
     """One relator value for one ``tietze_simplify`` call: its encodings, each
     computed at most once, and its place in the rescan rule (see ``shorten``)."""
 
-    word: IntWord
-    text: str = ""                   # _enc(word + word), as a target
-    pieces: tuple[str, ...] = ()     # _prefilter_pieces(word), as a reducer
-    key: IntWord = ()                # _canon_key(word)
-    automaton: _SuffixAutomaton | None = None
-    born: int = 0                    # stamp of its last entry into the reducer list
-    clean: int = 0                   # stamp at its last scan that found no arc
-    excluded: _Relator | None = None  # the owner that scan left out
-    slots: list[int] = field(default_factory=list)  # its places in the reducer list
+    __slots__ = ("word", "text", "pieces", "key", "automaton", "born", "clean", "excluded", "slots")
+
+    def __init__(self, word: IntWord):
+        self.word = word
+        self.text = ""                   # _enc(word + word), as a target
+        self.pieces: tuple[str, ...] = ()  # _prefilter_pieces(word), as a reducer
+        self.key: IntWord = ()           # _canon_key(word)
+        self.automaton: _SuffixAutomaton | None = None
+        self.born = 0                    # stamp of its last entry into the reducer list
+        self.clean = 0                   # stamp at its last scan that found no arc
+        self.excluded: _Relator | None = None  # the owner that scan left out
+        self.slots: list[int] = []       # its places in the reducer list
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ g^-1 at residue r contributes s(r - q(g), g)^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .presentation import Presentation
-from .word_core import Alphabet, GenSym, Word
+from .word_core import Alphabet, GenSym, Word, _Record
 
 
 class QuotientMapError(ValueError):
@@ -35,18 +34,15 @@ class TransversalError(ValueError):
     """A transversal that does not match the cyclic map."""
 
 
-@dataclass(frozen=True)
-class CyclicMap:
-    """Map onto Z/modulus given by a residue for each generator."""
+class CyclicMap(_Record):
+    """Map onto Z/modulus given by a residue for each generator; unhashable."""
 
-    modulus: int
-    images: Mapping[GenSym, int]
+    __slots__ = ("modulus", "images")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, images: Mapping[GenSym, int]):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "images",
-                           {g: r % self.modulus for g, r in dict(self.images).items()})
+        self._init(modulus, {g: r % modulus for g, r in dict(images).items()})
 
     @staticmethod
     def onto(p: Presentation, modulus: int, images: Mapping[GenSym, int]) -> "CyclicMap":
@@ -74,8 +70,7 @@ class CyclicMap:
         return tot % self.modulus
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """Coset representatives, one per residue; reps[0] is the identity."""
 
     reps: tuple[Word, ...]

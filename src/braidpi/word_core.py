@@ -16,36 +16,69 @@ in the data; ``format_word`` may compress for display only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping, Sequence
-
-
-class MissingImageError(KeyError):
-    """A substitution was asked for a symbol with no assigned image."""
+from typing import Iterable, Iterator, Sequence
 
 
 class AlphabetError(ValueError):
     """Duplicate symbol in an alphabet, or a word using a foreign symbol."""
 
 
-@dataclass(frozen=True)
-class GenSym:
+class _Record:
+    """Base of the immutable value types.  The fields are the ``__slots__``, set
+    once by ``_init``; a record is equal only to one of its own class with equal
+    fields, hashes as the tuple of its fields, and pickles through ``__init__``."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class GenSym(_Record):
     """A generator symbol: a short name plus an optional subscript."""
 
-    name: str
-    index: int | None = None
+    __slots__ = ("name", "index", "_hash")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, index: int | None = None):
+        if not name:
             raise ValueError("empty symbol name")
-        if self.name[-1].isdigit():
+        if name[-1].isdigit():
             # trailing digits belong in the index so that str() round-trips
-            raise ValueError(f"symbol name {self.name!r} must not end in a digit")
-        if self.index is not None and self.index < 0:
+            raise ValueError(f"symbol name {name!r} must not end in a digit")
+        if index is not None and index < 0:
             raise ValueError("negative symbol index")
-        # the dataclass hash, computed once: symbols key every hot dict
-        object.__setattr__(self, "_hash", hash((self.name, self.index)))
+        # hash((name, index)), computed once: symbols key every hot dict
+        self._init(name, index, hash((name, index)))
+
+    def __eq__(self, other) -> bool:   # hot: dict lookups with an equal key
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.index == other.index
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,11 +132,13 @@ def _iextend(out: list[int], w: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A freely reduced word; build with ``Word.of`` (which reduces)."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        self._init(letters)
 
     @staticmethod
     def of(letters: Iterable[Letter]) -> "Word":
@@ -159,15 +194,6 @@ class Word:
         for s, e in self.letters:
             sums[s] = sums.get(s, 0) + e
         return sums
-
-    def substitute(self, images: Mapping[GenSym, "Word"]) -> "Word":
-        out: list[Letter] = []
-        for sym, sign in self.letters:
-            if sym not in images:
-                raise MissingImageError(f"no image for {sym}")
-            img = images[sym]
-            _reduce_into(out, img.letters if sign > 0 else img.inverse().letters)
-        return Word(tuple(out))
 
     def __str__(self) -> str:
         return format_word(self)

@@ -14,8 +14,8 @@ class _SessionPipeline(Pipeline):
         return super().orbifold(k)
 
     @functools.cache
-    def quotient(self, k):
-        return super().quotient(k)
+    def quotient(self, k, max_cosets=10**6):
+        return super().quotient(k, max_cosets)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,27 @@ union-find lookup on every table read, and the per-coset certificate and
 tracing loops.  The backmap routines push a word at a cover stage down to
 the parent alphabet by substituting each Schreier generator's defining
 word, which is what tracing a stage's own alphabet on T(k) must agree with.
+``substitute`` is the free-group homomorphism those routines and the
+letter-by-letter braid action are built on.
 """
 
 from braidpi.analysis import CosetLimitExceeded, _col
-from braidpi.word_core import Word
+from braidpi.word_core import Word, _reduce_into
+
+
+class MissingImageError(KeyError):
+    """A substitution was asked for a symbol with no assigned image."""
+
+
+def substitute(w: Word, images) -> Word:
+    """The image of w under the homomorphism sending each symbol to ``images[symbol]``."""
+    out = []
+    for sym, sign in w.letters:
+        if sym not in images:
+            raise MissingImageError(f"no image for {sym}")
+        img = images[sym]
+        _reduce_into(out, img.letters if sign > 0 else img.inverse().letters)
+    return Word(tuple(out))
 
 
 def todd_coxeter_rows(p, max_cosets=10**6):
@@ -150,7 +167,7 @@ def holds_in(alphabet, rows, w):
 
 def backmap_word(gens, w: Word) -> Word:
     """Expand a word over a cover's Schreier generators into the parent alphabet."""
-    return w.substitute(gens.backmap)
+    return substitute(w, gens.backmap)
 
 
 def base_word(pipe, entry, orbifold) -> Word:

@@ -35,7 +35,7 @@ assert not grown, grown
 """
 
 
-# run in a fresh interpreter: print the braidpi submodules one CLI call loads
+# run in a fresh interpreter: print the modules loaded after one CLI call
 _LOADED_BY = """
 import contextlib, io, sys
 argv = sys.argv[1:]
@@ -46,8 +46,7 @@ if argv:
         assert cli.main(argv) == 0, argv
 else:
     import braidpi
-print(" ".join(sorted(name[len("braidpi."):] for name in sys.modules
-                      if name.startswith("braidpi."))))
+print(" ".join(sys.modules))
 """
 
 
@@ -79,13 +78,23 @@ def test_public_names_resolve_lazily():
     (["schreier", "-", "--mod", "2", "--images", "a=1,b=0", "--simplify"],
      {"cli", "schreier"}, {"curves", "pipeline"}),
     (["verify-config"], {"cli", "curves"}, {"pipeline", "schreier"}),
-], ids=["import braidpi", "tc", "abelianize", "present", "schreier", "verify-config"])
+    (["act", "--braid", "s1 s2'", "--word", "d1 d2"], {"cli", "braid"},
+     {"curves", "pipeline", "schreier"}),
+    (["pipeline", "--k", "1"], {"cli", "pipeline", "schreier"}, {"curves"}),
+    (["pipeline", "--k", "1", "--json"], {"cli", "pipeline", "schreier"}, {"curves"}),
+    (["tc", "-", "--json"], {"cli", "analysis"}, {"curves", "pipeline", "schreier"}),
+], ids=["import braidpi", "tc", "abelianize", "present", "schreier", "verify-config", "act",
+        "pipeline --k 1", "pipeline --k 1 --json", "tc --json"])
 def test_subcommands_load_only_their_layers(argv, loaded, absent):
     done = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], env=_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     modules = set(done.stdout.split())
-    assert loaded <= modules and not modules & absent, modules
+    layers = {name[len("braidpi."):] for name in modules if name.startswith("braidpi.")}
+    assert loaded <= layers and not layers & absent, layers
+    # no call pays for the dataclass machinery, and only --json loads json
+    assert not modules & {"dataclasses", "inspect"}, modules & {"dataclasses", "inspect"}
+    assert ("json" in modules) == ("--json" in argv), argv
 
 
 def test_no_module_level_caches():

@@ -7,6 +7,8 @@ from braidpi.braid import Braid, StrandMismatchError, act, compose, strand_image
 from braidpi.pipeline import fiber_alphabet, paper_braids
 from braidpi.word_core import Alphabet, GenSym, Word
 
+from .reference import substitute
+
 FIBER = fiber_alphabet()
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
 
@@ -139,7 +141,7 @@ def reference_act(b, w, fiber):
         else:
             moved = {dk: Word.of([(dk, 1), (dk1, 1), (dk, -1)]), dk1: Word.gen(dk)}
         images = {s: moved.get(s, Word.gen(s)) for s in {s for s, _ in w} | set(moved)}
-        w = w.substitute(images)
+        w = substitute(w, images)
     return w
 
 

@@ -97,6 +97,14 @@ def test_cli_coset_budget_bound(command, monkeypatch, capsys):
     assert f"more than {MAX_COSETS} cosets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pipeline", "regression"])
+def test_cli_coset_budget_reaches_the_quotient(command, shared_pipeline, capsys):
+    # enumerating T(1) defines 14,016 cosets: one fewer is an overflow
+    assert main([command, "--k", "1", "--max", "14015"]) == 3
+    assert "budget of 14015 cosets exhausted" in capsys.readouterr().err
+    assert main([command, "--k", "1", "--max", "14016"]) == 0
+
+
 @pytest.mark.parametrize("argv,stdin,cap_kb", [
     (["tc", "-"], "< " + " ".join(f"a{i}" for i in range(300)) + " | >", 800_000),
     (["tc", "-", "--max", "100000000"], "< a | >", 600_000),

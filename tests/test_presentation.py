@@ -9,6 +9,8 @@ from braidpi.presentation import (Presentation, add_relators, conjugation_relato
                                   stabilizer_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
 
+from .reference import substitute
+
 A, B, C = GenSym("a"), GenSym("b"), GenSym("c")
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
 G = GenSym("G")
@@ -160,7 +162,7 @@ def test_tietze_log_rewrite_maps_to_target_alphabet():
     for mv in log.moves:
         if mv.kind == "eliminate-generator":
             g, expr = mv.payload[:2]
-            image = image.substitute({s: expr if s == g else Word.gen(s) for s, _ in image})
+            image = substitute(image, {s: expr if s == g else Word.gen(s) for s, _ in image})
     assert image == Word.gen(kept) ** 2
 
 
