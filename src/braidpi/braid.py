@@ -27,7 +27,9 @@ their actions.
 
 from __future__ import annotations
 
-from .word_core import Alphabet, Word, _iextend, _iinv, _Record
+from typing import Iterable
+
+from .word_core import Alphabet, Word, _iinv, _ireduce, _Record
 
 BraidLetter = tuple[int, int]  # (Artin index i, sign)
 
@@ -93,16 +95,19 @@ def strand_images(b: Braid, fiber: Alphabet) -> dict[int, list[int]]:
     for i, sign in reversed(b.letters):
         x, y = images.get(i, [i]), images.get(i + 1, [i + 1])
         if sign > 0:
-            images[i], images[i + 1] = y, _iextend(_iextend(list(_iinv(y)), x), y)
+            images[i], images[i + 1] = y, _ireduce(_ireduce(list(_iinv(y)), x), y)
         else:
-            images[i], images[i + 1] = _iextend(_iextend(list(x), y), _iinv(x)), x
+            images[i], images[i + 1] = _ireduce(_ireduce(list(x), y), _iinv(x)), x
     return images
+
+
+def _iact(b: Braid, w: Iterable[int], fiber: Alphabet) -> list[int]:
+    """``act`` on int words over ``fiber``."""
+    images = strand_images(b, fiber)
+    images.update({-l: _iinv(image) for l, image in list(images.items())})
+    return _ireduce([], (x for l in w for x in images.get(l, (l,))))
 
 
 def act(b: Braid, w: Word, fiber: Alphabet) -> Word:
     """Right action of ``b`` on ``w``, whose letters index the strands via ``fiber``."""
-    images = strand_images(b, fiber)
-    out: list[int] = []
-    for l in fiber.encode(w):
-        _iextend(out, images.get(l, [l]) if l > 0 else _iinv(images.get(-l, [-l])))
-    return fiber.decode(out)
+    return fiber.decode(_iact(b, fiber.encode(w), fiber))

@@ -3,16 +3,19 @@
 Words, braids and presentations are read by the grammar in ``grammar``
 (for example ``d2' d1' d2 d1 d2`` or ``< a b | a^4, b^4, a b a' b' >``);
 its bounds ``MAX_NESTING`` and ``MAX_LETTERS`` make parse errors.  ``act`` on
-more than ``MAX_STRANDS`` strands or with an image past ``MAX_LETTERS``
-letters, and ``schreier`` with a modulus n where n * (generators + total
-relator length) passes ``MAX_LETTERS``, are usage errors.  So are
-``pipeline --k K``, ``pipeline --all --max-k K`` and ``regression --k K``
-when 2 (K + 1)^2 passes ``MAX_LETTERS``: the orbifold kernel holds the
-K + 1 rewrites of G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with
-``--max-k`` below 1, which would check nothing, and a coset budget ``--max``
-above ``MAX_COSETS``, and a ``schreier --images`` name that is not a
-generator or is given twice.  A coset table past ``analysis.MAX_TABLE_CELLS``
-entries (cosets times twice the generators) is an overflow, exit 3.
+more than ``MAX_STRANDS`` strands, with an image past ``MAX_LETTERS``
+letters, or writing more than ``MAX_ACT_LETTERS`` letters summed over the
+images of its steps (it applies the braid letter by letter), and
+``schreier`` with a modulus n where n * (generators + total relator length)
+passes ``MAX_LETTERS``, are usage errors.  So are ``pipeline --k K``,
+``pipeline --all --max-k K`` and ``regression --k K`` when 2 (K + 1)^2
+passes ``MAX_LETTERS``: the orbifold kernel holds the K + 1 rewrites of
+G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with ``--max-k`` below 1,
+which would check nothing, a coset budget ``--max`` above ``MAX_COSETS``,
+a ``schreier --images`` name that is not a generator or is given twice,
+and an empty ``schreier --transversal``.  A coset table past
+``analysis.MAX_TABLE_CELLS`` entries (cosets times twice the generators) is
+an overflow, exit 3.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
 3 coset enumeration overflow.  ``--simplify`` notes a spent move budget on stderr.
@@ -38,6 +41,7 @@ from .word_core import Alphabet, GenSym
 
 # the strand count ``act`` and the coset budget ``--max`` accept
 MAX_STRANDS, MAX_COSETS = 10_000, 10**6
+MAX_ACT_LETTERS = 4 * MAX_LETTERS  # the letters ``act`` may write over all its steps
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +73,22 @@ def verify_persson_configuration():
 
 
 def _cmd_act(args) -> int:
-    from .braid import Braid
+    from .braid import Braid, _iact
     if args.n > MAX_STRANDS:
         raise ValueError(f"--n {args.n} is more than {MAX_STRANDS} strands")
     braid = parse_braid(args.braid, args.n)
     fiber = Alphabet(GenSym("d", i) for i in range(1, args.n + 1))
-    image = parse_word(args.word, fiber)
+    image = fiber.encode(parse_word(args.word, fiber))
+    written = 0
     for letter in braid.letters:
-        image = Braid(args.n, (letter,)).act(image, fiber)
+        image = _iact(Braid(args.n, (letter,)), image, fiber)
+        written += len(image)
         if len(image) > MAX_LETTERS:
             raise ValueError(f"the image passes {MAX_LETTERS} letters")
-    _emit("act", {"image": str(image)}, args.json, str(image))
+        if written > MAX_ACT_LETTERS:
+            raise ValueError(f"the steps write more than {MAX_ACT_LETTERS} letters")
+    text = str(fiber.decode(image))
+    _emit("act", {"image": text}, args.json, text)
     return 0
 
 
@@ -116,7 +125,7 @@ def _cmd_schreier(args) -> int:
         images[sym] = int(value)
     q = CyclicMap.onto(p, args.mod, images)
     t = None
-    if args.transversal:
+    if args.transversal is not None:
         reps = [parse_word(part, p.alphabet) for part in args.transversal.split(";")]
         t = Transversal.of(reps)
     sub, gens = subgroup_presentation(p, q, t)

@@ -9,9 +9,9 @@ sqrt(6), sqrt(10), and the slope sqrt(128/125) is rewritten as
 
 ``Poly`` is the one sparse polynomial class (any number of variables,
 QuadScalar coefficients, mixed total degrees allowed), supporting
-evaluation, partials, linear substitution, univariate division, and
-Sylvester resultants with respect to one variable (cofactor expansion;
-the matrices here are at most 5x5).
+evaluation, partials, linear substitution and Sylvester resultants
+with respect to one variable (cofactor expansion; the matrices here are
+at most 5x5).
 Curves and lines are forms: ``gradient``, ``hessian`` and
 ``is_tangent_at`` check homogeneity where the geometry relies on it.
 
@@ -58,8 +58,6 @@ class QuadScalar(_Record):
             raise ValueError("rational scalar with nonzero radical part")
         self._init(a, b, d)
 
-    _SCALARS = (int, Fraction)
-
     @staticmethod
     def of(x) -> "QuadScalar":
         if isinstance(x, QuadScalar):
@@ -68,11 +66,7 @@ class QuadScalar(_Record):
 
     @staticmethod
     def _coerce(x):
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, QuadScalar._SCALARS):
-            return QuadScalar(Fraction(x), Fraction(0), 1)
-        return None
+        return QuadScalar.of(x) if isinstance(x, (QuadScalar, int, Fraction)) else None
 
     @staticmethod
     def root(d: int, coeff=1) -> "QuadScalar":
@@ -145,7 +139,8 @@ class QuadScalar(_Record):
         return self.a == o.a and self.b == o.b and (self.b == 0 or self.d == o.d)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d if self.b else 1))
+        # a rational scalar equals its int or Fraction, so it hashes as one
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -158,7 +153,6 @@ class QuadScalar(_Record):
 
 
 ZERO = QuadScalar.of(0)
-ONE = QuadScalar.of(1)
 
 Exps = tuple[int, ...]
 
@@ -181,11 +175,6 @@ class Poly:
                 clean[e] = c
         self.terms = clean
         self.degree = max((sum(e) for e in clean), default=0)
-
-    @staticmethod
-    def variable(i: int, nvars: int = 3) -> "Poly":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {e: ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -295,6 +284,11 @@ def poly3(terms: Mapping[Exps, QuadScalar | int | Fraction]) -> Poly:
     return Poly(3, terms)
 
 
+def unipoly(coeffs: Sequence) -> Poly:
+    """Univariate polynomial from ascending coefficients."""
+    return Poly(1, {(i,): QuadScalar.of(c) for i, c in enumerate(coeffs)})
+
+
 def line(a, b, c) -> Poly:
     return poly3({(1, 0, 0): QuadScalar.of(a), (0, 1, 0): QuadScalar.of(b),
                   (0, 0, 1): QuadScalar.of(c)})
@@ -387,18 +381,14 @@ def _poly_det(mat) -> Poly:
     n = len(mat)
     if n == 1:
         return mat[0][0]
-    total = None
+    total = Poly(mat[0][0].nvars, {})
     for i in range(n):
         c = mat[i][0]
         if c.is_zero():
             continue
         minor = [row[1:] for k, row in enumerate(mat) if k != i]
         term = c * _poly_det(minor)
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return Poly(mat[0][0].nvars, {})
+        total = total - term if i % 2 else total + term
     return total
 
 
@@ -443,38 +433,6 @@ def is_tangent_at(curve: Poly, l: Poly, p: ProjPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate division for the parameter constraint (A-1)^2 (A-4)
-
-def divide_univariate(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of univariate polynomials (nvars = 1)."""
-    if f.nvars != 1 or g.nvars != 1 or g.is_zero():
-        raise ValueError("univariate division needs nvars == 1 and g != 0")
-    dg = max(e[0] for e in g.terms)
-    lead = g.terms[(dg,)]
-    q: dict[Exps, QuadScalar] = {}
-    r = dict(f.terms)
-    while r:
-        dr = max(e[0] for e in r)
-        if dr < dg:
-            break
-        c = r[(dr,)] / lead
-        q[(dr - dg,)] = c
-        for e, gc in g.terms.items():
-            k = (e[0] + dr - dg,)
-            val = r.get(k, ZERO) - c * gc
-            if val.is_zero():
-                r.pop(k, None)
-            else:
-                r[k] = val
-    return Poly(1, q), Poly(1, r)
-
-
-def unipoly(coeffs: Sequence) -> Poly:
-    """Univariate polynomial from ascending coefficients."""
-    return Poly(1, {(i,): QuadScalar.of(c) for i, c in enumerate(coeffs)})
-
-
-# ---------------------------------------------------------------------------
 # the configuration report
 
 class CheckResult(NamedTuple):
@@ -497,18 +455,13 @@ class ConfigReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _proportional(f: Poly, g: Poly):
-    """Nonzero constant c with f = c g, or None."""
-    if set(f.terms) != set(g.terms) or f.is_zero():
-        return None
-    ratio = None
-    for e, c in f.terms.items():
-        r = c / g.terms[e]
-        if ratio is None:
-            ratio = r
-        elif not (r - ratio).is_zero():
-            return None
-    return ratio
+def _tangent_at_all(curve: Poly, *pairs: tuple[Poly, ProjPoint]) -> bool:
+    """Is ``curve`` tangent to each line at its point?  False, not an error,
+    when a point is off its line or the curve."""
+    try:
+        return all(is_tangent_at(curve, l, p) for l, p in pairs)
+    except ValueError:
+        return False
 
 
 def verify_persson_configuration() -> ConfigReport:
@@ -527,18 +480,12 @@ def verify_persson_configuration() -> ConfigReport:
     # (1) common tangents of the conic
     t1 = ProjPoint.of(1, 1, -1)
     t2 = ProjPoint.of(1, -1, 1)
-    try:
-        ok = is_tangent_at(q, l1, t1) and is_tangent_at(q, lm1, t2)
-    except ValueError:
-        ok = False
+    ok = _tangent_at_all(q, (l1, t1), (lm1, t2))
     record(1, "conic tangent to x=y at (1:1:-1) and to x=-y at (1:-1:1)", ok,
            "restriction has a double root at each point" if ok else "tangency fails")
 
     # (2) conic tangent to z = 0 at the base point
-    try:
-        ok = is_tangent_at(q, line(0, 0, 1), p)
-    except ValueError:
-        ok = False
+    ok = _tangent_at_all(q, (line(0, 0, 1), p))
     record(2, "conic tangent to z=0 at (0:1:0)", ok,
            "double contact at the base point" if ok else "tangency fails")
 
@@ -581,20 +528,16 @@ def verify_persson_configuration() -> ConfigReport:
     target = (poly3({(2, 0, 0): 1})
               * poly3({(2, 0, 0): 1, (0, 2, 0): -1})
               * poly3({(0, 2, 0): 128, (2, 0, 0): -125}))
-    ratio = _proportional(disc, target)
-    ok = ratio is not None and ratio == QuadScalar.of(324)
+    ok = disc == target * 324
     record(6, "tangent-line discriminant is 324 * x^2 (x^2 - y^2)(128y^2 - 125x^2)",
-           ok, f"constant factor {ratio}" if ratio is not None else "factorization fails")
+           ok, "constant factor 324" if ok else "factorization fails")
 
     # (7) tangency points on the irrational tangents, plus the discarded candidate
     lp = line(25, QuadScalar.root(10, -8), 0)   # x = sqrt(128/125) y
     lm = line(25, QuadScalar.root(10, 8), 0)
     pp = ProjPoint.of(QuadScalar.root(10, -24), -75, 80)
     pm = ProjPoint.of(QuadScalar.root(10, 24), -75, 80)
-    try:
-        ok = is_tangent_at(c, lp, pp) and is_tangent_at(c, lm, pm)
-    except ValueError:
-        ok = False
+    ok = _tangent_at_all(c, (lp, pp), (lm, pm))
     cand33 = ProjPoint.of(QuadScalar.root(10, -33 * 8), -25 * 33, 880)
     cand27 = ProjPoint.of(QuadScalar.root(10, -27 * 8), -25 * 27, 880)
     same33 = cand33 == pp
@@ -606,29 +549,23 @@ def verify_persson_configuration() -> ConfigReport:
            if ok and same33 and off27 else "tangency point analysis fails")
 
     # (8) parameter constraint factors as (A-1)^2 (A-4)
-    constraint = unipoly([-4, 9, -6, 1])
-    square = unipoly([1, -2, 1])
-    quot, rem = divide_univariate(constraint, square)
-    ok = rem.is_zero() and quot == unipoly([-4, 1])
+    ok = unipoly([-1, 1]) * unipoly([-1, 1]) * unipoly([-4, 1]) == unipoly([-4, 9, -6, 1])
     record(8, "parameter constraint A^3 - 6A^2 + 9A - 4 = (A-1)^2 (A-4)", ok,
-           "division exact with quotient A - 4" if ok else f"remainder {rem}")
+           "division exact with quotient A - 4" if ok else "factorization fails")
 
     # (9) flexes: (1:0:0) and the two points with x/y = +-sqrt(2/3) * 16/13
     h = hessian(c)
-    f0 = ProjPoint.of(1, 0, 0)
-    flex0 = (c.evaluate(f0.coords).is_zero() and h.evaluate(f0.coords).is_zero()
-             and any(not g.is_zero() for g in gradient(c, f0)))
     fplus = ProjPoint.of(QuadScalar.root(6, 16), 39, -48)
     fminus = ProjPoint.of(QuadScalar.root(6, -16), 39, -48)
-    flex_pm = all(c.evaluate(f.coords).is_zero() and h.evaluate(f.coords).is_zero()
-                  and any(not g.is_zero() for g in gradient(c, f))
-                  for f in (fplus, fminus))
+    flexes = all(c.evaluate(f.coords).is_zero() and h.evaluate(f.coords).is_zero()
+                 and any(not g.is_zero() for g in gradient(c, f))
+                 for f in (ProjPoint.of(1, 0, 0), fplus, fminus))
     ratio_ok = all((f.coords[0] * QuadScalar.of(13)
                     - f.coords[1] * QuadScalar.root(6, s * Fraction(16, 3))).is_zero()
                    for f, s in ((fplus, 1), (fminus, -1)))
-    record(9, "flexes at (1:0:0) and x/y = +-sqrt(2/3) * 16/13", flex0 and flex_pm and ratio_ok,
+    record(9, "flexes at (1:0:0) and x/y = +-sqrt(2/3) * 16/13", flexes and ratio_ok,
            "curve and Hessian vanish at all three smooth points"
-           if flex0 and flex_pm and ratio_ok else "flex check fails")
+           if flexes and ratio_ok else "flex check fails")
 
     # (10) irreducibility witness: z = 0 is not a component
     restricted = Poly(3, {e: coeff for e, coeff in c.terms.items() if e[2] == 0})

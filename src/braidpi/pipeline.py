@@ -125,8 +125,8 @@ def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
           protect: Iterable[GenSym] = ()) -> Cover:
     """The kernel of ``parent`` -> Z/modulus (``images``) on the Schreier generators
     of the transversal ``reps`` and ``names``, simplified keeping ``protect``."""
-    q = CyclicMap.onto(parent, modulus, images)
-    raw, gens = subgroup_presentation(parent, q, Transversal.of(reps), names)
+    raw, gens = subgroup_presentation(parent, CyclicMap(modulus, images),
+                                      Transversal.of(reps), names)
     return Cover(parent, raw, gens, _simplify(raw, protect))
 
 

@@ -26,11 +26,12 @@ the quarter-pieces cut at floor(t |s| / 4), one of which every match of
 more than |s|/2 letters holds.  The walk stops after L + |s| - 1 letters: a
 match ending at i >= L + |s| - 1 repeats the one ending at i - L (same
 start mod L, cut and state, or an empty complement), which the greedy pass
-never takes.  Each relator value has one record per call (pieces, r + r,
-canonical key, automaton), and a target value that came up empty is next
-tested only against the reducers that entered the list since and the
-owner it left out (``_Simplifier.shorten``).  All iteration orders are
-fixed, so results are deterministic for a given budget.
+never takes.  Each relator value has one record per call (pieces, the
+encodings of r + r and r^-1 + r^-1, canonical key, automaton), and a target
+value that came up empty is next tested only against the reducers that
+entered the list since and the owner it left out (``_Simplifier.shorten``).
+All iteration orders are fixed, so results are deterministic for a given
+budget.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
-from .word_core import Alphabet, GenSym, Word, _iinv, _Record
+from .word_core import Alphabet, GenSym, Word, _iinv, _ireduce, _Record
 
 IntWord = tuple[int, ...]
 
@@ -54,12 +55,7 @@ def _enc(w: IntWord) -> str:
 
 def _icyc(letters: Iterable[int]) -> IntWord:
     """Free, then cyclic reduction of an int word."""
-    w: list[int] = []
-    for l in letters:
-        if w and w[-1] == -l:
-            w.pop()
-        else:
-            w.append(l)
+    w = _ireduce([], letters)
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
@@ -270,45 +266,38 @@ class _SuffixAutomaton:
             last = cur
 
 
-def _reducer_automaton(s: IntWord) -> _SuffixAutomaton:
-    """Automaton holding every cyclic subword of s and of s^-1."""
-    return _SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
-
-
-# Below this length a reducer's prefilter pieces are all 2 |s| cyclic windows of
-# floor(|s|/2) + 1 letters, which pass exactly when a walk finds a match, so no
-# walk or automaton build is futile; longer reducers use four quarter-pieces.
-# Pi' and the orbifold covers for k <= 20 simplify fastest with the bound at
-# 16-24: below, futile walks remain; above, extra substring searches cost as much.
+# Below this length a reducer's prefilter pieces are its windows (module
+# docstring).  Pi' and the orbifold covers for k <= 20 simplify fastest with the
+# bound at 16-24: below, futile walks remain; above, extra substring searches
+# cost as much.
 _EXACT_WINDOWS = 16
 
 
-def _prefilter_pieces(s: IntWord) -> tuple[str, ...]:
-    """Encoded pieces of s and s^-1 that a match of more than |s|/2 letters holds:
-    its cyclic floor(|s|/2) + 1 windows when |s| < _EXACT_WINDOWS, else the
-    quarters cut at floor(t |s| / 4)."""
-    n = len(s)
+def _prefilter_pieces(n: int, text: str, inverse: str) -> tuple[str, ...]:
+    """The prefilter pieces (module docstring) of a reducer s of n letters, cut
+    from text = _enc(s + s) and inverse = _enc(s^-1 + s^-1): each piece starts
+    in the first n letters and wraps by fewer than n."""
     if n < _EXACT_WINDOWS:
         h = n // 2 + 1
         spans = [(a, a + h) for a in range(n)]
     else:
-        h = 1
         cuts = [t * n // 4 for t in range(5)]
         spans = list(zip(cuts, cuts[1:]))
-    encoded = [_enc(u + u[:h - 1]) for u in (s, _iinv(s))]  # a window wraps by < h letters
-    return tuple(dict.fromkeys(e[a:b] for e in encoded for a, b in spans))
+    return tuple(dict.fromkeys(e[a:b] for e in (text, inverse) for a, b in spans))
 
 
 class _Relator:
     """One relator value for one ``tietze_simplify`` call: its encodings, each
     computed at most once, and its place in the rescan rule (see ``shorten``)."""
 
-    __slots__ = ("word", "text", "pieces", "key", "automaton", "born", "clean", "excluded", "slots")
+    __slots__ = ("word", "text", "inverse", "pieces", "key", "automaton", "born", "clean",
+                 "excluded", "slots")
 
     def __init__(self, word: IntWord):
         self.word = word
-        self.text = ""                   # _enc(word + word), as a target
-        self.pieces: tuple[str, ...] = ()  # _prefilter_pieces(word), as a reducer
+        self.text = ""                   # _enc(word + word): as a target, and as a reducer
+        self.inverse = ""                # _enc(word^-1 + word^-1): as a reducer only
+        self.pieces: tuple[str, ...] = ()  # its prefilter pieces, as a reducer
         self.key: IntWord = ()           # _canon_key(word)
         self.automaton: _SuffixAutomaton | None = None
         self.born = 0                    # stamp of its last entry into the reducer list
@@ -369,21 +358,16 @@ class _Simplifier:
         changed = False
         seen: set[IntWord] = set()
         for w in list(self.rels):
-            if not w:
-                if not self._afford(1):
-                    return changed
-                self._emit("remove-relator", self._word(w))
-                changed = True
-                continue
-            rec = self._record(w)
-            rec.key = rec.key or _canon_key(w)
-            if rec.key in seen:
-                if not self._afford(1):
-                    return changed
-                self._emit("remove-relator", self._word(w))
-                changed = True
-            else:
-                seen.add(rec.key)
+            if w:
+                rec = self._record(w)
+                rec.key = rec.key or _canon_key(w)
+                if rec.key not in seen:
+                    seen.add(rec.key)
+                    continue
+            if not self._afford(1):
+                return changed
+            self._emit("remove-relator", self._word(w))
+            changed = True
         return changed
 
     # -- (b) common-substring shortening --------------------------------------
@@ -391,7 +375,11 @@ class _Simplifier:
     def _birth(self, rec: _Relator) -> None:
         self.born.append(rec)
         rec.born = len(self.born)
-        rec.pieces = rec.pieces or _prefilter_pieces(rec.word)
+        if not rec.pieces:
+            w = rec.word
+            rec.text = rec.text or _enc(w + w)
+            rec.inverse = _enc(_iinv(w) * 2)
+            rec.pieces = _prefilter_pieces(len(w), rec.text, rec.inverse)
 
     def _admit(self, words: Sequence[IntWord]) -> list[_Relator]:
         """The reducer list of a new round; values absent from the last one are born."""
@@ -413,9 +401,8 @@ class _Simplifier:
         against a relator no longer in the presentation is not a Tietze move
         and can change the group).  Collects every match with
         2 |match| > |s| and greedily keeps a disjoint set, best gain first.
-        ``reducers`` is the round's list from ``_admit``.  A reducer whose
-        prefilter pieces all miss r + r has no such match and is not walked
-        (below _EXACT_WINDOWS letters a hit means one exists), and a walk ends
+        ``reducers`` is the round's list from ``_admit``.  A reducer none of
+        whose prefilter pieces occurs in r + r is not walked, and a walk ends
         after L + |s| - 1 letters.  A value of r scanned before without an arc
         tests only the reducers that scan did not (the rule is in ``shorten``).
         Returns arcs (start, cut, complement) in the coordinates of r.
@@ -440,8 +427,8 @@ class _Simplifier:
             else:
                 continue
             sa = s.automaton
-            if sa is None:
-                sa = s.automaton = _reducer_automaton(s.word)
+            if sa is None:               # a piece matched, so _birth encoded s both ways
+                sa = s.automaton = _SuffixAutomaton(s.text + _SEP + s.inverse)
             nxt, link, length, fpos = sa.nxt, sa.link, sa.length, sa.fpos
             h = slen // 2 + 1           # shortest match with 2 |match| > |s|
             v = l = 0

@@ -122,13 +122,14 @@ def _iinv(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(-l for l in reversed(w))
 
 
-def _iextend(out: list[int], w: Sequence[int]) -> list[int]:
-    """out * w for freely reduced out and w: cancel at the tail of out, then extend."""
-    k = 0
-    while k < len(w) and out and out[-1] == -w[k]:
-        out.pop()
-        k += 1
-    out.extend(w[k:])
+def _ireduce(out: list[int], letters: Iterable[int]) -> list[int]:
+    """Append int letters to the freely reduced ``out``, cancelling as they come:
+    the one free reducer of int words, as ``_reduce_into`` is of symbolic ones."""
+    for l in letters:
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
     return out
 
 

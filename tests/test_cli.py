@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from braidpi import grammar
-from braidpi.cli import MAX_COSETS, main
+from braidpi.cli import MAX_ACT_LETTERS, MAX_COSETS, main
 from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
                              parse_word)
 from braidpi.pipeline import pi_prime
@@ -142,11 +143,20 @@ def test_cli_act_bounds(capsys):
     assert "strands" in capsys.readouterr().err
     # 36 braid letters whose image of d1 grows exponentially: stopped at the cap
     assert main(["act", "--braid", "(s1 s2')^18", "--word", "d1", "--n", "3"]) == 2
-    assert "letters" in capsys.readouterr().err
+    assert "the image passes" in capsys.readouterr().err
     # below the cap, letter-by-letter application is the braid's action
     assert main(["act", "--braid", "(s1 s2')^5", "--word", "d1 d3", "--n", "3"]) == 0
     image = parse_braid("(s1 s2')^5", 3).act(parse_word("d1 d3"), alphabet("d1", "d2", "d3"))
     assert capsys.readouterr().out.strip() == str(image)
+
+
+def test_cli_act_work_bound(capsys):
+    # s1^1000000 parses (it is MAX_LETTERS letters), and the image of d1 grows by
+    # two letters a step: the letters written over all steps stop it
+    start = time.perf_counter()
+    assert main(["act", "--braid", "s1^1000000", "--word", "d1", "--n", "3"]) == 2
+    assert time.perf_counter() - start < 10
+    assert f"the steps write more than {MAX_ACT_LETTERS} letters" in capsys.readouterr().err
 
 
 def test_cli_act_many_strands(capsys):
@@ -194,6 +204,10 @@ def test_cli_schreier(tmp_path, capsys):
     assert main(["schreier", str(f), "--mod", "2", "--images", "a=1,b=1",
                  "--transversal", " 1 ; a", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == data
+    # an empty transversal is a parse error, not the default transversal
+    assert main(["schreier", str(f), "--mod", "2", "--images", "a=1,b=1",
+                 "--transversal", ""]) == 2
+    assert "expected a word" in capsys.readouterr().err
 
 
 def test_cli_schreier_image_names(monkeypatch, capsys):
@@ -261,6 +275,21 @@ def test_cli_verify_config(capsys):
     assert main(["verify-config"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 10 and "[FAIL]" not in out
+
+
+# sha256 of the verify-config output, text and --json, recorded when the checks
+# used polynomial division and a ratio search; the exact identities print the same
+_VERIFY_CONFIG_SHA256 = {
+    (): "9731a10ee51384fbf465bb8f9af58c77cbe3b46871ab36f26f5209d57aa920fa",
+    ("--json",): "fe82ac87afaf0377534f6dac7371c32cc1d5de1fa445b20d3b981c7e194db932",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_VERIFY_CONFIG_SHA256), ids=["text", "json"])
+def test_cli_verify_config_output_pinned(extra, capsys):
+    assert main(["verify-config", *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_CONFIG_SHA256[extra]
 
 
 def test_cli_present_stdin(monkeypatch, capsys):

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidpi.curves import (ZERO, Poly, ProjPoint, QuadScalar, RadicalMismatchError,
-                            _check_form, conic, cubic_discriminant, divide_univariate,
-                            family_cubic, gradient, hessian, is_tangent_at, line,
+                            _check_form, conic, cubic_discriminant, family_cubic, gradient, hessian, is_tangent_at, line,
                             nodal_cubic, poly3, sylvester_resultant, unipoly,
                             verify_persson_configuration)
 
@@ -86,10 +85,11 @@ def test_geometry_rejects_non_forms():
 
 
 def test_euler_relation():
+    variables = [poly3({(1, 0, 0): 1}), poly3({(0, 1, 0): 1}), poly3({(0, 0, 1): 1})]
     for f in (conic(), nodal_cubic(), family_cubic(7)):
         lhs = Poly(3, {})
         for v in range(3):
-            lhs = lhs + Poly.variable(v) * f.partial(v)
+            lhs = lhs + variables[v] * f.partial(v)
         assert lhs == f * f.degree
 
 
@@ -101,9 +101,19 @@ def test_cubic_discriminant_examples():
     assert cubic_discriminant(Q(1), Q(-3), Q(3), Q(-1)).is_zero()   # (x-1)^3
 
 
+def _divide(f, g):
+    """Quotient and remainder of univariate polynomials."""
+    dg = max(e[0] for e in g.terms)
+    q, r = Poly(1, {}), f
+    while not r.is_zero() and r.degree >= dg:
+        c = Poly(1, {(r.degree - dg,): r.terms[(r.degree,)] / g.terms[(dg,)]})
+        q, r = q + c, r - c * g
+    return q, r
+
+
 def _unigcd(f, g):
     while not g.is_zero():
-        _, r = divide_univariate(f, g)
+        _, r = _divide(f, g)
         f, g = g, r
     return f
 
@@ -292,10 +302,12 @@ def test_hessian():
     assert hc.evaluate(irrational_flex.coords).is_zero()
 
 
-def test_divide_univariate():
+def test_parameter_constraint_factors():
+    # item 8 checks the product; division by (A-1)^2 agrees
     constraint = unipoly([-4, 9, -6, 1])
-    quot, rem = divide_univariate(constraint, unipoly([1, -2, 1]))
+    quot, rem = _divide(constraint, unipoly([1, -2, 1]))
     assert rem.is_zero() and quot == unipoly([-4, 1])
+    assert unipoly([-1, 1]) * unipoly([-1, 1]) * unipoly([-4, 1]) == constraint
 
 
 def test_proj_point_equality():

@@ -10,10 +10,21 @@ import random
 
 from braidpi import pipeline
 from braidpi.pipeline import GAMMA, SIGMA, full_alphabet
-from braidpi.presentation import (_EXACT_WINDOWS, Presentation, _enc, _iinv, _icyc,
-                                  _prefilter_pieces, _reducer_automaton, _Simplifier,
+from braidpi.presentation import (_EXACT_WINDOWS, _SEP, Presentation, _enc, _iinv, _icyc,
+                                  _prefilter_pieces, _Simplifier, _SuffixAutomaton,
                                   add_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
+
+
+def _automaton(s):
+    """The automaton the engine builds for a reducer s: every cyclic subword of
+    s and of s^-1."""
+    return _SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
+
+
+def _pieces(s):
+    """The prefilter pieces the engine cuts for a reducer s."""
+    return _prefilter_pieces(len(s), _enc(s + s), _enc(_iinv(s) + _iinv(s)))
 
 
 def _walk(sa, t):
@@ -44,7 +55,7 @@ def _complement(s, fend, cut):
     return tuple(u[(start_u + cut + k) % slen] for k in range(slen - cut))
 
 
-def reference_arcs(owner, r, reducers, automaton=_reducer_automaton):
+def reference_arcs(owner, r, reducers, automaton=_automaton):
     """Every reducer walked, every match with 2 |match| > |s| a candidate."""
     L = len(r)
     target = _enc(r + r)
@@ -80,7 +91,7 @@ class _ReferenceSimplifier(_Simplifier):
 
     def _automaton(self, s):
         if s not in self.built:
-            self.built[s] = _reducer_automaton(s)
+            self.built[s] = _automaton(s)
         return self.built[s]
 
     def _collect_arcs(self, owner, r, reducers):
@@ -171,7 +182,7 @@ def test_short_reducers_match_reference():
             target = _enc(r + r)
             for i, s in enumerate(plain):
                 if i != j and len(s) < _EXACT_WINDOWS and len(s) <= len(r):
-                    passes = any(p in target for p in _prefilter_pieces(s))
+                    passes = any(p in target for p in _pieces(s))
                     assert passes == bool(reference_arcs(-1, r, [s])), (s, r)
                     outcomes.add((len(s), passes))
                     exact += 1
@@ -208,7 +219,7 @@ def test_walk_cutoff_lemma():
             continue
         L, slen = len(r), len(s)
         recorded = {}
-        for i, l, fend in _walk(_reducer_automaton(s), _enc(r + r)):
+        for i, l, fend in _walk(_automaton(s), _enc(r + r)):
             cut = min(l, slen)
             if 2 * cut > slen:
                 recorded[i] = ((i - cut + 1) % L, cut, _complement(s, fend, cut))
@@ -306,8 +317,8 @@ def test_quarter_piece_test_is_sound():
         if not s or not r:
             continue
         target = _enc(r + r)
-        cuts = [min(l, len(s), len(r)) for _, l, _ in _walk(_reducer_automaton(s), target)]
-        passes = any(p in target for p in _prefilter_pieces(s))
+        cuts = [min(l, len(s), len(r)) for _, l, _ in _walk(_automaton(s), target)]
+        passes = any(p in target for p in _pieces(s))
         if any(2 * cut > len(s) for cut in cuts):
             qualified += 1
             assert passes, (s, r)
@@ -318,15 +329,23 @@ def test_quarter_piece_test_is_sound():
     # holds a piece; distinct letters make "holds" a matter of position only
     for n in range(1, 41):
         s = tuple(range(1, n + 1))
-        pieces = _prefilter_pieces(s)
+        pieces = _pieces(s)
         for e in (_enc(s + s), _enc(_iinv(s) + _iinv(s))):
             for start in range(n):
                 window = e[start:start + n // 2 + 1]
                 assert any(p in window for p in pieces), (n, start)
     # for |s| < 4 the pieces are the cyclic windows of |s|/2 + 1 letters (rounded down)
-    assert set(_prefilter_pieces((1,))) == {_enc((1,)), _enc((-1,))}
-    assert set(_prefilter_pieces((1, 2))) == {_enc(w) for w in ((1, 2), (2, 1), (-2, -1),
-                                                                (-1, -2))}
+    assert set(_pieces((1,))) == {_enc((1,)), _enc((-1,))}
+    assert set(_pieces((1, 2))) == {_enc(w) for w in ((1, 2), (2, 1), (-2, -1), (-1, -2))}
     for s in ((1, 2, 1), (1, 2, 3), (1, 1, 1)):
         expected = {_enc((u + u)[a:a + 2]) for u in (s, _iinv(s)) for a in range(3)}
-        assert set(_prefilter_pieces(s)) == expected, s
+        assert set(_pieces(s)) == expected, s
+    # slices of _enc(s + s) and _enc(s^-1 + s^-1) are the encodings of the
+    # pieces' own letters, in the same order
+    for _ in range(500):
+        s = _icyc(_random_word(rng, 3, rng.randint(1, 3 * _EXACT_WINDOWS)))
+        n = len(s)
+        spans = ([(a, a + n // 2 + 1) for a in range(n)] if n < _EXACT_WINDOWS
+                 else [(t * n // 4, (t + 1) * n // 4) for t in range(4)])
+        own = dict.fromkeys(_enc((u + u)[a:b]) for u in (s, _iinv(s)) for a, b in spans)
+        assert _pieces(s) == tuple(own), s

@@ -4,6 +4,7 @@ validation messages, the reprs the recorded digests read, and pickling."""
 import copy
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_hashing_is_the_tuple_of_fields():
     for unhashable in (CyclicMap(2, {A: 1}), TietzeLog()):
         with pytest.raises(TypeError):
             hash(unhashable)
+
+
+def test_rational_scalars_hash_as_the_numbers_they_equal():
+    # QuadScalar.of(x) == x, so it must be the same set entry and dict key as x
+    for x in (3, 0, -7, Fraction(1, 2), Fraction(-5, 3)):
+        q = QuadScalar.of(x)
+        assert q == x and hash(q) == hash(x)
+        assert len({q, x}) == 1 and {x: "v"}.get(q) == "v" and {q: "v"}.get(x) == "v"
+    r = QuadScalar.root(10, 3)
+    assert r + 1 == QuadScalar(1, 3, 10) and hash(r + 1) == hash(QuadScalar(1, 3, 10))
+    assert r - r == 0 and hash(r - r) == hash(0) and len({r, r * 1, 1 + r}) == 2
 
 
 def test_value_types_are_immutable():

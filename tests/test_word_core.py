@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet, format_word
+from braidpi.presentation import _icyc
+from braidpi.word_core import (Alphabet, AlphabetError, GenSym, Word, _ireduce, alphabet,
+                               format_word)
 from .reference import MissingImageError, substitute
 
 A, B, C = GenSym("a"), GenSym("b"), GenSym("c")
@@ -30,6 +32,20 @@ def test_reduce_idempotent():
         letters = [(rng.choice(syms), rng.choice((1, -1))) for _ in range(rng.randrange(12))]
         once = Word.of(letters)
         assert Word.of(once.letters) == once
+
+
+def test_int_reducer_matches_the_symbolic_one():
+    # _ireduce is the free reducer of int words, _icyc adds the cyclic trim
+    rng = random.Random(12)
+    alph = alphabet("a", "b", "c")
+    for _ in range(2000):
+        head = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randrange(8))]
+        tail = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randrange(12))]
+        out = list(alph.encode(alph.decode(head)))          # freely reduced
+        expected = alph.decode(head) * alph.decode(tail)
+        assert _ireduce(out, iter(tail)) is out and out == list(alph.encode(expected))
+        assert _icyc(tail) == alph.encode(alph.decode(tail).cyclically_reduced())
+        assert _icyc(head + tail) == alph.encode(expected.cyclically_reduced())
 
 
 def test_multiply_examples():
