@@ -151,6 +151,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
                 else:
                     table[mu][c] = nu
                     table[nu][c ^ 1] = mu
+            table[y] = None              # repaired: no entry names y any more
 
     def define(f: int, c: int) -> int:
         nu = len(table)

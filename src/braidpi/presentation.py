@@ -18,24 +18,29 @@ Every change is a recorded ``TietzeMove``; the engine and
 ``TietzeLog.replay`` mutate state through the same application routine,
 so replaying the log over the source presentation reproduces the result
 exactly, and the output presents an isomorphic group by construction.
-The substring search in (b) walks r + r (L = |r|) through the suffix
-automaton (Blumer et al., TCS 1985) of a reducer s only if a prefilter
-piece of s occurs in r + r: for |s| < 16 every cyclic window of s and s^-1
-of floor(|s|/2) + 1 letters, which passes exactly when a match exists, else
-the quarter-pieces cut at floor(t |s| / 4), one of which every match of
-more than |s|/2 letters holds.  The walk stops after L + |s| - 1 letters: a
-match ending at i >= L + |s| - 1 repeats the one ending at i - L (same
-start mod L, cut and state, or an empty complement), which the greedy pass
-never takes.  Each relator value has one record per call (pieces, the
-encodings of r + r and r^-1 + r^-1, canonical key, automaton), and a target
-value that came up empty is next tested only against the reducers that
-entered the list since and the owner it left out (``_Simplifier.shorten``).
+The substring search in (b) tests a reducer s against r + r (L = |r|) only
+if a prefilter piece of s occurs there: for |s| < 16 every cyclic window of
+s and s^-1 of floor(|s|/2) + 1 letters, which passes exactly when a match
+exists, else the quarter-pieces cut at floor(t |s| / 4), one of which every
+match of more than |s|/2 letters holds.  It reads L + |s| - 1 letters (a later
+match repeats one ending L letters earlier) and needs, at each end, the longest
+match in T = s + s, separator, s^-1 + s^-1 and its first end in T.  Below
+``_RUNS`` letters the suffix automaton of T (Blumer et al., TCS 1985) gives both.
+From there on, each place of a piece in r + r and each in T fix a diagonal with a
+maximal run of agreeing letters; such a match holds a piece wherever it occurs,
+so the longest one ending at i starts at the least start of the runs through i
+and first ends on the least diagonal of the runs from there.  A pair with more
+anchors than letters to read (a periodic s) takes the automaton.  Each relator
+value has one record per call (pieces, encodings, canonical key, automaton or
+piece places), and a target value that came up empty is next tested only
+against the reducers that entered the list since and the owner it left out.
 All iteration orders are fixed, so results are deterministic for a given
 budget.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
@@ -266,11 +271,12 @@ class _SuffixAutomaton:
             last = cur
 
 
-# Below this length a reducer's prefilter pieces are its windows (module
-# docstring).  Pi' and the orbifold covers for k <= 20 simplify fastest with the
-# bound at 16-24: below, futile walks remain; above, extra substring searches
-# cost as much.
+# Below _EXACT_WINDOWS letters a reducer's prefilter pieces are its windows, and
+# from _RUNS on it takes diagonal runs (module docstring).  Pi' and the orbifold
+# covers for k <= 20 simplify fastest with _EXACT_WINDOWS at 16-24; run(1..6)
+# took the same time and memory with _RUNS from 16 to 600, more time at 1.
 _EXACT_WINDOWS = 16
+_RUNS = 100
 
 
 def _prefilter_pieces(n: int, text: str, inverse: str) -> tuple[str, ...]:
@@ -286,18 +292,59 @@ def _prefilter_pieces(n: int, text: str, inverse: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(e[a:b] for e in (text, inverse) for a, b in spans))
 
 
-class _Relator:
-    """One relator value for one ``tietze_simplify`` call: its encodings, each
-    computed at most once, and its place in the rescan rule (see ``shorten``)."""
+def _places(piece: str, text: str) -> list[int]:
+    """Every start of ``piece`` in ``text``, overlapping ones included."""
+    out, i = [], -1
+    while (i := text.find(piece, i + 1)) >= 0:
+        out.append(i)
+    return out
 
-    __slots__ = ("word", "text", "inverse", "pieces", "key", "automaton", "born", "clean",
-                 "excluded", "slots")
+
+def _agree(t: str, x: int, both: str, y: int, room: int, step: int) -> int:
+    """The most letters, at most ``room``, on which t and ``both`` agree after
+    (step 1) or before (step -1) positions x and y: gallop, then bisect."""
+    def differ(k: int) -> bool:
+        return t[x:x + k] != both[y:y + k] if step > 0 else t[x - k:x] != both[y - k:y]
+    hi = 1
+    while hi <= room and not differ(hi):
+        hi *= 2
+    return bisect_left(range(hi // 2, min(hi, room + 1)), True, key=differ) + hi // 2 - 1
+
+
+def _diagonal_runs(t: str, s: _Relator) -> list[tuple[int, int, int]] | None:
+    """Sorted maximal runs (start, diagonal, end), t[i] == s.both[i + diagonal] for
+    start <= i < end, through every anchor; None if anchors outnumber letters."""
+    s.places = s.places or tuple(_places(p, s.both) for p in s.pieces)
+    anchors = []
+    for piece, ys in zip(s.pieces, s.places):
+        xs = _places(piece, t)
+        if len(anchors) + len(xs) * len(ys) > len(t):
+            return None
+        anchors += [(x, y - x, len(piece)) for x in xs for y in ys]
+    both, reach, runs = s.both, {}, []
+    for x, d, n in sorted(anchors):
+        if x >= reach.get(d, 0):         # not inside the run found on d before
+            a = x - _agree(t, x, both, x + d, min(x, x + d), -1)
+            room = min(len(t) - x, len(both) - x - d) - n
+            b = x + n + _agree(t, x + n, both, x + n + d, room, 1)
+            reach[d] = b
+            runs.append((a, d, b))
+    return sorted(runs)
+
+
+class _Relator:
+    """One relator value for one ``tietze_simplify`` call: its encodings and matcher,
+    each built at most once, and its place in the rescan rule (see ``shorten``)."""
+
+    __slots__ = ("word", "text", "both", "pieces", "places", "key", "automaton", "born",
+                 "clean", "excluded", "slots")
 
     def __init__(self, word: IntWord):
         self.word = word
         self.text = ""                   # _enc(word + word): as a target, and as a reducer
-        self.inverse = ""                # _enc(word^-1 + word^-1): as a reducer only
+        self.both = ""                   # text + _SEP + _enc(word^-1 + word^-1): T, as a reducer
         self.pieces: tuple[str, ...] = ()  # its prefilter pieces, as a reducer
+        self.places: tuple[list[int], ...] = ()  # each piece's places in T
         self.key: IntWord = ()           # _canon_key(word)
         self.automaton: _SuffixAutomaton | None = None
         self.born = 0                    # stamp of its last entry into the reducer list
@@ -378,8 +425,9 @@ class _Simplifier:
         if not rec.pieces:
             w = rec.word
             rec.text = rec.text or _enc(w + w)
-            rec.inverse = _enc(_iinv(w) * 2)
-            rec.pieces = _prefilter_pieces(len(w), rec.text, rec.inverse)
+            inverse = _enc(_iinv(w) * 2)
+            rec.both = rec.text + _SEP + inverse
+            rec.pieces = _prefilter_pieces(len(w), rec.text, inverse)
 
     def _admit(self, words: Sequence[IntWord]) -> list[_Relator]:
         """The reducer list of a new round; values absent from the last one are born."""
@@ -396,16 +444,15 @@ class _Simplifier:
     def _collect_arcs(self, owner: int, r: IntWord, reducers: list[_Relator]):
         """Disjoint positive-gain replacement arcs on the cyclic word r.
 
-        Walks r + r through each reducer's automaton (reducers are other
-        relators with |s| <= |r|, always at their *current* value: rewriting
-        against a relator no longer in the presentation is not a Tietze move
-        and can change the group).  Collects every match with
-        2 |match| > |s| and greedily keeps a disjoint set, best gain first.
-        ``reducers`` is the round's list from ``_admit``.  A reducer none of
-        whose prefilter pieces occurs in r + r is not walked, and a walk ends
-        after L + |s| - 1 letters.  A value of r scanned before without an arc
-        tests only the reducers that scan did not (the rule is in ``shorten``).
-        Returns arcs (start, cut, complement) in the coordinates of r.
+        Collects every match with 2 |match| > |s| in r + r (module docstring)
+        of each reducer s, in order of reducer, then end, and greedily keeps a
+        disjoint set, best gain first.  Reducers are the other relators with
+        |s| <= |r| in the round's list from ``_admit``, always at their
+        *current* value: rewriting against a relator no longer in the
+        presentation is not a Tietze move and can change the group.  A value of
+        r scanned before without an arc tests only the reducers that scan did
+        not (the rule is in ``shorten``).  Returns arcs (start, cut,
+        complement) in the coordinates of r.
         """
         L = len(r)
         rec = self._record(r)
@@ -426,11 +473,20 @@ class _Simplifier:
                     break
             else:
                 continue
+            h = slen // 2 + 1           # shortest match with 2 |match| > |s|
+            runs = _diagonal_runs(target[:L + slen - 1], s) if slen >= _RUNS else None
+            if runs is not None:
+                reach = 0                # each end once, from the run of least (start, diagonal)
+                for a, d, b in runs:
+                    for i in range(max(a + h - 1, reach), b):
+                        cut = min(i - a + 1, slen)
+                        cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, i + d))
+                    reach = max(reach, b)
+                continue
             sa = s.automaton
             if sa is None:               # a piece matched, so _birth encoded s both ways
-                sa = s.automaton = _SuffixAutomaton(s.text + _SEP + s.inverse)
+                sa = s.automaton = _SuffixAutomaton(s.both)
             nxt, link, length, fpos = sa.nxt, sa.link, sa.length, sa.fpos
-            h = slen // 2 + 1           # shortest match with 2 |match| > |s|
             v = l = 0
             for i, ch in enumerate(target[:L + slen - 1]):
                 while v and ch not in nxt[v]:

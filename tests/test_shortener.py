@@ -7,11 +7,12 @@ the engine must find exactly the same arcs, and so the same moves.
 
 import hashlib
 import random
+import tracemalloc
 
-from braidpi import pipeline
-from braidpi.pipeline import GAMMA, SIGMA, full_alphabet
-from braidpi.presentation import (_EXACT_WINDOWS, _SEP, Presentation, _enc, _iinv, _icyc,
-                                  _prefilter_pieces, _Simplifier, _SuffixAutomaton,
+from braidpi import pipeline, presentation
+from braidpi.pipeline import GAMMA, SIGMA, full_alphabet, pi_prime
+from braidpi.presentation import (_EXACT_WINDOWS, _RUNS, _SEP, Presentation, _enc, _iinv,
+                                  _icyc, _prefilter_pieces, _Simplifier, _SuffixAutomaton,
                                   add_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
 
@@ -189,6 +190,102 @@ def test_short_reducers_match_reference():
     assert found > 150 and exact > 500
     # every length below the constant met both a passing and a failing target
     assert outcomes == {(n, b) for n in range(1, _EXACT_WINDOWS) for b in (False, True)}
+
+
+def _reduced_word(rng, ngens, length):
+    """A cyclically reduced random word of ``length`` letters."""
+    w = []
+    while len(w) < length:
+        l = rng.choice((1, -1)) * rng.randint(1, ngens)
+        if not w or l != -w[-1] and (len(w) < length - 1 or l != -w[0]):
+            w.append(l)
+    return tuple(w)
+
+
+def _long_presentation(rng):
+    """Relators of _RUNS letters and more, glued from shared chunks as
+    _random_presentation glues them: powers u^n and u^n v, which overlap
+    themselves on many diagonals, so that the first of several occurrences
+    decides a complement, u^m w with u^m longer than half of such a reducer,
+    chunks read backwards, so that matches fall in the s^-1 half, and a
+    relator holding more than one turn of another."""
+    ngens = rng.randint(2, 4)
+    chunks = [_reduced_word(rng, ngens, rng.randint(1, 40)) for _ in range(rng.randint(0, 2))]
+    chunks.append(_reduced_word(rng, ngens, rng.randint(30, 40)))
+    rels = []
+    for _ in range(rng.randint(2, 5)):
+        u = rng.choice(chunks)
+        kind = rng.random()
+        if kind < 0.25:                  # u^n
+            w = u * (_RUNS // len(u) + rng.randint(0, 3))
+        elif kind < 0.4:                 # u^n v
+            w = u * (_RUNS // len(u) + 1) + rng.choice(chunks)
+        elif kind < 0.5:                 # u^m w, one power below u^n v
+            w = u * (_RUNS // len(u)) + _reduced_word(rng, ngens, 40)
+        elif kind < 0.6 and rels:        # more than one turn of an earlier relator
+            s = rng.choice(rels)
+            w = s + s[:rng.randint(1, len(s))] + _reduced_word(rng, ngens, rng.randint(1, 9))
+        else:
+            w = ()
+            while len(w) < _RUNS * rng.choice((1, 1, 2)):
+                c = rng.choice(chunks)
+                w += c if rng.random() < 0.6 else _iinv(c)
+                if rng.random() < 0.3:
+                    w += _reduced_word(rng, ngens, rng.randint(1, 3))
+        if _icyc(w):
+            rels.append(_icyc(w))
+    alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
+    return Presentation(alph, [alph.decode(w) for w in rels])
+
+
+def test_long_reducers_match_reference(monkeypatch):
+    # reducers of _RUNS letters and more take diagonal runs, or the automaton
+    # once a pair has more anchors than letters to read: both must give the
+    # arcs and the simplifications of the plain reference
+    outcomes = []
+    real = presentation._diagonal_runs
+
+    def recording(t, s):
+        runs = real(t, s)
+        outcomes.append(runs is not None)
+        return runs
+
+    monkeypatch.setattr(presentation, "_diagonal_runs", recording)
+    rng = random.Random(4242)
+    cases = [_long_presentation(rng) for _ in range(60)]
+    alph = Alphabet(GenSym("x", i) for i in range(1, 4))
+    for _ in range(10):
+        # u^2 occurs twice in u^3 v: its first place in T decides the complement
+        u = _reduced_word(rng, 3, rng.randint(30, 40))
+        v, w = _reduced_word(rng, 3, rng.randint(1, 20)), _reduced_word(rng, 3, 60)
+        cases.append(Presentation(alph, [alph.decode(_icyc(x)) for x in (u * 3 + v, u * 2 + w)]))
+    found = long_arcs = 0
+    for case, p in enumerate(cases):
+        sim = _Simplifier(p, 20000, frozenset())
+        reducers = sim._admit(sim.rels)
+        plain = [s.word for s in reducers]
+        for j, r in enumerate(plain):
+            arcs = sim._collect_arcs(j, r, reducers)
+            assert arcs == reference_arcs(j, r, plain), (plain, j)
+            found += bool(arcs)
+            long_arcs += any(len(c) + cut >= _RUNS for _, cut, c in arcs)
+        if case % 3 == 0:
+            assert tietze_simplify(p) == _reference_simplify(p), p
+    assert found > 40 and long_arcs > 20   # the comparison is not vacuous
+    assert True in outcomes and False in outcomes  # both paths were taken
+
+
+def test_pi_prime_simplification_peak_memory():
+    # the reducers of Pi' from _RUNS letters on match by diagonal runs: with an
+    # automaton for every reducer, this call's traced peak was 15.6 MiB
+    p = pi_prime()
+    tracemalloc.start()
+    try:
+        tietze_simplify(p, protect=full_alphabet())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_rescan_meets_a_duplicate_of_its_owner():
