@@ -7,11 +7,13 @@ repair (Holt-Eick-O'Brien 5.1), which clears every entry naming a dead
 coset: outside it no live row points at one, so scans need no union-find
 lookup.  Cosets are numbered in definition order and compacted at the end,
 so a given presentation and budget always yield the identical table, of
-at most ``MAX_TABLE_CELLS`` entries (cosets times columns).  A complete
-table is the regular permutation representation; its size is the group
-order.  It is certified on whole columns: entries in 1..n (``min``/``max``),
-inverse columns undoing generators, and relators, composed as permutations
-of all cosets at once, the identity.
+at most ``MAX_TABLE_CELLS`` entries (cosets times columns).  Enumeration
+works on rows, so repair frees a dead coset's row at once; the finished
+``CosetTable`` is written once by column, one list per signed letter.  A
+complete table is the regular permutation representation; its size is
+the group order.  It is certified on whole columns: entries in 1..n
+(``min``/``max``), inverse columns undoing generators, and relators,
+composed as permutations of all cosets at once, the identity.
 
 ``smith_normal_form`` diagonalizes an integer matrix by unimodular row
 and column operations (smallest-pivot selection with remainder steps),
@@ -23,8 +25,7 @@ exponent-sum matrix of a presentation through it.
 from __future__ import annotations
 
 from math import prod
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .presentation import Presentation
 from .word_core import Alphabet, Word
@@ -47,31 +48,25 @@ def _col(l: int) -> int:
 
 
 class CosetTable:
-    """Complete coset table over an alphabet: rows are cosets (1-based),
-    columns alternate generator / inverse in alphabet order.  Enumeration
-    records the cosets it ever ``defined`` and the ``coincidences`` it found."""
+    """Complete coset table over an alphabet, kept by column: ``cols[_col(l)][i]``
+    is coset i . l for the cosets i = 1..order, and 0 at index 0.  Columns
+    alternate generator / inverse in alphabet order.  Enumeration records
+    the cosets it ever ``defined`` and the ``coincidences`` it found."""
 
     defined = coincidences = 0
 
-    def __init__(self, alphabet: Alphabet, rows: list[list[int]]):
+    def __init__(self, alphabet: Alphabet, order: int, cols: list[list[int]]):
         self.alphabet = alphabet
-        self.rows = rows  # rows[0] unused; rows[i][_col(l)] = i . l
-
-    @property
-    def order(self) -> int:
-        return len(self.rows) - 1
-
-    def columns(self, cs: Iterable[int]) -> dict[int, list[int]]:
-        """Column c for each c in ``cs``, read from ``rows``: indexed by coset, 0 at 0."""
-        body = self.rows[1:]
-        return {c: [0, *map(itemgetter(c), body)] for c in cs}
+        self.order = order
+        self.cols = cols
 
     def validate(self, p: Presentation | None = None) -> None:
         """Closed table, mutually inverse columns, and relators tracing trivially."""
-        n = self.order
-        cols = self.columns(range(2 * len(self.alphabet)))
-        for c, col in cols.items():
-            if n and not (1 <= min(col[1:]) and max(col) <= n):
+        n, cols = self.order, self.cols
+        if len(cols) != 2 * len(self.alphabet):
+            raise AssertionError(f"{len(cols)} columns for {len(self.alphabet)} generators")
+        for c, col in enumerate(cols):
+            if len(col) != n + 1 or col[0] or n and not (1 <= min(col[1:]) and max(col) <= n):
                 raise AssertionError(f"table not closed in column {c}")
         ident = list(range(n + 1))
         for c in range(0, len(cols), 2):
@@ -84,7 +79,7 @@ class CosetTable:
                 raise AssertionError(f"relator {r} does not fix every coset")
 
 
-def _trace(cols: dict[int, list[int]], word: list[int], n: int) -> list[int]:
+def _trace(cols: Sequence[list[int]], word: list[int], n: int) -> list[int]:
     """Coset i . w at index i, for every coset at once: the permutation of w."""
     img = list(range(n + 1))
     for c in word:
@@ -201,9 +196,11 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     renumber = [0] * len(table)
     for new, old in enumerate(live, 1):
         renumber[old] = new
-    result = CosetTable(p.alphabet, [None, *([renumber[e] for e in table[old]] for old in live)])
+    rows = [table[old] for old in live]
+    result = CosetTable(p.alphabet, len(live),
+                        [[0, *[renumber[row[c]] for row in rows]] for c in range(ncols)])
     result.defined, result.coincidences = len(table) - 1, coincidences
-    del table[:], parent[:]
+    del table[:], parent[:], rows[:]
     result.validate(p)
     return result
 
@@ -212,7 +209,7 @@ def holds_in(t: CosetTable, w: Word) -> bool:
     """True iff w traces back to itself from every coset (w = 1 in the group,
     for a trivial-subgroup table)."""
     word = [_col(l) for l in t.alphabet.encode(w)]
-    return _trace(t.columns(set(word)), word, t.order) == list(range(t.order + 1))
+    return _trace(t.cols, word, t.order) == list(range(t.order + 1))
 
 
 def is_abelian(t: CosetTable) -> bool:

@@ -130,17 +130,7 @@ def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
     return Cover(parent, raw, gens, _simplify(raw, protect))
 
 
-class _StageTable(NamedTuple):
-    """What ``holds_in`` reads of a stage's table on T(k)'s cosets, every column read once."""
-    alphabet: Alphabet
-    order: int
-    cols: dict[int, list[int]]
-
-    def columns(self, cs: Iterable[int]) -> dict[int, list[int]]:
-        return self.cols                 # every column, so each of cs
-
-
-def _cover_table(parent: _StageTable, gens: SchreierGenSet) -> _StageTable:
+def _cover_table(parent: CosetTable, gens: SchreierGenSet) -> CosetTable:
     """``parent``'s cosets under a cover's Schreier generators, each acting
     as its defining word u_r g u_{r+q(g)}^-1 does."""
     cols = parent.cols
@@ -158,7 +148,7 @@ def _cover_table(parent: _StageTable, gens: SchreierGenSet) -> _StageTable:
             us, us_inv = perm[reps[(r + gens.q.images[g]) % gens.q.modulus].letters]
             fwd, bwd = act[g]
             images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
-    return _StageTable(gens.alphabet, parent.order, dict(enumerate(images)))
+    return CosetTable(gens.alphabet, parent.order, images)
 
 
 def _simplify(p: Presentation, protect: Iterable[GenSym]) -> Presentation:
@@ -435,10 +425,8 @@ class Pipeline:
         # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
         if quotient.order != 2 * (k + 1) * table.order:
             raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")
-        pi = _StageTable(quotient.alphabet, quotient.order,
-                         quotient.columns(range(2 * len(quotient.alphabet))))
-        z2 = _cover_table(pi, self.z2.gens)
-        tables = {"pi_prime": pi, "z2": z2, "orbifold": _cover_table(z2, orb.gens)}
+        z2 = _cover_table(quotient, self.z2.gens)
+        tables = {"pi_prime": quotient, "z2": z2, "orbifold": _cover_table(z2, orb.gens)}
         corpus = regression_corpus(k)
         holds = {e.ident: holds_in(tables[e.stage], e.relation) for e in corpus}
         regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}

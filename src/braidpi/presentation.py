@@ -349,7 +349,7 @@ class _Relator:
         self.automaton: _SuffixAutomaton | None = None
         self.born = 0                    # stamp of its last entry into the reducer list
         self.clean = 0                   # stamp at its last scan that found no arc
-        self.excluded: _Relator | None = None  # the owner that scan left out
+        self.excluded: IntWord = ()      # the owner value that scan left out
         self.slots: list[int] = []       # its places in the reducer list
 
 
@@ -459,7 +459,7 @@ class _Simplifier:
         target = rec.text = rec.text or _enc(r + r)
         if rec.clean:                    # a rescan: only what its last scan did not test
             scan = sorted({j for s in self.born[rec.clean:] if s.born > rec.clean
-                           for j in s.slots}.union(rec.excluded.slots))
+                           for j in s.slots}.union(self.records[rec.excluded].slots))
         else:
             scan = range(len(reducers))
         cands: list[tuple[int, int, int, int, int]] = []
@@ -501,7 +501,7 @@ class _Simplifier:
                     cut = l if l < slen else slen
                     cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, fpos[v]))
         if not cands:
-            rec.clean, rec.excluded = len(self.born), reducers[owner]
+            rec.clean, rec.excluded = len(self.born), reducers[owner].word
             return []
         cands.sort(key=lambda c: (-c[0], c[1], c[3], c[2]))
         taken = 0                        # bits p and p + L both mark letter p of r

@@ -2,9 +2,11 @@
 
 The coset-table routines are the earlier HLT enumeration, with a
 union-find lookup on every table read, and the per-coset certificate and
-tracing loops.  The backmap routines push a word at a cover stage down to
-the parent alphabet by substituting each Schreier generator's defining
-word, which is what tracing a stage's own alphabet on T(k) must agree with.
+tracing loops, all on rows: ``rows[i][c]`` is coset i under column c, and
+``rows(t)`` reads a ``CosetTable``'s columns that way.  The backmap
+routines push a word at a cover stage down to the parent alphabet by
+substituting each Schreier generator's defining word, which is what
+tracing a stage's own alphabet on T(k) must agree with.
 ``substitute`` is the free-group homomorphism those routines and the
 letter-by-letter braid action are built on.
 """
@@ -29,7 +31,7 @@ def substitute(w: Word, images) -> Word:
 
 
 def todd_coxeter_rows(p, max_cosets=10**6):
-    """The coset table of p over the trivial subgroup, as ``CosetTable.rows``."""
+    """The coset table of p over the trivial subgroup, as ``rows`` reads it."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     ncols = 2 * len(p.alphabet)
@@ -135,6 +137,11 @@ def todd_coxeter_rows(p, max_cosets=10**6):
         rows.append([renumber[find(e)] for e in table[old]])
     validate(p.alphabet, rows, p)
     return rows
+
+
+def rows(t):
+    """The rows of a ``CosetTable``: rows[0] unused, rows[i][c] = t.cols[c][i]."""
+    return [None, *([col[i] for col in t.cols] for i in range(1, t.order + 1))]
 
 
 def validate(alphabet, rows, p=None):

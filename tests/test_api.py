@@ -134,3 +134,12 @@ def test_benchmark_harness_hooks_resolve(tmp_path):
         assert done.returncode == 0, done.stderr
         names = {span[0] for span in json.loads(spans_file.read_text())}
         assert layers <= names, (argv, names)
+    # the tracer reads each traced table's order; a table it cannot read
+    # loses the sizes without failing the call
+    done = subprocess.run([sys.executable, str(root / "benchmarks" / "tracer.py"),
+                           str(spans_file), "pipeline", "--k", "1"], cwd=root, env=_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans_file.read_text())
+    assert {"pipeline.run", "analysis.trace"} <= {span[0] for span in spans}
+    assert all(span[4].get("letters", 0) > 0 for span in spans if span[0] == "analysis.trace")

@@ -6,6 +6,7 @@ from braidpi import pipeline
 from braidpi.analysis import abelian_invariants, holds_in, is_abelian, todd_coxeter
 from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, PipelineError, full_alphabet,
                               paper_braids, pi_prime, regression_corpus, run)
+from braidpi.presentation import add_relators
 from braidpi.word_core import GenSym, Word
 
 from .reference import base_word
@@ -240,6 +241,20 @@ def test_stage_tracing_matches_pushdown(pipe, k):
     verdict = report.suspects[0]
     assert verdict.printed_holds == pushed[verdict.ident]
     assert verdict.corrected_holds == pushed[pipeline._CORRECTED]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_stage_tables_certify_their_covers(pipe, k):
+    # a stage table is T(k)'s cosets under the cover's Schreier generators:
+    # closed, mutually inverse, and every cover relator fixes every coset
+    orbifold = pipe.orbifold(k)
+    z2 = pipeline._cover_table(pipe.quotient(k), pipe.z2.gens)
+    for table, stage in ((z2, pipe.z2), (pipeline._cover_table(z2, orbifold.gens), orbifold)):
+        table.validate(stage.raw)
+        table.validate(stage.simplified)
+    suspect = next(e for e in regression_corpus(k) if e.suspect)
+    with pytest.raises(AssertionError, match="does not fix"):
+        z2.validate(add_relators(pipe.z2.raw, [suspect.relation]))
 
 
 def test_no_entry_is_freely_trivial():

@@ -5,6 +5,7 @@ over the whole of r + r, with no prefilter and no memory of earlier scans;
 the engine must find exactly the same arcs, and so the same moves.
 """
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -286,6 +287,20 @@ def test_pi_prime_simplification_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_records_die_with_their_call():
+    # a clean scan notes the value it left out, not its record, so no record
+    # refers to itself and reference counting frees them all on return
+    p = pi_prime()
+    gc.collect()
+    gc.disable()
+    try:
+        tietze_simplify(p, protect=full_alphabet())
+        alive = sum(isinstance(o, presentation._Relator) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 def test_rescan_meets_a_duplicate_of_its_owner():
