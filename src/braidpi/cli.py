@@ -18,7 +18,9 @@ and an empty ``schreier --transversal``.  A coset table past
 an overflow, exit 3.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
-3 coset enumeration overflow.  ``--simplify`` notes a spent move budget on stderr.
+3 coset enumeration overflow.  A failed certificate, such as a pipeline stage
+whose Tietze move budget runs out or a coset table that does not validate, is
+exit 1 with one ``error:`` line.  ``--simplify`` notes a spent move budget on stderr.
 
 Each subcommand loads only the layers it runs: ``grammar``, ``presentation`` and
 ``analysis`` always, ``schreier`` for ``schreier``, ``pipeline`` and
@@ -305,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:        # pipeline.PipelineError and the table checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

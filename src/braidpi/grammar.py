@@ -9,7 +9,7 @@ Grammar::
     factor       := atom ("'" | '^' INT)*           # ' inverse, ^n power
     atom         := SYM | '1' | '(' product ')'     # 1 is the identity
     SYM          := letter (letter | digit | '_')*  # trailing digits = index
-    INT          := '-'? digit+
+    INT          := '-'? digit+                     # letter, digit: ASCII only
 
 Examples: ``d2' d1' d2 d1 d2``, ``(d1 d2)^6 (d2 d1)^-6``, ``A2^12 = 1``,
 ``< a b | a^4, b^4, a b a' b' >``; braid words use ``s1 s2' s4^12``.
@@ -41,6 +41,14 @@ class _Token(NamedTuple):
     column: int
 
 
+# symbols and integers are ASCII only: str.isdigit and str.isalnum also accept
+# other scripts' digits and superscripts, which int() reads as numbers or
+# rejects with no line and column
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_WORD = _LETTERS | _DIGITS | {"_"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
@@ -56,17 +64,17 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if c.isalpha():
+        if c in _LETTERS:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _WORD:
                 j += 1
             tokens.append(_Token("sym", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "-" and i + 1 < len(text) and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i

@@ -18,29 +18,32 @@ Every change is a recorded ``TietzeMove``; the engine and
 ``TietzeLog.replay`` mutate state through the same application routine,
 so replaying the log over the source presentation reproduces the result
 exactly, and the output presents an isomorphic group by construction.
-The substring search in (b) tests a reducer s against r + r (L = |r|) only
-if a prefilter piece of s occurs there: for |s| < 16 every cyclic window of
-s and s^-1 of floor(|s|/2) + 1 letters, which passes exactly when a match
-exists, else the quarter-pieces cut at floor(t |s| / 4), one of which every
-match of more than |s|/2 letters holds.  It reads L + |s| - 1 letters (a later
-match repeats one ending L letters earlier) and needs, at each end, the longest
-match in T = s + s, separator, s^-1 + s^-1 and its first end in T.  Below
-``_RUNS`` letters the suffix automaton of T (Blumer et al., TCS 1985) gives both.
-From there on, each place of a piece in r + r and each in T fix a diagonal with a
-maximal run of agreeing letters; such a match holds a piece wherever it occurs,
-so the longest one ending at i starts at the least start of the runs through i
-and first ends on the least diagonal of the runs from there.  A pair with more
-anchors than letters to read (a periodic s) takes the automaton.  Each relator
-value has one record per call (pieces, encodings, canonical key, automaton or
-piece places), and a target value that came up empty is next tested only
-against the reducers that entered the list since and the owner it left out.
+The substring search in (b) reads the first L + |s| - 1 letters of r + r
+(L = |r|: a later match repeats one ending L letters earlier) and needs, at
+each end, the longest match in T = s + s, s^-1 + s^-1 (never across the halves)
+and its first place in T.  A reducer of n letters has h = floor(n/2) + 1 (the
+shortest match with 2 |match| > n) and stride k = max(1, floor(n/8)); its
+pieces are the windows of h - k + 1 letters that start at 0, k, 2k, ... < n in
+each half.  A match of h letters or more holds a piece that starts fewer than k
+letters after it does, so s is tested against r only if a piece occurs in r + r
+(below 16 letters the stride is 1, and the test passes exactly when a match
+exists).  Each place of a piece in r + r and each of its places in T, taken
+within one period p of the primitive root of s in each half, fix a cyclic
+diagonal, keyed by half and offset mod p, with a maximal run of agreeing
+letters, read cyclically in the half.  A run of h letters or more is found from
+its first anchor, at most k - 1 letters after its start.  The longest match
+ending at i then starts at the least start of the runs through i, and it first
+occurs in T at the least place (below p in its half) among the runs from
+there.  Each relator value has one record per call (encodings, pieces and
+their places, period, canonical key), and a target value that came up empty is
+next tested only against the reducers that entered the list since and the
+owner it left out.
 All iteration orders are fixed, so results are deterministic for a given
 budget.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
@@ -48,10 +51,7 @@ from .word_core import Alphabet, GenSym, Word, _iinv, _ireduce, _Record
 
 IntWord = tuple[int, ...]
 
-# a reducer's automaton reads _enc(s + s), _SEP, _enc(s^-1 + s^-1); encoded
-# letters start above the separator, so no match crosses it
-_SEP = "\x01"
-_OFS = 0x20
+_OFS = 0x20  # encoded letters are printable
 
 
 def _enc(w: IntWord) -> str:
@@ -231,122 +231,71 @@ class TietzeLog(_Record):
 
 
 # ---------------------------------------------------------------------------
-# suffix automaton for the common-substring search
-
-class _SuffixAutomaton:
-    __slots__ = ("nxt", "link", "length", "fpos")
-
-    def __init__(self, s: str):
-        nxt: list[dict[str, int]] = [{}]
-        link, length, fpos = [-1], [0], [-1]
-        self.nxt, self.link, self.length, self.fpos = nxt, link, length, fpos
-        last = 0
-        for i, ch in enumerate(s):
-            cur = len(length)
-            nxt.append({})
-            link.append(0)
-            length.append(length[last] + 1)
-            fpos.append(i)
-            p = last
-            while p != -1 and ch not in nxt[p]:
-                nxt[p][ch] = cur
-                p = link[p]
-            if p == -1:
-                link[cur] = 0
-            else:
-                q = nxt[p][ch]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = len(length)
-                    nxt.append(dict(nxt[q]))
-                    link.append(link[q])
-                    length.append(length[p] + 1)
-                    fpos.append(fpos[q])
-                    while p != -1 and nxt[p].get(ch) == q:
-                        nxt[p][ch] = clone
-                        p = link[p]
-                    link[q] = clone
-                    link[cur] = clone
-            last = cur
-
-
-# Below _EXACT_WINDOWS letters a reducer's prefilter pieces are its windows, and
-# from _RUNS on it takes diagonal runs (module docstring).  Pi' and the orbifold
-# covers for k <= 20 simplify fastest with _EXACT_WINDOWS at 16-24; run(1..6)
-# took the same time and memory with _RUNS from 16 to 600, more time at 1.
-_EXACT_WINDOWS = 16
-_RUNS = 100
-
+# the common-substring search: pieces, places and cyclic diagonal runs
 
 def _prefilter_pieces(n: int, text: str, inverse: str) -> tuple[str, ...]:
-    """The prefilter pieces (module docstring) of a reducer s of n letters, cut
-    from text = _enc(s + s) and inverse = _enc(s^-1 + s^-1): each piece starts
-    in the first n letters and wraps by fewer than n."""
-    if n < _EXACT_WINDOWS:
-        h = n // 2 + 1
-        spans = [(a, a + h) for a in range(n)]
-    else:
-        cuts = [t * n // 4 for t in range(5)]
-        spans = list(zip(cuts, cuts[1:]))
-    return tuple(dict.fromkeys(e[a:b] for e in (text, inverse) for a, b in spans))
+    """The pieces (module docstring) of a reducer s of n letters, cut from
+    text = _enc(s + s) and inverse = _enc(s^-1 + s^-1): the windows of
+    h - k + 1 letters, h = floor(n/2) + 1, that start at the multiples of the
+    stride k = max(1, floor(n/8)) below n."""
+    k = max(1, n // 8)
+    w = n // 2 + 2 - k
+    return tuple(dict.fromkeys(e[a:a + w] for e in (text, inverse) for a in range(0, n, k)))
 
 
-def _places(piece: str, text: str) -> list[int]:
-    """Every start of ``piece`` in ``text``, overlapping ones included."""
-    out, i = [], -1
-    while (i := text.find(piece, i + 1)) >= 0:
+def _places(piece: str, text: str, i: int, end: int) -> list[int]:
+    """Every start of ``piece`` in text[i:end], overlapping ones included."""
+    out = []
+    while (i := text.find(piece, i, end)) >= 0:
         out.append(i)
+        i += 1
     return out
 
 
-def _agree(t: str, x: int, both: str, y: int, room: int, step: int) -> int:
-    """The most letters, at most ``room``, on which t and ``both`` agree after
-    (step 1) or before (step -1) positions x and y: gallop, then bisect."""
-    def differ(k: int) -> bool:
-        return t[x:x + k] != both[y:y + k] if step > 0 else t[x - k:x] != both[y - k:y]
-    hi = 1
-    while hi <= room and not differ(hi):
-        hi *= 2
-    return bisect_left(range(hi // 2, min(hi, room + 1)), True, key=differ) + hi // 2 - 1
-
-
-def _diagonal_runs(t: str, s: _Relator) -> list[tuple[int, int, int]] | None:
-    """Sorted maximal runs (start, diagonal, end), t[i] == s.both[i + diagonal] for
-    start <= i < end, through every anchor; None if anchors outnumber letters."""
-    s.places = s.places or tuple(_places(p, s.both) for p in s.pieces)
-    anchors = []
-    for piece, ys in zip(s.pieces, s.places):
-        xs = _places(piece, t)
-        if len(anchors) + len(xs) * len(ys) > len(t):
-            return None
-        anchors += [(x, y - x, len(piece)) for x in xs for y in ys]
-    both, reach, runs = s.both, {}, []
-    for x, d, n in sorted(anchors):
-        if x >= reach.get(d, 0):         # not inside the run found on d before
-            a = x - _agree(t, x, both, x + d, min(x, x + d), -1)
-            room = min(len(t) - x, len(both) - x - d) - n
-            b = x + n + _agree(t, x + n, both, x + n + d, room, 1)
-            reach[d] = b
-            runs.append((a, d, b))
+def _diagonal_runs(target: str, end: int, s: _Relator) -> list[tuple[int, int, int]]:
+    """Sorted maximal runs (start, place, stop) of target[:end] through every
+    anchor of the reducer s: letter i of target, start <= i < stop, equals
+    letter i - start after T-place ``place``, read cyclically in its half."""
+    n, p, both = len(s.word), s.period, s.both
+    hits = [(xs, j) for j, piece in enumerate(s.pieces) if (xs := _places(piece, target, 0, end))]
+    if not s.places:
+        s.places = tuple([y for base in (0, 2 * n)
+                          for y in _places(piece, both, base, base + p + len(piece) - 1)]
+                         for piece in s.pieces)
+    w = len(s.pieces[0])
+    reach: dict[int, int] = {}
+    runs = []
+    for x, y in sorted((x, y) for xs, j in hits for x in xs for y in s.places[j]):
+        base = y - y % (2 * n)           # the half of T that y lies in
+        d = (y - base - x) % p           # target[i] faces both[base + (i + d) % p]
+        if x < reach.get(base + d, 0):   # inside the run found on this diagonal before
+            continue
+        a, b = x, x + w
+        while a and target[a - 1] == both[base + (a - 1 + d) % p]:
+            a -= 1
+        while b < end and target[b] == both[base + (b + d) % p]:
+            b += 1
+        reach[base + d] = b
+        runs.append((a, base + (a + d) % p, b))
     return sorted(runs)
 
 
 class _Relator:
-    """One relator value for one ``tietze_simplify`` call: its encodings and matcher,
-    each built at most once, and its place in the rescan rule (see ``shorten``)."""
+    """One relator value for one ``tietze_simplify`` call: its encodings, pieces
+    and places, each built at most once, and its place in the rescan rule (see
+    ``shorten``)."""
 
-    __slots__ = ("word", "text", "both", "pieces", "places", "key", "automaton", "born",
+    __slots__ = ("word", "text", "both", "pieces", "places", "period", "key", "born",
                  "clean", "excluded", "slots")
 
     def __init__(self, word: IntWord):
         self.word = word
         self.text = ""                   # _enc(word + word): as a target, and as a reducer
-        self.both = ""                   # text + _SEP + _enc(word^-1 + word^-1): T, as a reducer
-        self.pieces: tuple[str, ...] = ()  # its prefilter pieces, as a reducer
-        self.places: tuple[list[int], ...] = ()  # each piece's places in T
+        self.both = ""                   # text + _enc(word^-1 + word^-1): T, as a reducer
+        self.pieces: tuple[str, ...] = ()  # its pieces, as a reducer
+        self.places: tuple[list[int], ...] = ()  # each piece's places in T, one period per half
+        self.period = 0                  # the length of word's primitive root
         self.key: IntWord = ()           # _canon_key(word)
-        self.automaton: _SuffixAutomaton | None = None
         self.born = 0                    # stamp of its last entry into the reducer list
         self.clean = 0                   # stamp at its last scan that found no arc
         self.excluded: IntWord = ()      # the owner value that scan left out
@@ -426,8 +375,9 @@ class _Simplifier:
             w = rec.word
             rec.text = rec.text or _enc(w + w)
             inverse = _enc(_iinv(w) * 2)
-            rec.both = rec.text + _SEP + inverse
+            rec.both = rec.text + inverse
             rec.pieces = _prefilter_pieces(len(w), rec.text, inverse)
+            rec.period = rec.text.find(rec.text[:len(w)], 1)
 
     def _admit(self, words: Sequence[IntWord]) -> list[_Relator]:
         """The reducer list of a new round; values absent from the last one are born."""
@@ -468,38 +418,18 @@ class _Simplifier:
             slen = len(s.word)
             if j == owner or not slen or slen > L:
                 continue
-            for p in s.pieces:
+            for p in s.pieces:           # most pairs share no piece: test that before any places
                 if p in target:
                     break
             else:
                 continue
             h = slen // 2 + 1           # shortest match with 2 |match| > |s|
-            runs = _diagonal_runs(target[:L + slen - 1], s) if slen >= _RUNS else None
-            if runs is not None:
-                reach = 0                # each end once, from the run of least (start, diagonal)
-                for a, d, b in runs:
-                    for i in range(max(a + h - 1, reach), b):
-                        cut = min(i - a + 1, slen)
-                        cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, i + d))
-                    reach = max(reach, b)
-                continue
-            sa = s.automaton
-            if sa is None:               # a piece matched, so _birth encoded s both ways
-                sa = s.automaton = _SuffixAutomaton(s.both)
-            nxt, link, length, fpos = sa.nxt, sa.link, sa.length, sa.fpos
-            v = l = 0
-            for i, ch in enumerate(target[:L + slen - 1]):
-                while v and ch not in nxt[v]:
-                    v = link[v]
-                    l = length[v]
-                if ch in nxt[v]:
-                    v = nxt[v][ch]
-                    l += 1
-                else:
-                    l = 0
-                if l >= h:
-                    cut = l if l < slen else slen
-                    cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, fpos[v]))
+            reach = 0                    # each end once, from the run of least (start, place)
+            for a, y, b in _diagonal_runs(target, L + slen - 1, s):
+                for i in range(max(a + h - 1, reach), b):
+                    cut = min(i - a + 1, slen)
+                    cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, y + cut - 1))
+                reach = max(reach, b)
         if not cands:
             rec.clean, rec.excluded = len(self.born), reducers[owner].word
             return []
@@ -516,7 +446,7 @@ class _Simplifier:
             if fend < 2 * slen:          # match inside the s + s half
                 u, end_u = s, fend
             else:                        # match inside the s^-1 + s^-1 half
-                u, end_u = _iinv(s), fend - (2 * slen + 1)
+                u, end_u = _iinv(s), fend - 2 * slen
             start_u = (end_u - cut + 1) % slen
             complement = tuple(u[(start_u + cut + k) % slen] for k in range(slen - cut))
             arcs.append((start, cut, complement))
@@ -541,7 +471,7 @@ class _Simplifier:
         """Rewriting rounds until no relator shrinks.
 
         Each relator value has one ``_Relator`` record for the call, so its
-        pieces, encodings and automaton are built at most once.  Rescan rule:
+        encodings, pieces and their places are built at most once.  Rescan rule:
         a value's candidates against a reducer depend only on the two values,
         so a pair once tested without a match never needs testing again.  A
         value gets a birth stamp whenever it enters the round's reducer list,

@@ -89,9 +89,9 @@ class GenSym(_Record):
 
     @staticmethod
     def parse(token: str) -> "GenSym":
-        """Inverse of ``str``: split a maximal trailing digit run into the index."""
+        """Inverse of ``str``: split a maximal trailing run of ASCII digits into the index."""
         i = len(token)
-        while i > 0 and token[i - 1].isdigit():
+        while i > 0 and "0" <= token[i - 1] <= "9":
             i -= 1
         if i == len(token):
             return GenSym(token)

@@ -8,7 +8,9 @@ routines push a word at a cover stage down to the parent alphabet by
 substituting each Schreier generator's defining word, which is what
 tracing a stage's own alphabet on T(k) must agree with.
 ``substitute`` is the free-group homomorphism those routines and the
-letter-by-letter braid action are built on.
+letter-by-letter braid action are built on.  ``SuffixAutomaton`` (Blumer et
+al., TCS 1985) gives, at each end of a walk, the longest match in its text and
+that match's first end there: the Tietze shortener's diagonal runs must agree.
 """
 
 from braidpi.analysis import CosetLimitExceeded, _col
@@ -28,6 +30,44 @@ def substitute(w: Word, images) -> Word:
         img = images[sym]
         _reduce_into(out, img.letters if sign > 0 else img.inverse().letters)
     return Word(tuple(out))
+
+
+class SuffixAutomaton:
+    __slots__ = ("nxt", "link", "length", "fpos")
+
+    def __init__(self, s: str):
+        nxt: list[dict[str, int]] = [{}]
+        link, length, fpos = [-1], [0], [-1]
+        self.nxt, self.link, self.length, self.fpos = nxt, link, length, fpos
+        last = 0
+        for i, ch in enumerate(s):
+            cur = len(length)
+            nxt.append({})
+            link.append(0)
+            length.append(length[last] + 1)
+            fpos.append(i)
+            p = last
+            while p != -1 and ch not in nxt[p]:
+                nxt[p][ch] = cur
+                p = link[p]
+            if p == -1:
+                link[cur] = 0
+            else:
+                q = nxt[p][ch]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = len(length)
+                    nxt.append(dict(nxt[q]))
+                    link.append(link[q])
+                    length.append(length[p] + 1)
+                    fpos.append(fpos[q])
+                    while p != -1 and nxt[p].get(ch) == q:
+                        nxt[p][ch] = clone
+                        p = link[p]
+                    link[q] = clone
+                    link[cur] = clone
+            last = cur
 
 
 def todd_coxeter_rows(p, max_cosets=10**6):

@@ -9,11 +9,12 @@ import time
 
 import pytest
 
-from braidpi import grammar
+from braidpi import analysis, grammar, pipeline
 from braidpi.cli import MAX_ACT_LETTERS, MAX_COSETS, main
 from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
                              parse_word)
 from braidpi.pipeline import pi_prime
+from braidpi.presentation import TietzeLog
 from braidpi.word_core import Alphabet, GenSym, Word, alphabet
 
 
@@ -129,6 +130,45 @@ def test_cli_parse_error_exit_code(tmp_path):
     f.write_text("< a | a^ >")
     assert main(["tc", str(f)]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("text,column", [
+    ("< a | a^\u0663 >", 9),            # an Arabic-Indic three
+    ("< a\u00b2 | a >", 4),              # a superscript two
+    ("< \u00e9 | \u00e9^2 >", 3),        # a Latin letter outside ASCII
+])
+def test_grammar_is_ascii_only(text, column, monkeypatch, capsys):
+    # symbols and integers take ASCII letters and digits alone: anything else
+    # is a parse error at its line and column, never read as a digit
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (1, column)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["tc", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: 1:{column}: unexpected character {text[column - 1]!r}\n"
+    # a name given outside the grammar does not take such a digit as its index
+    with pytest.raises(ValueError):
+        GenSym.parse("d\u0662")
+    assert GenSym.parse("d12") == GenSym("d", 12)
+
+
+def test_cli_failed_certificate_exit_code(monkeypatch, capsys):
+    # a pipeline stage whose Tietze move budget runs out, and a coset table
+    # that does not validate, are failed checks: exit 1 with one error line
+    monkeypatch.setattr(pipeline, "tietze_simplify",
+                        lambda p, budget=20000, protect=(): (p, TietzeLog([], True)))
+    assert main(["pipeline", "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Tietze move budget exhausted on ") and err.count("\n") == 1
+
+    def refuted(table, p=None):
+        raise AssertionError("relator a^2 does not fix every coset")
+
+    monkeypatch.setattr(analysis.CosetTable, "validate", refuted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("< a | a^2 >"))
+    assert main(["tc", "-"]) == 1
+    assert capsys.readouterr().err == "error: relator a^2 does not fix every coset\n"
 
 
 def test_cli_act(capsys):

@@ -272,6 +272,15 @@ def test_parity_law_through_k6(pipe):
         assert inv.free_rank == 0
 
 
+def test_tietze_keeps_the_invariants_of_each_cover(pipe):
+    # a check by Smith form alone, with no Tietze move: each raw
+    # Reidemeister-Schreier kernel has the invariants of its simplification
+    for cover in (pipe.z2, *(pipe.orbifold(k) for k in (1, 2, 3, 4, 5, 6, 20))):
+        raw, simplified = abelian_invariants(cover.raw), abelian_invariants(cover.simplified)
+        assert (raw.torsion, raw.free_rank) == (simplified.torsion, simplified.free_rank)
+        assert len(cover.raw.relators) > len(cover.simplified.relators)   # not the same input
+
+
 @pytest.mark.parametrize("k,invariants", [(39, (4, 4)), (40, (2, 4))])
 def test_parity_law_at_k39_k40(pipe, k, invariants):
     inv = abelian_invariants(pipe.orbifold(k).simplified)

@@ -1,8 +1,9 @@
 """The common-substring search of the Tietze shortener against a plain reference.
 
 The reference collector walks every reducer through its suffix automaton,
-over the whole of r + r, with no prefilter and no memory of earlier scans;
-the engine must find exactly the same arcs, and so the same moves.
+over the whole of r + r, with no pieces and no memory of earlier scans;
+the engine's diagonal runs must find exactly the same arcs, and so the same
+moves.
 """
 
 import gc
@@ -12,21 +13,31 @@ import tracemalloc
 
 from braidpi import pipeline, presentation
 from braidpi.pipeline import GAMMA, SIGMA, full_alphabet, pi_prime
-from braidpi.presentation import (_EXACT_WINDOWS, _RUNS, _SEP, Presentation, _enc, _iinv,
-                                  _icyc, _prefilter_pieces, _Simplifier, _SuffixAutomaton,
-                                  add_relators, tietze_simplify)
+from braidpi.presentation import (Presentation, _enc, _iinv, _icyc, _prefilter_pieces,
+                                  _Simplifier, add_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
+
+from .reference import SuffixAutomaton
+
+_SEP = "\x01"     # below every encoded letter, so no match crosses it
+_WINDOWS = 16     # below this many letters the stride is 1: the pieces are all windows
+_LONG = 100       # the length of the long relators below
 
 
 def _automaton(s):
-    """The automaton the engine builds for a reducer s: every cyclic subword of
-    s and of s^-1."""
-    return _SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
+    """The reference automaton for a reducer s: every cyclic subword of s and of
+    s^-1, in T = s + s, separator, s^-1 + s^-1."""
+    return SuffixAutomaton(_enc(s + s) + _SEP + _enc(_iinv(s) + _iinv(s)))
 
 
 def _pieces(s):
-    """The prefilter pieces the engine cuts for a reducer s."""
+    """The pieces the engine cuts for a reducer s."""
     return _prefilter_pieces(len(s), _enc(s + s), _enc(_iinv(s) + _iinv(s)))
+
+
+def _period(s):
+    """The length of the primitive root of s."""
+    return next(p for p in range(1, len(s) + 1) if s == s[p:] + s[:p])
 
 
 def _walk(sa, t):
@@ -145,17 +156,17 @@ def test_collect_arcs_matches_reference():
 
 
 def _short_reducer_presentation(rng):
-    """A few long relators and several reducers shorter than _EXACT_WINDOWS, most
+    """A few long relators and several reducers shorter than _WINDOWS, most
     cut from them."""
     ngens = rng.randint(1, 4)
     longs, count = [], rng.randint(1, 3)
     while len(longs) < count:
-        w = _icyc(_random_word(rng, ngens, rng.randint(_EXACT_WINDOWS, 3 * _EXACT_WINDOWS)))
-        if len(w) >= _EXACT_WINDOWS:
+        w = _icyc(_random_word(rng, ngens, rng.randint(_WINDOWS, 3 * _WINDOWS)))
+        if len(w) >= _WINDOWS:
             longs.append(w)
     shorts = []
     for _ in range(rng.randint(2, 6)):
-        n = rng.randint(1, _EXACT_WINDOWS - 1)
+        n = rng.randint(1, _WINDOWS - 1)
         if rng.random() < 0.7:
             w = rng.choice(longs)
             a = rng.randrange(len(w))
@@ -179,18 +190,18 @@ def test_short_reducers_match_reference():
             arcs = sim._collect_arcs(j, r, reducers)
             assert arcs == reference_arcs(j, r, plain), (plain, j)
             found += bool(arcs)
-            # for |s| < _EXACT_WINDOWS the windows pass exactly when the walk
+            # for |s| < _WINDOWS the windows pass exactly when the walk
             # finds a candidate
             target = _enc(r + r)
             for i, s in enumerate(plain):
-                if i != j and len(s) < _EXACT_WINDOWS and len(s) <= len(r):
+                if i != j and len(s) < _WINDOWS and len(s) <= len(r):
                     passes = any(p in target for p in _pieces(s))
                     assert passes == bool(reference_arcs(-1, r, [s])), (s, r)
                     outcomes.add((len(s), passes))
                     exact += 1
     assert found > 150 and exact > 500
     # every length below the constant met both a passing and a failing target
-    assert outcomes == {(n, b) for n in range(1, _EXACT_WINDOWS) for b in (False, True)}
+    assert outcomes == {(n, b) for n in range(1, _WINDOWS) for b in (False, True)}
 
 
 def _reduced_word(rng, ngens, length):
@@ -204,7 +215,7 @@ def _reduced_word(rng, ngens, length):
 
 
 def _long_presentation(rng):
-    """Relators of _RUNS letters and more, glued from shared chunks as
+    """Relators of _LONG letters and more, glued from shared chunks as
     _random_presentation glues them: powers u^n and u^n v, which overlap
     themselves on many diagonals, so that the first of several occurrences
     decides a complement, u^m w with u^m longer than half of such a reducer,
@@ -218,17 +229,17 @@ def _long_presentation(rng):
         u = rng.choice(chunks)
         kind = rng.random()
         if kind < 0.25:                  # u^n
-            w = u * (_RUNS // len(u) + rng.randint(0, 3))
+            w = u * (_LONG // len(u) + rng.randint(0, 3))
         elif kind < 0.4:                 # u^n v
-            w = u * (_RUNS // len(u) + 1) + rng.choice(chunks)
+            w = u * (_LONG // len(u) + 1) + rng.choice(chunks)
         elif kind < 0.5:                 # u^m w, one power below u^n v
-            w = u * (_RUNS // len(u)) + _reduced_word(rng, ngens, 40)
+            w = u * (_LONG // len(u)) + _reduced_word(rng, ngens, 40)
         elif kind < 0.6 and rels:        # more than one turn of an earlier relator
             s = rng.choice(rels)
             w = s + s[:rng.randint(1, len(s))] + _reduced_word(rng, ngens, rng.randint(1, 9))
         else:
             w = ()
-            while len(w) < _RUNS * rng.choice((1, 1, 2)):
+            while len(w) < _LONG * rng.choice((1, 1, 2)):
                 c = rng.choice(chunks)
                 w += c if rng.random() < 0.6 else _iinv(c)
                 if rng.random() < 0.3:
@@ -239,19 +250,36 @@ def _long_presentation(rng):
     return Presentation(alph, [alph.decode(w) for w in rels])
 
 
-def test_long_reducers_match_reference(monkeypatch):
-    # reducers of _RUNS letters and more take diagonal runs, or the automaton
-    # once a pair has more anchors than letters to read: both must give the
-    # arcs and the simplifications of the plain reference
-    outcomes = []
-    real = presentation._diagonal_runs
+def _power_presentation(rng, root_len):
+    """A proper power s = u^e of a primitive root u of ``root_len`` letters (G^m
+    and s^m of the orbifold stage for one letter, (uv)^e for two), next to
+    relators that hold rotated powers of u, or of u^-1, so that matches fall in
+    either half of T, among other letters."""
+    ngens = rng.randint(2, 3)
+    u = ()
+    while not u or _period(u) < root_len:
+        u = _reduced_word(rng, ngens, root_len)
+    e = rng.randint(2, 60 if root_len == 1 else 24 // root_len + 2)
+    rels = [u * e]
+    for _ in range(rng.randint(2, 4)):
+        m = rng.randint(e // 2, e + 3)
+        a = rng.randrange(root_len)
+        power = (u * (m + 1))[a:a + m * root_len]
+        if rng.random() < 0.4:
+            power = _iinv(power)
+        w = power + _reduced_word(rng, ngens, rng.randint(1, 12))
+        if rng.random() < 0.3:
+            w += _iinv(power)[:rng.randint(1, len(power))]
+        if _icyc(w):
+            rels.append(_icyc(w))
+    alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
+    return Presentation(alph, [alph.decode(w) for w in rels])
 
-    def recording(t, s):
-        runs = real(t, s)
-        outcomes.append(runs is not None)
-        return runs
 
-    monkeypatch.setattr(presentation, "_diagonal_runs", recording)
+def test_long_reducers_match_reference():
+    # every reducer takes cyclic diagonal runs: long ones, and proper powers,
+    # whose pieces recur with the period of the root, must give the arcs and
+    # the simplifications of the plain reference
     rng = random.Random(4242)
     cases = [_long_presentation(rng) for _ in range(60)]
     alph = Alphabet(GenSym("x", i) for i in range(1, 4))
@@ -260,7 +288,10 @@ def test_long_reducers_match_reference(monkeypatch):
         u = _reduced_word(rng, 3, rng.randint(30, 40))
         v, w = _reduced_word(rng, 3, rng.randint(1, 20)), _reduced_word(rng, 3, 60)
         cases.append(Presentation(alph, [alph.decode(_icyc(x)) for x in (u * 3 + v, u * 2 + w)]))
+    cases += [_power_presentation(rng, root_len) for root_len in (1, 2, 3, 5) for _ in range(15)]
     found = long_arcs = 0
+    powers = {}                          # root length -> pairs of a power and a target with arcs
+    inverse_half = 0                     # such pairs with a match in the s^-1 half
     for case, p in enumerate(cases):
         sim = _Simplifier(p, 20000, frozenset())
         reducers = sim._admit(sim.rels)
@@ -269,16 +300,55 @@ def test_long_reducers_match_reference(monkeypatch):
             arcs = sim._collect_arcs(j, r, reducers)
             assert arcs == reference_arcs(j, r, plain), (plain, j)
             found += bool(arcs)
-            long_arcs += any(len(c) + cut >= _RUNS for _, cut, c in arcs)
+            long_arcs += any(len(c) + cut >= _LONG for _, cut, c in arcs)
+            # each proper power against r alone, on a fresh call
+            for i, s in enumerate(plain):
+                if i == j or len(s) > len(r) or _period(s) == len(s):
+                    continue
+                pair = _Simplifier(p, 20000, frozenset())
+                arcs = pair._collect_arcs(0, r, pair._admit([r, s]))
+                assert arcs == reference_arcs(0, r, [r, s]), (r, s)
+                if arcs:
+                    powers[_period(s)] = powers.get(_period(s), 0) + 1
+                    inverse_half += any(
+                        fend > 2 * len(s) and 2 * len(s) > 2 * l > len(s)
+                        for _, l, fend in _walk(_automaton(s), _enc(r + r)))
         if case % 3 == 0:
             assert tietze_simplify(p) == _reference_simplify(p), p
     assert found > 40 and long_arcs > 20   # the comparison is not vacuous
-    assert True in outcomes and False in outcomes  # both paths were taken
+    # one-letter roots, (uv)^e and longer roots, with matches in both halves
+    assert all(powers.get(n, 0) > 10 for n in (1, 2, 3, 5)), powers
+    assert inverse_half > 10, inverse_half
+
+
+def test_halves_keep_their_own_diagonals():
+    # s = x2' x1' x2' x1 x1 and its inverse agree at one offset, so runs of both
+    # halves lie on one diagonal offset mod |s|: the run found in one half must
+    # not hide the anchors of the other, which here make the second arc
+    r, s = (1, 2, -1, 2, 1, 1, -2), (-2, -1, -2, 1, 1)
+    alph = Alphabet(GenSym("x", i) for i in range(1, 3))
+    sim = _Simplifier(Presentation(alph, [alph.decode(w) for w in (r, s)]), 20000, frozenset())
+    arcs = sim._collect_arcs(0, r, sim._admit([r, s]))
+    assert arcs == reference_arcs(0, r, [r, s]) == [(0, 3, (-1, 2)), (4, 3, (-1, -2))]
+    # targets that follow s^-1 from some offset and then s from the same one
+    rng = random.Random(1)
+    for _ in range(3000):
+        n = rng.randint(2, 12)
+        s = _reduced_word(rng, 2, n)
+        o = rng.randrange(n)
+        head = (_iinv(s) * 2)[o:o + rng.randint(1, n)]
+        tail = (s * 3)[o + len(head):o + len(head) + rng.randint(1, 2 * n)]
+        r = _icyc(_random_word(rng, 2, rng.randint(0, 3)) + head + tail
+                  + _random_word(rng, 2, rng.randint(0, 3)))
+        if len(r) >= n:
+            sim = _Simplifier(Presentation(alph, [alph.decode(w) for w in (r, s)]), 20000,
+                              frozenset())
+            assert sim._collect_arcs(0, r, sim._admit([r, s])) == reference_arcs(0, r, [r, s])
 
 
 def test_pi_prime_simplification_peak_memory():
-    # the reducers of Pi' from _RUNS letters on match by diagonal runs: with an
-    # automaton for every reducer, this call's traced peak was 15.6 MiB
+    # every reducer of Pi' matches by diagonal runs: with a suffix automaton
+    # for every reducer, this call's traced peak was 15.6 MiB
     p = pi_prime()
     tracemalloc.start()
     try:
@@ -418,8 +488,8 @@ def test_tietze_logs_match_recorded_digests(monkeypatch):
         assert _log_digest(log) == _QUOTIENT_LOG and simplified == t_k, k
 
 
-def test_quarter_piece_test_is_sound():
-    # a match with 2 |match| > |s| always contains a whole quarter-piece
+def test_stride_piece_test_is_sound():
+    # a match with 2 |match| > |s| always contains a whole piece
     rng = random.Random(5)
     qualified = rejected = 0
     for _ in range(3000):
@@ -437,6 +507,22 @@ def test_quarter_piece_test_is_sound():
         elif not passes:
             rejected += 1
     assert qualified > 500 and rejected > 100
+    # the same for every length n = 1..40, where the stride grows from 1 to 5:
+    # targets hold a cyclic window of s or s^-1 of floor(n/2) + 1 to n letters
+    for n in range(1, 41):
+        qualified = 0
+        for _ in range(30):
+            s = _reduced_word(rng, 3, n)
+            u, a = rng.choice((s, _iinv(s))), rng.randrange(n)
+            window = (u + u)[a:a + rng.randint(n // 2 + 1, n)]
+            r = _icyc(_random_word(rng, 3, rng.randint(0, 6)) + window
+                      + _random_word(rng, 3, rng.randint(0, 6)))
+            target = _enc(r + r)
+            cuts = [min(l, n, len(r)) for _, l, _ in _walk(_automaton(s), target)]
+            if any(2 * cut > n for cut in cuts):
+                qualified += 1
+                assert any(p in target for p in _pieces(s)), (s, r)
+        assert qualified > 20, n
     # every cyclic window of |s|/2 + 1 letters (rounded down) of s or s^-1
     # holds a piece; distinct letters make "holds" a matter of position only
     for n in range(1, 41):
@@ -453,11 +539,12 @@ def test_quarter_piece_test_is_sound():
         expected = {_enc((u + u)[a:a + 2]) for u in (s, _iinv(s)) for a in range(3)}
         assert set(_pieces(s)) == expected, s
     # slices of _enc(s + s) and _enc(s^-1 + s^-1) are the encodings of the
-    # pieces' own letters, in the same order
+    # pieces' own letters, in the same order: windows of floor(n/2) + 2 - k
+    # letters at the multiples of the stride k = max(1, floor(n/8))
     for _ in range(500):
-        s = _icyc(_random_word(rng, 3, rng.randint(1, 3 * _EXACT_WINDOWS)))
+        s = _icyc(_random_word(rng, 3, rng.randint(1, 3 * _WINDOWS)))
         n = len(s)
-        spans = ([(a, a + n // 2 + 1) for a in range(n)] if n < _EXACT_WINDOWS
-                 else [(t * n // 4, (t + 1) * n // 4) for t in range(4)])
+        k = max(1, n // 8)
+        spans = [(a, a + n // 2 + 2 - k) for a in range(0, n, k)]
         own = dict.fromkeys(_enc((u + u)[a:b]) for u in (s, _iinv(s)) for a, b in spans)
         assert _pieces(s) == tuple(own), s
