@@ -20,6 +20,7 @@ that expand past ``MAX_LETTERS`` letters, are parse errors.
 
 from __future__ import annotations
 
+import string
 from typing import NamedTuple
 
 from .braid import Braid
@@ -44,8 +45,8 @@ class _Token(NamedTuple):
 # symbols and integers are ASCII only: str.isdigit and str.isalnum also accept
 # other scripts' digits and superscripts, which int() reads as numbers or
 # rejects with no line and column
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
 _WORD = _LETTERS | _DIGITS | {"_"}
 
 

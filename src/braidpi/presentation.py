@@ -30,10 +30,13 @@ letters after it does, so s is tested against r only if a piece occurs in r + r
 exists).  Each place of a piece in r + r and each of its places in T, taken
 within one period p of the primitive root of s in each half, fix a cyclic
 diagonal, keyed by half and offset mod p, with a maximal run of agreeing
-letters, read cyclically in the half.  A run of h letters or more is found from
-its first anchor, at most k - 1 letters after its start.  The longest match
-ending at i then starts at the least start of the runs through i, and it first
-occurs in T at the least place (below p in its half) among the runs from
+letters, read cyclically in the half.  A pair is left out when the pair q
+letters before it is one too, q the piece's least period: both lie in one run,
+so a reducer that nearly repeats a short word keeps about one anchor per place
+rather than one per place in r + r and in T.  A run of h letters or more is
+found from its first anchor, at most k - 1 letters after its start.  The longest
+match ending at i then starts at the least start of the runs through i, and it
+first occurs in T at the least place (below p in its half) among the runs from
 there.  Each relator value has one record per call (encodings, pieces and
 their places, period, canonical key), and a target value that came up empty is
 next tested only against the reducers that entered the list since and the
@@ -235,9 +238,7 @@ class TietzeLog(_Record):
 
 def _prefilter_pieces(n: int, text: str, inverse: str) -> tuple[str, ...]:
     """The pieces (module docstring) of a reducer s of n letters, cut from
-    text = _enc(s + s) and inverse = _enc(s^-1 + s^-1): the windows of
-    h - k + 1 letters, h = floor(n/2) + 1, that start at the multiples of the
-    stride k = max(1, floor(n/8)) below n."""
+    text = _enc(s + s) and inverse = _enc(s^-1 + s^-1)."""
     k = max(1, n // 8)
     w = n // 2 + 2 - k
     return tuple(dict.fromkeys(e[a:a + w] for e in (text, inverse) for a in range(0, n, k)))
@@ -252,20 +253,48 @@ def _places(piece: str, text: str, i: int, end: int) -> list[int]:
     return out
 
 
+def _piece_places(piece: str, both: str, n: int, p: int) -> tuple[int, list[int], list[int]]:
+    """A piece's least period q if 2 q <= |piece| (else 0; by Fine and Wilf, the
+    first place after 0 of its first ceil(|piece|/2) letters, if a period), its
+    places in T within one period p per half, and those of them whose place q
+    letters before, cyclically in the half, is none (all if q is 0)."""
+    w = len(piece)
+    q = piece.find(piece[:w - w // 2], 1)
+    q = q if 0 < q <= w // 2 and piece[q:] == piece[:w - q] else 0
+    ys = [y for base in (0, 2 * n) for y in _places(piece, both, base, base + p + w - 1)]
+    if not q:
+        return 0, ys, ys
+    at = set(ys)                         # y - y % (2 n) is the start of y's half
+    return q, ys, [y for y in ys if y - y % (2 * n) + (y % (2 * n) - q) % p not in at]
+
+
+def _anchors(target: str, end: int, s: _Relator) -> list[tuple[int, int]]:
+    """Pairs (x, y) of places of one piece of s in target[:end] and in T, but
+    none whose pair q letters before is one too, q the piece's period: the two
+    lie in one run (module docstring)."""
+    if not s.places:
+        s.places = tuple(_piece_places(piece, s.both, len(s.word), s.period)
+                         for piece in s.pieces)
+    pairs = []
+    for piece, (q, ys, firsts) in zip(s.pieces, s.places):
+        xs = _places(piece, target, 0, end)
+        at = set(xs) if q and len(xs) > 1 else ()
+        for x in xs:
+            pairs += [(x, y) for y in (firsts if x - q in at else ys)]
+    return pairs
+
+
 def _diagonal_runs(target: str, end: int, s: _Relator) -> list[tuple[int, int, int]]:
     """Sorted maximal runs (start, place, stop) of target[:end] through every
     anchor of the reducer s: letter i of target, start <= i < stop, equals
-    letter i - start after T-place ``place``, read cyclically in its half."""
+    letter i - start after T-place ``place``, read cyclically in its half.  A
+    run first tries to reach the furthest stop so far with one comparison."""
     n, p, both = len(s.word), s.period, s.both
-    hits = [(xs, j) for j, piece in enumerate(s.pieces) if (xs := _places(piece, target, 0, end))]
-    if not s.places:
-        s.places = tuple([y for base in (0, 2 * n)
-                          for y in _places(piece, both, base, base + p + len(piece) - 1)]
-                         for piece in s.pieces)
     w = len(s.pieces[0])
     reach: dict[int, int] = {}
     runs = []
-    for x, y in sorted((x, y) for xs, j in hits for x in xs for y in s.places[j]):
+    furthest = 0
+    for x, y in sorted(_anchors(target, end, s)):
         base = y - y % (2 * n)           # the half of T that y lies in
         d = (y - base - x) % p           # target[i] faces both[base + (i + d) % p]
         if x < reach.get(base + d, 0):   # inside the run found on this diagonal before
@@ -273,9 +302,14 @@ def _diagonal_runs(target: str, end: int, s: _Relator) -> list[tuple[int, int, i
         a, b = x, x + w
         while a and target[a - 1] == both[base + (a - 1 + d) % p]:
             a -= 1
+        c = base + (b + d) % p           # a slice of n letters from c stays in the half
+        if b < furthest <= b + n and target[b:furthest] == both[c:c + furthest - b]:
+            b = furthest
         while b < end and target[b] == both[base + (b + d) % p]:
             b += 1
         reach[base + d] = b
+        if b > furthest:
+            furthest = b
         runs.append((a, base + (a + d) % p, b))
     return sorted(runs)
 
@@ -293,7 +327,7 @@ class _Relator:
         self.text = ""                   # _enc(word + word): as a target, and as a reducer
         self.both = ""                   # text + _enc(word^-1 + word^-1): T, as a reducer
         self.pieces: tuple[str, ...] = ()  # its pieces, as a reducer
-        self.places: tuple[list[int], ...] = ()  # each piece's places in T, one period per half
+        self.places: tuple = ()          # _piece_places of each piece, as a reducer
         self.period = 0                  # the length of word's primitive root
         self.key: IntWord = ()           # _canon_key(word)
         self.born = 0                    # stamp of its last entry into the reducer list
@@ -348,10 +382,9 @@ class _Simplifier:
 
     # -- (c) normalization --------------------------------------------------
 
-    def normalize(self) -> bool:
+    def normalize(self) -> None:
         """Drop empty relators and repeats up to rotation and inversion (every
         relator is already cyclically reduced: ``_TietzeState`` stores no other)."""
-        changed = False
         seen: set[IntWord] = set()
         for w in list(self.rels):
             if w:
@@ -361,10 +394,8 @@ class _Simplifier:
                     seen.add(rec.key)
                     continue
             if not self._afford(1):
-                return changed
+                return
             self._emit("remove-relator", self._word(w))
-            changed = True
-        return changed
 
     # -- (b) common-substring shortening --------------------------------------
 
@@ -443,13 +474,9 @@ class _Simplifier:
             taken |= span | span << L | span >> L
             s = reducers[j].word
             slen = len(s)
-            if fend < 2 * slen:          # match inside the s + s half
-                u, end_u = s, fend
-            else:                        # match inside the s^-1 + s^-1 half
-                u, end_u = _iinv(s), fend - 2 * slen
-            start_u = (end_u - cut + 1) % slen
-            complement = tuple(u[(start_u + cut + k) % slen] for k in range(slen - cut))
-            arcs.append((start, cut, complement))
+            u = s if fend < 2 * slen else _iinv(s)  # the half of T the match ends in
+            # the rest of the cyclic word u after the match (fend is its last letter)
+            arcs.append((start, cut, tuple(u[(fend + 1 + k) % slen] for k in range(slen - cut))))
         return arcs
 
     @staticmethod
@@ -467,31 +494,28 @@ class _Simplifier:
             linear[start:start + cut] = list(_iinv(comp))
         return _icyc(linear)
 
-    def shorten(self) -> bool:
+    def shorten(self) -> None:
         """Rewriting rounds until no relator shrinks.
 
-        Each relator value has one ``_Relator`` record for the call, so its
-        encodings, pieces and their places are built at most once.  Rescan rule:
-        a value's candidates against a reducer depend only on the two values,
-        so a pair once tested without a match never needs testing again.  A
-        value gets a birth stamp whenever it enters the round's reducer list,
-        and a target scan that finds no arc stamps the target value clean.
-        On its next scan it tests only the reducers born since then, plus
-        the value it left out as owner (which may now sit in another slot);
-        every other reducer in the list was in it, unchanged, at that scan.
+        Rescan rule: a value's candidates against a reducer depend only on the
+        two values, so a pair once tested without a match never needs testing
+        again.  A value gets a birth stamp whenever it enters the round's
+        reducer list, and a target scan that finds no arc stamps the target
+        value clean.  On its next scan it tests only the reducers born since
+        then, plus the value it left out as owner (which may now sit in another
+        slot); every other reducer in the list was in it, unchanged, at that
+        scan.
         """
-        any_change = False
         while self.budget > 0:
             self.normalize()
             if not self.rels:
-                return any_change
+                return
             reducers = self._admit(self.rels)
             order = sorted(range(len(self.rels)),
                            key=lambda j: (-len(self.rels[j]), self.rels[j]))
             changed = False
             for j in order:
                 cur = reducers[j].word
-                moved = False
                 while cur and cur in self.rels:
                     arcs = self._collect_arcs(j, cur, reducers)
                     if not arcs or not self._afford(2):
@@ -501,18 +525,15 @@ class _Simplifier:
                         break
                     self._replace(cur, new)
                     cur = new
-                    moved = True
-                    changed = True
-                    any_change = True
-                if moved:
+                if cur is not reducers[j].word:
                     # later targets may reduce against this relator's new value
+                    changed = True
                     reducers[j].slots.remove(j)
                     reducers[j] = self._record(cur)
                     reducers[j].slots.append(j)
                     self._birth(reducers[j])
             if not changed:
-                return any_change
-        return any_change
+                return
 
     # -- (a) generator elimination ---------------------------------------------
 

@@ -16,6 +16,7 @@ in the data; ``format_word`` may compress for display only.
 
 from __future__ import annotations
 
+import string
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -91,7 +92,7 @@ class GenSym(_Record):
     def parse(token: str) -> "GenSym":
         """Inverse of ``str``: split a maximal trailing run of ASCII digits into the index."""
         i = len(token)
-        while i > 0 and "0" <= token[i - 1] <= "9":
+        while i > 0 and token[i - 1] in string.digits:
             i -= 1
         if i == len(token):
             return GenSym(token)

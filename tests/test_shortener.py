@@ -346,6 +346,63 @@ def test_halves_keep_their_own_diagonals():
             assert sim._collect_arcs(0, r, sim._admit([r, s])) == reference_arcs(0, r, [r, s])
 
 
+def test_nearly_periodic_reducers_keep_few_anchors():
+    # a reducer u^m v that nearly repeats a short word u, against a long run of
+    # u or u^-1: every pair of a place in the target and one in T would make
+    # about |target| (m - |s|/2) anchors; one per stretch of periodic places on
+    # either side leaves about one per place, and the arcs stay the reference's
+    alph = Alphabet(GenSym("x", i) for i in range(1, 4))
+    cases = [((1,), 200, (2, 2), (1,), 3000, (2, 2)),      # a^200 b^2 against a^3000 b^2
+             ((1,), 15, (2,), (1,), 3000, ()),             # a^15 b against a^3000
+             ((1, 2), 100, (3,), (1, 2), 1500, ()),
+             ((1, 2, 1, 3), 40, (2,), (1, 2, 1, 3), 700, (2, 2)),
+             ((1,), 200, (2, 2), (-1,), 3000, (2,)),       # matches in the s^-1 half
+             ((1, 2), 100, (3,), (-2, -1), 1500, (3,))]
+    for u, m, v, target_root, e, tail in cases:
+        s, r = u * m + v, target_root * e + tail
+        sim = _Simplifier(Presentation(alph, [alph.decode(w) for w in (r, s)]), 20000,
+                          frozenset())
+        reducers = sim._admit([r, s])
+        rec, target, end = reducers[1], _enc(r + r), len(r) + len(s) - 1
+        anchors = presentation._anchors(target, end, rec)
+        pairs = sum(len(presentation._places(piece, target, 0, end)) * len(ys)
+                    for piece, (q, ys, firsts) in zip(rec.pieces, rec.places))
+        assert len(anchors) <= 2 * end and 4 * len(anchors) < pairs, (s, r)
+        arcs = sim._collect_arcs(0, r, reducers)
+        assert arcs and arcs == reference_arcs(0, r, [r, s]), (s, r)
+
+
+def test_piece_periods_and_first_places():
+    # _piece_places gives a piece its least period q when 2 q <= |piece|
+    # (else 0), its places in T within one period per half, and those whose
+    # place q letters before, read cyclically in the half, is none
+    rng = random.Random(8)
+    periodic = 0
+    for _ in range(400):
+        u = _reduced_word(rng, 2, rng.randint(1, 4))
+        s = _icyc(u * rng.randint(1, 30) + _reduced_word(rng, 2, rng.randint(0, 6)))
+        if not s:
+            continue
+        sim = _Simplifier(Presentation(Alphabet(GenSym("x", i) for i in (1, 2)), []),
+                          20000, frozenset())
+        rec = sim._admit([s])[0]
+        n, p = len(s), _period(s)
+        assert rec.period == p
+        for piece in rec.pieces:
+            q, ys, firsts = presentation._piece_places(piece, rec.both, n, rec.period)
+            w = len(piece)
+            least = next(t for t in range(1, w + 1) if piece[t:] == piece[:w - t])
+            assert q == (least if 2 * least <= w else 0), (s, piece)
+            periodic += q > 0
+            halves = [rec.both[base:base + 2 * n] for base in (0, 2 * n)]
+            cyclic = [[c for c in range(p) if h[c:c + w] == piece] for h in halves]
+            assert ys == [base + c for base, cs in zip((0, 2 * n), cyclic) for c in cs]
+            expected = [base + c for base, cs in zip((0, 2 * n), cyclic) for c in cs
+                        if not q or (c - q) % p not in cs]
+            assert firsts == expected, (s, piece)
+    assert periodic > 1000
+
+
 def test_pi_prime_simplification_peak_memory():
     # every reducer of Pi' matches by diagonal runs: with a suffix automaton
     # for every reducer, this call's traced peak was 15.6 MiB
