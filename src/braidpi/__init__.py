@@ -3,7 +3,9 @@
 Submodules: ``word_core`` (free-group words), ``braid`` (Artin actions),
 ``presentation`` (finitely presented groups, Tietze moves), ``schreier``
 (subgroup presentations), ``analysis`` (Todd-Coxeter, Smith normal form),
-``curves`` (exact conic/cubic geometry on one sparse ``Poly``),
+``curves`` (exact conic/cubic geometry over Q on one sparse ``Poly``;
+irrational points are checked in rational coordinates x = sqrt(d) X, as
+the curves are even in x),
 ``grammar`` (the text grammar of words and presentations), ``pipeline``
 (the cover computation, its regression corpus read from the printed
 relations), ``cli`` (command line).
@@ -23,7 +25,7 @@ _HOME = {name: module for module, names in {
     "analysis": "AbelianInvariants CosetLimitExceeded CosetTable abelian_invariants holds_in "
                 "is_abelian smith_normal_form todd_coxeter",
     "braid": "Braid act compose",
-    "curves": "Poly ProjPoint QuadScalar cubic_discriminant family_cubic hessian is_tangent_at "
+    "curves": "Poly ProjPoint cubic_discriminant family_cubic hessian is_tangent_at "
               "sylvester_resultant verify_persson_configuration",
     "pipeline": "Cover Pipeline PipelineReport cover paper_braids pi_prime regression_corpus run",
     "presentation": "Presentation TietzeLog add_relators conjugation_relators stabilizer_relators "

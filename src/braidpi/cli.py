@@ -2,7 +2,11 @@
 
 Words, braids and presentations are read by the grammar in ``grammar``
 (for example ``d2' d1' d2 d1 d2`` or ``< a b | a^4, b^4, a b a' b' >``);
-its bounds ``MAX_NESTING`` and ``MAX_LETTERS`` make parse errors.  ``act`` on
+its bounds ``MAX_NESTING`` and ``MAX_LETTERS`` make parse errors.  Numeric
+options (``--n``, ``--budget``, ``--mod``, ``--max``, ``--k``, ``--max-k``) and
+the residues of ``schreier --images`` are the grammar's INT, ASCII digits
+with an optional minus sign (``grammar.parse_int``); anything else, such as
+another script's digits or ``1_0``, is exit 2.  ``act`` on
 more than ``MAX_STRANDS`` strands, with an image past ``MAX_LETTERS``
 letters, or writing more than ``MAX_ACT_LETTERS`` letters summed over the
 images of its steps (it applies the braid letter by letter), and
@@ -37,7 +41,8 @@ import argparse
 import sys
 
 from .analysis import CosetLimitExceeded, abelian_invariants, todd_coxeter
-from .grammar import MAX_LETTERS, ParseError, parse_braid, parse_presentation, parse_word
+from .grammar import (MAX_LETTERS, ParseError, parse_braid, parse_int, parse_presentation,
+                      parse_word)
 from .presentation import Presentation, tietze_simplify
 from .word_core import Alphabet, GenSym
 
@@ -124,13 +129,12 @@ def _cmd_schreier(args) -> int:
         if sym not in p.alphabet or sym in images:
             why = "is given twice" if sym in images else "is not a generator"
             raise ValueError(f"--images: {sym} {why}")
-        images[sym] = int(value)
-    q = CyclicMap.onto(p, args.mod, images)
+        images[sym] = parse_int(value)
     t = None
     if args.transversal is not None:
         reps = [parse_word(part, p.alphabet) for part in args.transversal.split(";")]
         t = Transversal.of(reps)
-    sub, gens = subgroup_presentation(p, q, t)
+    sub, gens = subgroup_presentation(p, CyclicMap(args.mod, images), t)
     if args.simplify:
         sub = _simplify(sub)
     lines = [str(sub), ""]
@@ -247,18 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = with_json(sub.add_parser("act", help="apply a braid to a word"))
     p.add_argument("--braid", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=int, default=5, help="strand count (default 5)")
+    p.add_argument("--n", type=parse_int, default=5, help="strand count (default 5)")
     p.set_defaults(func=_cmd_act)
 
     p = with_json(sub.add_parser("present", help="parse and normalize a presentation"))
     p.add_argument("file", help="file path or - for stdin")
     p.add_argument("--simplify", action="store_true")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=parse_int, default=20000)
     p.set_defaults(func=_cmd_present)
 
     p = with_json(sub.add_parser("schreier", help="subgroup presentation of a cyclic kernel"))
     p.add_argument("file")
-    p.add_argument("--mod", type=int, required=True)
+    p.add_argument("--mod", type=parse_int, required=True)
     p.add_argument("--images", required=True, help="e.g. d1=1,d2=1,G=0")
     p.add_argument("--transversal", help="semicolon-separated words, 1 for identity")
     p.add_argument("--simplify", action="store_true")
@@ -266,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_json(sub.add_parser("tc", help="Todd-Coxeter order of a presented group"))
     p.add_argument("file")
-    p.add_argument("--max", type=int, default=MAX_COSETS, help="coset budget")
+    p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
     p.set_defaults(func=_cmd_tc)
 
     p = with_json(sub.add_parser("abelianize", help="abelian invariants"))
@@ -274,15 +278,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_abelianize)
 
     p = with_json(sub.add_parser("pipeline", help="run the cover computation"))
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=parse_int, default=1)
     p.add_argument("--all", action="store_true", help="run k = 1..max-k")
-    p.add_argument("--max-k", type=int, default=6, dest="max_k")
-    p.add_argument("--max", type=int, default=MAX_COSETS, help="coset budget")
+    p.add_argument("--max-k", type=parse_int, default=6, dest="max_k")
+    p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
     p.set_defaults(func=_cmd_pipeline)
 
     p = with_json(sub.add_parser("regression", help="trace the printed-relation corpus"))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--max", type=int, default=MAX_COSETS, help="coset budget")
+    p.add_argument("--k", type=parse_int, default=1)
+    p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
     p.set_defaults(func=_cmd_regression)
 
     p = with_json(sub.add_parser("verify-config", help="exact checks of the curve configuration"))

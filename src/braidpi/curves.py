@@ -1,14 +1,16 @@
 """Exact verification of the conic/cubic tangency configuration.
 
-All arithmetic happens in Q or a single real quadratic extension
-Q(sqrt(d)): a ``QuadScalar`` is a + b sqrt(d) with Fraction coefficients,
-normalized so that b = 0 forces d = 1.  Mixing two nontrivial radicals
-is an error; each geometric check needs at most one of sqrt(2), sqrt(5),
-sqrt(6), sqrt(10), and the slope sqrt(128/125) is rewritten as
-(8 sqrt(10))/25 before use.
+All arithmetic happens in Q, on ``Fraction`` coefficients and coordinates.
+Two checks concern irrational points: the tangency points on the lines
+x = +-sqrt(128/125) y (item 7) and the flexes with x/y = +-sqrt(2/3) * 16/13
+(item 9).  The conic and the cubic hold x only in x^2, so in coordinates
+x = sqrt(d) X (``_root_x``) they stay rational, and so do those points and
+lines: d = 10 and d = 6.  A linear change of coordinates keeps incidence,
+tangency and smoothness, and multiplies the Hessian by d, so each check
+reads the same in X as in x.
 
 ``Poly`` is the one sparse polynomial class (any number of variables,
-QuadScalar coefficients, mixed total degrees allowed), supporting
+rational coefficients, mixed total degrees allowed), supporting
 evaluation, partials, linear substitution and Sylvester resultants
 with respect to one variable (cofactor expansion; the matrices here are
 at most 5x5).
@@ -29,150 +31,24 @@ from typing import Mapping, NamedTuple, Sequence
 from .word_core import _Record
 
 
-class RadicalMismatchError(ValueError):
-    """Arithmetic attempted between different quadratic extensions."""
-
-
-def _squarefree(d: int) -> bool:
-    if d <= 0:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
-class QuadScalar(_Record):
-    """a + b sqrt(d) with rational a, b; d squarefree, d = 1 iff rational."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: Fraction, b: Fraction, d: int):
-        a, b = Fraction(a), Fraction(b)
-        d = d if b else 1
-        if d != 1 and not _squarefree(d):
-            raise ValueError(f"radicand {d} is not squarefree")
-        if d == 1 and b != 0:
-            raise ValueError("rational scalar with nonzero radical part")
-        self._init(a, b, d)
-
-    @staticmethod
-    def of(x) -> "QuadScalar":
-        if isinstance(x, QuadScalar):
-            return x
-        return QuadScalar(Fraction(x), Fraction(0), 1)
-
-    @staticmethod
-    def _coerce(x):
-        return QuadScalar.of(x) if isinstance(x, (QuadScalar, int, Fraction)) else None
-
-    @staticmethod
-    def root(d: int, coeff=1) -> "QuadScalar":
-        """coeff * sqrt(d)."""
-        return QuadScalar(Fraction(0), Fraction(coeff), d)
-
-    def _join(self, other: "QuadScalar") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise RadicalMismatchError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-
-    def __add__(self, other) -> "QuadScalar":
-        o = QuadScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join(o)
-        return QuadScalar(self.a + o.a, self.b + o.b, d if self.b + o.b else 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> "QuadScalar":
-        o = QuadScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "QuadScalar":
-        o = QuadScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other) -> "QuadScalar":
-        o = QuadScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = self._join(o)
-        a = self.a * o.a + d * self.b * o.b
-        b = self.a * o.b + self.b * o.a
-        return QuadScalar(a, b, d if b else 1)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadScalar":
-        n = self.a * self.a - self.d * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("zero (or zero-norm) quadratic scalar")
-        return QuadScalar(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other) -> "QuadScalar":
-        return self * QuadScalar.of(other).inverse()
-
-    def __rtruediv__(self, other) -> "QuadScalar":
-        return QuadScalar.of(other) * self.inverse()
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other) -> bool:
-        o = QuadScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b and (self.b == 0 or self.d == o.d)
-
-    def __hash__(self) -> int:
-        # a rational scalar equals its int or Fraction, so it hashes as one
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt({self.d})"
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-    __repr__ = __str__
-
-
-ZERO = QuadScalar.of(0)
-
 Exps = tuple[int, ...]
 
 
 class Poly:
-    """Sparse polynomial: exponent tuple -> nonzero QuadScalar.
+    """Sparse polynomial: exponent tuple -> nonzero Fraction.
 
     Sums, products, partials and coefficient splits may mix total degrees
     (resultants do); ``degree`` is the largest total degree, 0 for zero.
     """
 
-    def __init__(self, nvars: int, terms: Mapping[Exps, QuadScalar | int | Fraction]):
+    def __init__(self, nvars: int, terms: Mapping[Exps, int | Fraction]):
         self.nvars = nvars
-        clean: dict[Exps, QuadScalar] = {}
+        clean: dict[Exps, Fraction] = {}
         for e, c in terms.items():
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e}")
-            c = QuadScalar.of(c)
-            if not c.is_zero():
-                clean[e] = c
+            if c:
+                clean[e] = Fraction(c)
         self.terms = clean
         self.degree = max((sum(e) for e in clean), default=0)
 
@@ -192,7 +68,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            merged[e] = merged.get(e, ZERO) + c
+            merged[e] = merged.get(e, 0) + c
         return Poly(self.nvars, merged)
 
     def __neg__(self) -> "Poly":
@@ -203,37 +79,35 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = QuadScalar.of(other)
+            c = Fraction(other)
             return Poly(self.nvars, {e: x * c for e, x in self.terms.items()})
-        out: dict[Exps, QuadScalar] = {}
+        out: dict[Exps, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
 
-    def evaluate(self, point: Sequence) -> QuadScalar:
+    def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("wrong number of coordinates")
-        pt = [QuadScalar.of(x) for x in point]
-        total = ZERO
+        pt = [Fraction(x) for x in point]
+        total = Fraction(0)
         for e, c in self.terms.items():
-            v = c
             for x, k in zip(pt, e):
-                for _ in range(k):
-                    v = v * x
-            total = total + v
+                c *= x ** k
+            total += c
         return total
 
     def partial(self, var: int) -> "Poly":
-        out: dict[Exps, QuadScalar] = {}
+        out: dict[Exps, Fraction] = {}
         for e, c in self.terms.items():
             if e[var] == 0:
                 continue
             e2 = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-            out[e2] = out.get(e2, ZERO) + c * e[var]
+            out[e2] = out.get(e2, 0) + c * e[var]
         return Poly(self.nvars, out)
 
     def substitute_linear(self, images: Sequence["Poly"]) -> "Poly":
@@ -280,18 +154,17 @@ def _check_form(curve: Poly) -> None:
         raise ValueError("the curve must be a homogeneous polynomial (a form)")
 
 
-def poly3(terms: Mapping[Exps, QuadScalar | int | Fraction]) -> Poly:
+def poly3(terms: Mapping[Exps, int | Fraction]) -> Poly:
     return Poly(3, terms)
 
 
 def unipoly(coeffs: Sequence) -> Poly:
     """Univariate polynomial from ascending coefficients."""
-    return Poly(1, {(i,): QuadScalar.of(c) for i, c in enumerate(coeffs)})
+    return Poly(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 def line(a, b, c) -> Poly:
-    return poly3({(1, 0, 0): QuadScalar.of(a), (0, 1, 0): QuadScalar.of(b),
-                  (0, 0, 1): QuadScalar.of(c)})
+    return poly3({(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
 
 class ProjPoint(_Record):
@@ -299,13 +172,13 @@ class ProjPoint(_Record):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[QuadScalar, QuadScalar, QuadScalar]):
+    def __init__(self, coords: tuple[Fraction, Fraction, Fraction]):
         self._init(coords)
 
     @staticmethod
     def of(x, y, z) -> "ProjPoint":
-        p = (QuadScalar.of(x), QuadScalar.of(y), QuadScalar.of(z))
-        if all(c.is_zero() for c in p):
+        p = (Fraction(x), Fraction(y), Fraction(z))
+        if not any(p):
             raise ValueError("(0:0:0) is not a projective point")
         return ProjPoint(p)
 
@@ -313,11 +186,7 @@ class ProjPoint(_Record):
         if not isinstance(other, ProjPoint):
             return NotImplemented
         a, b = self.coords, other.coords
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not (a[i] * b[j] - a[j] * b[i]).is_zero():
-                    return False
-        return True
+        return all(a[i] * b[j] == a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2)))
 
     def __hash__(self) -> int:
         return 0  # projective equality is up to scale; hash cannot see it
@@ -326,7 +195,7 @@ class ProjPoint(_Record):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-def gradient(f: Poly, p: ProjPoint) -> tuple[QuadScalar, QuadScalar, QuadScalar]:
+def gradient(f: Poly, p: ProjPoint) -> tuple[Fraction, Fraction, Fraction]:
     _check_form(f)
     return tuple(f.partial(v).evaluate(p.coords) for v in range(3))
 
@@ -341,12 +210,11 @@ def cubic_discriminant(a0, a1, a2, a3):
 
 def family_cubic(lam) -> Poly:
     """z^3 + (x^2 + 2yz + z^2)(2 lam^3 y + (2 lam^3 - 3 lam^2) z)."""
-    lam = QuadScalar.of(lam)
+    lam = Fraction(lam)
     l2 = lam * lam
     l3 = l2 * lam
-    quad = poly3({(2, 0, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1})
     lin = poly3({(0, 1, 0): 2 * l3, (0, 0, 1): 2 * l3 - 3 * l2})
-    return poly3({(0, 0, 3): 1}) + quad * lin
+    return poly3({(0, 0, 3): 1}) + conic() * lin
 
 
 def conic() -> Poly:
@@ -357,6 +225,14 @@ def conic() -> Poly:
 def nodal_cubic() -> Poly:
     """z^3 + 16 (x^2 + 2yz + z^2)(8y + 5z): the family member at parameter 4."""
     return family_cubic(4)
+
+
+def _root_x(f: Poly, d: int) -> Poly:
+    """f(sqrt(d) X, y, z) as a form in (X, y, z): the coefficient of x^(2j)
+    times d^j.  Exact only for a form even in x; any odd power raises."""
+    if any(e[0] % 2 for e in f.terms):
+        raise ValueError("the form has an odd power of x")
+    return Poly(f.nvars, {e: c * d ** (e[0] // 2) for e, c in f.terms.items()})
 
 
 def sylvester_matrix(f: Poly, g: Poly, var: int) -> list[list[Poly]]:
@@ -423,13 +299,13 @@ def is_tangent_at(curve: Poly, l: Poly, p: ProjPoint) -> bool:
     _check_form(curve)
     if l.degree != 1 or not l.is_homogeneous():
         raise ValueError("second argument must be a line")
-    if not l.evaluate(p.coords).is_zero():
+    if l.evaluate(p.coords):
         raise ValueError(f"point {p} not on the line")
-    if not curve.evaluate(p.coords).is_zero():
+    if curve.evaluate(p.coords):
         raise ValueError(f"point {p} not on the curve")
     g = gradient(curve, p)
-    c = [l.terms.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return all((g[i] * c[j] - g[j] * c[i]).is_zero() for i, j in ((0, 1), (0, 2), (1, 2)))
+    c = [l.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return all(g[i] * c[j] == g[j] * c[i] for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +374,7 @@ def verify_persson_configuration() -> ConfigReport:
 
     # (4) node location, distinct from every tangency point
     grad = gradient(c, node)
-    on = c.evaluate(node.coords).is_zero() and all(g.is_zero() for g in grad)
+    on = not c.evaluate(node.coords) and not any(grad)
     tangencies = [t1, t2, ProjPoint.of(-3, -3, 4), ProjPoint.of(3, -3, 4), p]
     distinct = all(node != t for t in tangencies)
     record(4, "cubic is singular exactly at (0:9:-16), away from all tangency points",
@@ -532,16 +408,16 @@ def verify_persson_configuration() -> ConfigReport:
     record(6, "tangent-line discriminant is 324 * x^2 (x^2 - y^2)(128y^2 - 125x^2)",
            ok, "constant factor 324" if ok else "factorization fails")
 
-    # (7) tangency points on the irrational tangents, plus the discarded candidate
-    lp = line(25, QuadScalar.root(10, -8), 0)   # x = sqrt(128/125) y
-    lm = line(25, QuadScalar.root(10, 8), 0)
-    pp = ProjPoint.of(QuadScalar.root(10, -24), -75, 80)
-    pm = ProjPoint.of(QuadScalar.root(10, 24), -75, 80)
-    ok = _tangent_at_all(c, (lp, pp), (lm, pm))
-    cand33 = ProjPoint.of(QuadScalar.root(10, -33 * 8), -25 * 33, 880)
-    cand27 = ProjPoint.of(QuadScalar.root(10, -27 * 8), -25 * 27, 880)
+    # (7) tangency points on the irrational tangents, plus the discarded candidate,
+    # in coordinates x = sqrt(10) X: the line 25X = 8y is x = sqrt(128/125) y
+    c10 = _root_x(c, 10)
+    lp, lm = line(25, -8, 0), line(25, 8, 0)
+    pp, pm = ProjPoint.of(-24, -75, 80), ProjPoint.of(24, -75, 80)
+    ok = _tangent_at_all(c10, (lp, pp), (lm, pm))
+    cand33 = ProjPoint.of(-33 * 8, -25 * 33, 880)
+    cand27 = ProjPoint.of(-27 * 8, -25 * 27, 880)
     same33 = cand33 == pp
-    off27 = not c.evaluate(cand27.coords).is_zero()
+    off27 = c10.evaluate(cand27.coords) != 0
     record(7, "tangency points on the sqrt(10)-lines are (-+24sqrt(10):-75:80)",
            ok and same33 and off27,
            "candidate with factor 33 is the tangency point itself; "
@@ -553,16 +429,17 @@ def verify_persson_configuration() -> ConfigReport:
     record(8, "parameter constraint A^3 - 6A^2 + 9A - 4 = (A-1)^2 (A-4)", ok,
            "division exact with quotient A - 4" if ok else "factorization fails")
 
-    # (9) flexes: (1:0:0) and the two points with x/y = +-sqrt(2/3) * 16/13
-    h = hessian(c)
-    fplus = ProjPoint.of(QuadScalar.root(6, 16), 39, -48)
-    fminus = ProjPoint.of(QuadScalar.root(6, -16), 39, -48)
-    flexes = all(c.evaluate(f.coords).is_zero() and h.evaluate(f.coords).is_zero()
-                 and any(not g.is_zero() for g in gradient(c, f))
+    # (9) flexes: (1:0:0) and the two points with x/y = +-sqrt(2/3) * 16/13,
+    # in coordinates x = sqrt(6) X, where (x/y)^2 = 6 (X/y)^2
+    c6 = _root_x(c, 6)
+    h = hessian(c6)
+    fplus, fminus = ProjPoint.of(16, 39, -48), ProjPoint.of(-16, 39, -48)
+    flexes = all(not c6.evaluate(f.coords) and not h.evaluate(f.coords)
+                 and any(gradient(c6, f))
                  for f in (ProjPoint.of(1, 0, 0), fplus, fminus))
-    ratio_ok = all((f.coords[0] * QuadScalar.of(13)
-                    - f.coords[1] * QuadScalar.root(6, s * Fraction(16, 3))).is_zero()
-                   for f, s in ((fplus, 1), (fminus, -1)))
+    ratios = [f.coords[0] / f.coords[1] for f in (fplus, fminus)]    # X/y
+    ratio_ok = (all(6 * r * r == Fraction(2, 3) * Fraction(16, 13) ** 2 for r in ratios)
+                and ratios[0] > 0 > ratios[1])
     record(9, "flexes at (1:0:0) and x/y = +-sqrt(2/3) * 16/13", flexes and ratio_ok,
            "curve and Hessian vanish at all three smooth points"
            if flexes and ratio_ok else "flex check fails")

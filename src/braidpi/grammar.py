@@ -15,7 +15,8 @@ Examples: ``d2' d1' d2 d1 d2``, ``(d1 d2)^6 (d2 d1)^-6``, ``A2^12 = 1``,
 ``< a b | a^4, b^4, a b a' b' >``; braid words use ``s1 s2' s4^12``.
 
 Parentheses nested deeper than ``MAX_NESTING``, and words or presentations
-that expand past ``MAX_LETTERS`` letters, are parse errors.
+that expand past ``MAX_LETTERS`` letters, are parse errors.  ``parse_int``
+reads one INT alone, as the command line's numeric options are read.
 """
 
 from __future__ import annotations
@@ -214,6 +215,16 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     if alphabet is not None:
         alphabet.check_word(w)
     return w
+
+
+def parse_int(text: str) -> int:
+    """The grammar's INT, spaces around it skipped: other scripts' digits and
+    the underscores that int() also reads are parse errors."""
+    s = text.strip()
+    digits = s.removeprefix("-")
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ParseError(f"expected an integer, found {text!r}", 1, 1)
+    return int(s)
 
 
 def parse_braid(text: str, n: int) -> Braid:

@@ -439,7 +439,7 @@ class _Simplifier:
         rec = self._record(r)
         target = rec.text = rec.text or _enc(r + r)
         if rec.clean:                    # a rescan: only what its last scan did not test
-            scan = sorted({j for s in self.born[rec.clean:] if s.born > rec.clean
+            scan = sorted({j for s in self.born[rec.clean:]
                            for j in s.slots}.union(self.records[rec.excluded].slots))
         else:
             scan = range(len(reducers))

@@ -127,7 +127,6 @@ class SchreierGenSet:
 
     def __init__(self, parent: Alphabet, q: CyclicMap, t: Transversal,
                  names: Mapping[tuple[int, GenSym], GenSym] | None = None):
-        self.parent = parent
         self.q = q
         self.transversal = t
         self.gens: dict[tuple[int, GenSym], GenSym | None] = {}

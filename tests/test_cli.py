@@ -153,6 +153,43 @@ def test_grammar_is_ascii_only(text, column, monkeypatch, capsys):
     assert GenSym.parse("d12") == GenSym("d", 12)
 
 
+@pytest.mark.parametrize("value", ["١", "５", "1_0"])  # Arabic-Indic one, fullwidth five
+@pytest.mark.parametrize("argv", [
+    ["act", "--braid", "s1", "--word", "d1", "--n", "{}"],
+    ["present", "-", "--simplify", "--budget", "{}"],
+    ["schreier", "-", "--mod", "{}", "--images", "a=1,b=0"],
+    ["schreier", "-", "--mod", "2", "--images", "a=1,b={}"],
+    ["tc", "-", "--max", "{}"],
+    ["pipeline", "--k", "{}"],
+    ["pipeline", "--all", "--max-k", "{}"],
+    ["pipeline", "--max", "{}"],
+    ["regression", "--k", "{}"],
+    ["regression", "--max", "{}"],
+], ids=["act-n", "present-budget", "schreier-mod", "schreier-images", "tc-max", "pipeline-k",
+        "pipeline-max-k", "pipeline-max", "regression-k", "regression-max"])
+def test_cli_numeric_options_are_ascii(argv, value, monkeypatch, capsys):
+    # int() reads other scripts' digits and underscores; the options read the
+    # grammar's INT alone, so each of these is a usage error before any work
+    monkeypatch.setattr("sys.stdin", io.StringIO("< a b | a^2, b^3, a b a b >"))
+    assert main([a.format(value) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(value) in captured.err
+    with pytest.raises(ParseError, match="expected an integer"):
+        grammar.parse_int(value)
+    assert grammar.parse_int(" -12 ") == -12
+
+
+def test_cli_schreier_transversal_parsed_before_the_map_is_checked(monkeypatch, capsys):
+    # the map is checked once, by subgroup_presentation: an unparsable
+    # transversal is reported first, though b^3 maps to 1 mod 2; both exit 2
+    for transversal, message in (("1;(", "error: 1:2: expected a word\n"),
+                                 ("1;a", "error: relator b^3 maps to 1 != 0 mod 2\n")):
+        monkeypatch.setattr("sys.stdin", io.StringIO("< a b | a^2, b^3, a b a b >"))
+        assert main(["schreier", "-", "--mod", "2", "--images", "a=1,b=1",
+                     "--transversal", transversal]) == 2
+        assert capsys.readouterr().err == message
+
+
 def test_cli_failed_certificate_exit_code(monkeypatch, capsys):
     # a pipeline stage whose Tietze move budget runs out, and a coset table
     # that does not validate, are failed checks: exit 1 with one error line

@@ -3,55 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from braidpi.curves import (ZERO, Poly, ProjPoint, QuadScalar, RadicalMismatchError,
-                            _check_form, conic, cubic_discriminant, family_cubic, gradient, hessian, is_tangent_at, line,
-                            nodal_cubic, poly3, sylvester_resultant, unipoly,
-                            verify_persson_configuration)
-
-Q = QuadScalar.of
-root = QuadScalar.root
-
-
-def test_scalar_examples():
-    assert QuadScalar(1, 1, 10) * QuadScalar(1, -1, 10) == Q(-9)
-    assert root(10) * root(10) == Q(10)
-    assert QuadScalar(3, 1, 5).inverse() == QuadScalar(Fraction(3, 4), Fraction(-1, 4), 5)
-
-
-def test_scalar_field_axioms_random():
-    rng = random.Random(51)
-    for d in (1, 2, 5, 6, 10):
-        for _ in range(200):
-            def r():
-                b = Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if d != 1 else Fraction(0)
-                return QuadScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), b, d)
-            x, y, z = r(), r(), r()
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
-            assert x + y == y + x and x * y == y * x
-            if not x.is_zero():
-                assert x * x.inverse() == Q(1)
-
-
-def test_scalar_radical_rules():
-    assert (root(10) + Q(1)) - root(10) == Q(1)       # b = 0 collapses to rational
-    with pytest.raises(RadicalMismatchError):
-        root(2) * root(5)
-    with pytest.raises(ValueError):
-        QuadScalar(0, 1, 4)                           # 4 is not squarefree
-    with pytest.raises(ZeroDivisionError):
-        Q(0).inverse()
+from braidpi import curves
+from braidpi.curves import (Poly, ProjPoint, _check_form, _root_x, conic, cubic_discriminant,
+                            family_cubic, gradient, hessian, is_tangent_at, line, nodal_cubic,
+                            poly3, sylvester_resultant, unipoly, verify_persson_configuration)
 
 
 def test_poly_evaluate_and_partial():
     x2 = poly3({(2, 0, 0): 1})
     assert x2.partial(0) == poly3({(1, 0, 0): 2})
-    assert conic().evaluate(ProjPoint.of(0, 1, 0).coords).is_zero()
+    assert conic().evaluate(ProjPoint.of(0, 1, 0).coords) == 0
     c = nodal_cubic()
     node = ProjPoint.of(0, 9, -16)
-    assert c.evaluate(node.coords).is_zero()
-    assert all(g.is_zero() for g in gradient(c, node))
+    assert c.evaluate(node.coords) == 0
+    assert gradient(c, node) == (0, 0, 0)
 
 
 def test_poly_mixed_degrees():
@@ -71,7 +36,7 @@ def test_geometry_rejects_non_forms():
     base = ProjPoint.of(0, 1, 0)
     # on the line z = 0 and on the curve, but not a form
     curve = nodal_cubic() + poly3({(1, 0, 0): 1})
-    assert curve.evaluate(base.coords).is_zero()
+    assert curve.evaluate(base.coords) == 0
     with pytest.raises(ValueError):
         gradient(curve, base)
     with pytest.raises(ValueError):
@@ -79,7 +44,7 @@ def test_geometry_rejects_non_forms():
     with pytest.raises(ValueError):
         is_tangent_at(curve, line(0, 0, 1), base)
     affine = line(0, 1, 0) - poly3({(0, 0, 0): 1})      # y - 1, vanishing at base
-    assert affine.degree == 1 and affine.evaluate(base.coords).is_zero()
+    assert affine.degree == 1 and affine.evaluate(base.coords) == 0
     with pytest.raises(ValueError):
         is_tangent_at(conic(), affine, base)
 
@@ -95,10 +60,10 @@ def test_euler_relation():
 
 def test_cubic_discriminant_examples():
     # depressed cubic x^3 + p x + q: discriminant -4p^3 - 27q^2
-    p, q = Q(3), Q(-2)
-    assert cubic_discriminant(Q(1), Q(0), p, q) == Q(-4) * p * p * p - Q(27) * q * q
-    assert cubic_discriminant(Q(1), Q(0), Q(0), Q(0)).is_zero()
-    assert cubic_discriminant(Q(1), Q(-3), Q(3), Q(-1)).is_zero()   # (x-1)^3
+    p, q = Fraction(3), Fraction(-2)
+    assert cubic_discriminant(1, 0, p, q) == -4 * p * p * p - 27 * q * q
+    assert cubic_discriminant(1, 0, 0, 0) == 0
+    assert cubic_discriminant(1, -3, 3, -1) == 0   # (x-1)^3
 
 
 def _divide(f, g):
@@ -122,27 +87,27 @@ def test_discriminant_iff_repeated_root():
     rng = random.Random(52)
     for _ in range(60):
         if rng.random() < 0.5:
-            coeffs = [Q(rng.randint(-6, 6)) for _ in range(4)]
-            coeffs[3] = Q(rng.randint(1, 6))
+            coeffs = [rng.randint(-6, 6) for _ in range(4)]
+            coeffs[3] = rng.randint(1, 6)
             f = unipoly(coeffs)
         else:
             # forced repeated root: (x - r)^2 (x - s)
-            r, s = Q(rng.randint(-4, 4)), Q(rng.randint(-4, 4))
-            f = (unipoly([-r, Q(1)]) * unipoly([-r, Q(1)])) * unipoly([-s, Q(1)])
-        cs = [f.terms.get((i,), Q(0)) for i in range(4)]
+            r, s = rng.randint(-4, 4), rng.randint(-4, 4)
+            f = (unipoly([-r, 1]) * unipoly([-r, 1])) * unipoly([-s, 1])
+        cs = [f.terms.get((i,), 0) for i in range(4)]
         disc = cubic_discriminant(cs[3], cs[2], cs[1], cs[0])
         fp = f.partial(0)
         gcd = _unigcd(f, fp)
         repeated = gcd.degree >= 1
-        assert disc.is_zero() == repeated
+        assert (disc == 0) == repeated
 
 
 def test_family_cubic():
     assert family_cubic(4) == nodal_cubic()
     c1 = family_cubic(1)
     p = ProjPoint.of(0, 0, 1)
-    assert c1.evaluate(p.coords).is_zero()
-    assert all(g.is_zero() for g in gradient(c1, p))
+    assert c1.evaluate(p.coords) == 0
+    assert gradient(c1, p) == (0, 0, 0)
     for lam in (2, 3, 5):
         c = family_cubic(lam)
         tangency = ProjPoint.of(1 - lam, 1 - lam, lam)
@@ -157,8 +122,8 @@ def test_tangency_examples():
     c = nodal_cubic()
     assert is_tangent_at(c, line(1, -1, 0), ProjPoint.of(-3, -3, 4))
     assert is_tangent_at(c, line(1, 1, 0), ProjPoint.of(3, -3, 4))
-    lp = line(25, root(10, -8), 0)
-    assert is_tangent_at(c, lp, ProjPoint.of(root(10, -24), -75, 80))
+    # x = sqrt(128/125) y at (-24 sqrt(10) : -75 : 80), in coordinates x = sqrt(10) X
+    assert is_tangent_at(_root_x(c, 10), line(25, -8, 0), ProjPoint.of(-24, -75, 80))
     with pytest.raises(ValueError):
         is_tangent_at(q, line(1, 0, 0), ProjPoint.of(1, 1, -1))  # point not on line
 
@@ -168,7 +133,7 @@ def test_not_tangent_at_transverse_point():
     q = conic()
     l = line(1, 0, -1)
     pt = ProjPoint.of(1, -1, 1)
-    assert q.evaluate(pt.coords).is_zero() and l.evaluate(pt.coords).is_zero()
+    assert q.evaluate(pt.coords) == 0 and l.evaluate(pt.coords) == 0
     assert not is_tangent_at(q, l, pt)
 
 
@@ -179,21 +144,21 @@ def _tangent_by_restriction(curve, l, p):
     _check_form(curve)
     if l.degree != 1 or not l.is_homogeneous():
         raise ValueError("second argument must be a line")
-    if not l.evaluate(p.coords).is_zero():
+    if l.evaluate(p.coords):
         raise ValueError(f"point {p} not on the line")
-    if not curve.evaluate(p.coords).is_zero():
+    if curve.evaluate(p.coords):
         raise ValueError(f"point {p} not on the curve")
-    a, b, c = (l.terms.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    if not a.is_zero():
+    a, b, c = (l.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    if a:
         p1, p2 = ProjPoint.of(-b / a, 1, 0), ProjPoint.of(-c / a, 0, 1)
-    elif not b.is_zero():
+    elif b:
         p1, p2 = ProjPoint.of(1, -a / b, 0), ProjPoint.of(0, -c / b, 1)
     else:
         p1, p2 = ProjPoint.of(1, 0, 0), ProjPoint.of(0, 1, 0)
     param = None
     for i, j in ((0, 1), (0, 2), (1, 2)):
         det = p1.coords[i] * p2.coords[j] - p1.coords[j] * p2.coords[i]
-        if not det.is_zero():
+        if det:
             s = (p.coords[i] * p2.coords[j] - p.coords[j] * p2.coords[i]) / det
             t = (p1.coords[i] * p.coords[j] - p1.coords[j] * p.coords[i]) / det
             if ProjPoint(tuple(s * p1.coords[k] + t * p2.coords[k] for k in range(3))) == p:
@@ -203,7 +168,7 @@ def _tangent_by_restriction(curve, l, p):
         raise ValueError(f"point {p} not on the line")
     f = curve.substitute_linear([Poly(2, {(1, 0): p1.coords[k], (0, 1): p2.coords[k]})
                                  for k in range(3)])
-    return all(g.evaluate(param).is_zero() for g in (f, f.partial(0), f.partial(1)))
+    return not any(g.evaluate(param) for g in (f, f.partial(0), f.partial(1)))
 
 
 def _outcome(check, *args):
@@ -214,35 +179,31 @@ def _outcome(check, *args):
 
 
 def test_tangency_matches_restriction_on_random_lines():
-    # the configuration's points with curves through them, lines through
-    # each point (random, the tangent, the line's own radical) and off it
+    # the configuration's points with curves through them (the irrational ones
+    # in coordinates x = sqrt(d) X), lines through each point (random, the
+    # tangent, a multiple of x = 0) and off it
     rng = random.Random(54)
     q, c = conic(), nodal_cubic()
+    c10, c6 = _root_x(c, 10), _root_x(c, 6)
     cases = [(q, ProjPoint.of(1, 1, -1)), (q, ProjPoint.of(1, -1, 1)),
              (q, ProjPoint.of(0, 1, 0)), (c, ProjPoint.of(0, 1, 0)),
              (c, ProjPoint.of(-3, -3, 4)), (c, ProjPoint.of(3, -3, 4)),
-             (c, ProjPoint.of(root(10, -24), -75, 80)), (c, ProjPoint.of(root(10, 24), -75, 80)),
+             (c10, ProjPoint.of(-24, -75, 80)), (c10, ProjPoint.of(24, -75, 80)),
              (c, ProjPoint.of(0, 9, -16)), (c, ProjPoint.of(1, 0, 0)),
-             (c, ProjPoint.of(root(6, 16), 39, -48)), (c, ProjPoint.of(root(6, -16), 39, -48)),
+             (c6, ProjPoint.of(16, 39, -48)), (c6, ProjPoint.of(-16, 39, -48)),
              (family_cubic(1), ProjPoint.of(0, 0, 1)), (family_cubic(3), ProjPoint.of(-2, -2, 3)),
              (hessian(c), ProjPoint.of(1, 0, 0))]
     verdicts = []
     for curve, p in cases:
-        d = max(x.d for x in p.coords)
-
-        def scalar():
-            b = rng.randint(-3, 3) if d != 1 and rng.random() < 0.5 else 0
-            return QuadScalar(rng.randint(-5, 5), b, d)
-
-        lines = [line(*gradient(curve, p))] if any(not g.is_zero() for g in gradient(curve, p)) else []
+        lines = [line(*gradient(curve, p))] if any(gradient(curve, p)) else []
         for _ in range(24):
-            u, v = p.coords, (scalar(), scalar(), scalar())
+            u, v = p.coords, tuple(rng.randint(-5, 5) for _ in range(3))
             through = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                        u[0] * v[1] - u[1] * v[0])
-            if any(not x.is_zero() for x in through):
+            if any(through):
                 lines.append(line(*through))
-            lines.append(line(*v) if any(not x.is_zero() for x in v) else line(1, 0, 0))
-        lines += [line(root(2), 0, 0), lines[-1] * lines[-1]]
+            lines.append(line(*v) if any(v) else line(1, 0, 0))
+        lines += [line(2, 0, 0), lines[-1] * lines[-1]]
         for shape, l in [(curve, l) for l in lines] + [(curve + c, lines[0])]:
             expected = _outcome(_tangent_by_restriction, shape, l, p)
             assert _outcome(is_tangent_at, shape, l, p) == expected, (str(l), str(p))
@@ -269,8 +230,8 @@ def test_resultant_symmetry_and_multiplicativity():
 
     def rand_poly(deg):
         # homogeneous binary form in (x, z) with nonzero leading z coefficient
-        terms = {(deg - k, 0, k): Q(rng.randint(-4, 4)) for k in range(deg)}
-        terms[(0, 0, deg)] = Q(rng.randint(1, 4))
+        terms = {(deg - k, 0, k): rng.randint(-4, 4) for k in range(deg)}
+        terms[(0, 0, deg)] = rng.randint(1, 4)
         return Poly(3, terms)
 
     for _ in range(25):
@@ -281,7 +242,7 @@ def test_resultant_symmetry_and_multiplicativity():
         dg = max(e[z] for e in g.terms)
         rfg = sylvester_resultant(f, g, z)
         rgf = sylvester_resultant(g, f, z)
-        sign = Q(-1 if (df * dg) % 2 else 1)
+        sign = -1 if (df * dg) % 2 else 1
         assert rfg == sign * rgf
         gh = g * h
         lhs = sylvester_resultant(f, gh, z)
@@ -296,10 +257,14 @@ def test_hessian():
     c = nodal_cubic()
     hc = hessian(c)
     flex = ProjPoint.of(1, 0, 0)
-    assert c.evaluate(flex.coords).is_zero() and hc.evaluate(flex.coords).is_zero()
-    irrational_flex = ProjPoint.of(root(6, 16), 39, -48)
-    assert c.evaluate(irrational_flex.coords).is_zero()
-    assert hc.evaluate(irrational_flex.coords).is_zero()
+    assert c.evaluate(flex.coords) == 0 and hc.evaluate(flex.coords) == 0
+    # (16 sqrt(6) : 39 : -48) in coordinates x = sqrt(6) X, where the Hessian
+    # of the rescaled cubic is 6 times the rescaled Hessian
+    c6 = _root_x(c, 6)
+    assert hessian(c6) == _root_x(hc, 6) * 6
+    irrational_flex = ProjPoint.of(16, 39, -48)
+    assert c6.evaluate(irrational_flex.coords) == 0
+    assert hessian(c6).evaluate(irrational_flex.coords) == 0
 
 
 def test_parameter_constraint_factors():
@@ -311,7 +276,8 @@ def test_parameter_constraint_factors():
 
 
 def test_proj_point_equality():
-    assert ProjPoint.of(root(10, -33 * 8), -25 * 33, 880) == ProjPoint.of(root(10, -24), -75, 80)
+    # item 7's factor-33 candidate, in coordinates x = sqrt(10) X
+    assert ProjPoint.of(-33 * 8, -25 * 33, 880) == ProjPoint.of(-24, -75, 80)
     assert ProjPoint.of(1, 2, 3) != ProjPoint.of(1, 2, 4)
     with pytest.raises(ValueError):
         ProjPoint.of(0, 0, 0)
@@ -322,3 +288,23 @@ def test_verify_persson_configuration():
     assert len(report.checks) == 10
     assert report.all_passed, str(report)
     assert [c.item for c in report.checks] == list(range(1, 11))
+
+
+def test_root_x():
+    # f(sqrt(d) X, y, z) twice over is f(d X, y, z); odd powers of x have no such form
+    with pytest.raises(ValueError, match="odd power of x"):
+        _root_x(conic() + poly3({(1, 1, 0): 1}), 2)
+    for f in (conic(), nodal_cubic(), family_cubic(Fraction(-2, 3)), family_cubic(5)):
+        for d in (2, 6, 10):
+            scaled = f.substitute_linear([poly3({(1, 0, 0): d}), poly3({(0, 1, 0): 1}),
+                                          poly3({(0, 0, 1): 1})])
+            assert _root_x(_root_x(f, d), d) == scaled
+
+
+def test_rescaled_items_need_the_right_radicand(monkeypatch):
+    # in coordinates x = sqrt(d + 1) X, items 7 and 9 no longer hold; the rest do
+    root_x = curves._root_x
+    monkeypatch.setattr(curves, "_root_x", lambda f, d: root_x(f, d + 1))
+    report = verify_persson_configuration()
+    assert [c.item for c in report.checks] == list(range(1, 11))
+    assert [c.item for c in report.checks if not c.passed] == [7, 9]

@@ -10,7 +10,7 @@ import pytest
 
 from braidpi.analysis import AbelianInvariants
 from braidpi.braid import Braid
-from braidpi.curves import ProjPoint, QuadScalar
+from braidpi.curves import ProjPoint
 from braidpi.presentation import TietzeLog, TietzeMove
 from braidpi.schreier import CyclicMap
 from braidpi.word_core import GenSym, Word
@@ -20,8 +20,7 @@ A, B = GenSym("a"), GenSym("b")
 
 def _values():
     return [GenSym("d", 1), GenSym("G"), Word.of([(A, 1), (B, -1)]), Word(),
-            Braid(5, ((1, 1), (4, -1))), CyclicMap(3, {A: 4, B: 0}),
-            QuadScalar.root(10, 3), ProjPoint.of(1, -1, 1)]
+            Braid(5, ((1, 1), (4, -1))), CyclicMap(3, {A: 4, B: 0}), ProjPoint.of(1, -1, 1)]
 
 
 def test_equality_holds_only_within_a_class():
@@ -54,17 +53,6 @@ def test_hashing_is_the_tuple_of_fields():
             hash(unhashable)
 
 
-def test_rational_scalars_hash_as_the_numbers_they_equal():
-    # QuadScalar.of(x) == x, so it must be the same set entry and dict key as x
-    for x in (3, 0, -7, Fraction(1, 2), Fraction(-5, 3)):
-        q = QuadScalar.of(x)
-        assert q == x and hash(q) == hash(x)
-        assert len({q, x}) == 1 and {x: "v"}.get(q) == "v" and {q: "v"}.get(x) == "v"
-    r = QuadScalar.root(10, 3)
-    assert r + 1 == QuadScalar(1, 3, 10) and hash(r + 1) == hash(QuadScalar(1, 3, 10))
-    assert r - r == 0 and hash(r - r) == hash(0) and len({r, r * 1, 1 + r}) == 2
-
-
 def test_value_types_are_immutable():
     for value in _values():
         field = type(value).__slots__[0]
@@ -85,8 +73,6 @@ def test_value_types_are_immutable():
     (lambda: Braid(5, ((0, 1),)), "Artin index 0 out of range for 5 strands"),
     (lambda: Braid(5, ((1, 2),)), "braid letter sign must be +-1"),
     (lambda: CyclicMap(0, {}), "modulus must be >= 1"),
-    (lambda: QuadScalar(0, 1, 4), "radicand 4 is not squarefree"),
-    (lambda: QuadScalar(0, 1, 1), "rational scalar with nonzero radical part"),
 ])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -95,8 +81,7 @@ def test_validation_errors(make, message):
 
 def test_constructors_normalize():
     assert CyclicMap(3, {A: -1, B: 7}).images == {A: 2, B: 1}
-    q = QuadScalar(1, 0, 10)            # no radical part: d reads 1
-    assert (q.a, q.b, q.d) == (1, 0, 1) and type(q.a) is type(q.b) is type(QuadScalar.of(1).a)
+    assert all(type(c) is Fraction for c in ProjPoint.of(1, -2, 3).coords)
     assert Word().letters == () and Braid(3).letters == ()
     assert TietzeLog().moves == [] and TietzeLog().moves is not TietzeLog().moves
 
