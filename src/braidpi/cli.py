@@ -6,8 +6,8 @@ its bounds ``MAX_NESTING`` and ``MAX_LETTERS`` make parse errors.  Numeric
 options (``--n``, ``--budget``, ``--mod``, ``--max``, ``--k``, ``--max-k``) and
 the residues of ``schreier --images`` are the grammar's INT, ASCII digits
 with an optional minus sign (``grammar.parse_int``); anything else, such as
-another script's digits or ``1_0``, is exit 2.  ``act`` on
-more than ``MAX_STRANDS`` strands, with an image past ``MAX_LETTERS``
+another script's digits or ``1_0``, is exit 2.  ``act`` on fewer than 2
+or more than ``MAX_STRANDS`` strands, with an image past ``MAX_LETTERS``
 letters, or writing more than ``MAX_ACT_LETTERS`` letters summed over the
 images of its steps (it applies the braid letter by letter), and
 ``schreier`` with a modulus n where n * (generators + total relator length)
@@ -81,6 +81,8 @@ def verify_persson_configuration():
 
 def _cmd_act(args) -> int:
     from .braid import Braid, _iact
+    if args.n < 2:                       # before the braid, whose letters would be foreign
+        raise ValueError(f"--n {args.n} is fewer than 2 strands")
     if args.n > MAX_STRANDS:
         raise ValueError(f"--n {args.n} is more than {MAX_STRANDS} strands")
     braid = parse_braid(args.braid, args.n)

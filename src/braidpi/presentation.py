@@ -14,10 +14,11 @@ dropped.
       and p occurs cyclically in r, rewrite r with p replaced by q^-1,
   (c) drop duplicates / rotations / inversions.
 
-Every change is a recorded ``TietzeMove``; the engine and
-``TietzeLog.replay`` mutate state through the same application routine,
-so replaying the log over the source presentation reproduces the result
-exactly, and the output presents an isomorphic group by construction.
+The engine and ``TietzeLog.replay`` change state only by ``TietzeMove``s, through
+one routine, so the log replays to the result exactly and the output presents an
+isomorphic group by construction.  A rewrite in (b) is strictly shorter (each arc
+gains |p| - |q| > 0 letters) and adds the new value before it removes the old: in
+a round the relator list is the multiset of the slots' current values.
 The substring search in (b) reads the first L + |s| - 1 letters of r + r
 (L = |r|: a later match repeats one ending L letters earlier) and needs, at
 each end, the longest match in T = s + s, s^-1 + s^-1 (never across the halves)
@@ -206,10 +207,10 @@ class _TietzeState:
             sym, expr, defining = move.payload
             g = self.source.index(sym) + 1
             self.rels.remove(self.enc(defining))
-            images = {g: self.source.encode(expr)}
-            images[-g] = _iinv(images[g])
+            images = {g: self.source.encode(expr), -g: self.source.encode(expr.inverse())}
+            # stored relators are cyclically reduced, so only those holding +-g change
             self.rels = [w for w in (_icyc(x for l in r for x in images.get(l, (l,)))
-                                     for r in self.rels) if w]
+                                     if g in r or -g in r else r for r in self.rels) if w]
             self.symbols.remove(sym)
         else:
             raise ValueError(f"unknown move kind {move.kind}")
@@ -513,26 +514,23 @@ class _Simplifier:
             reducers = self._admit(self.rels)
             order = sorted(range(len(self.rels)),
                            key=lambda j: (-len(self.rels[j]), self.rels[j]))
-            changed = False
+            start = len(self.moves)
             for j in order:
                 cur = reducers[j].word
-                while cur and cur in self.rels:
+                while cur:
                     arcs = self._collect_arcs(j, cur, reducers)
                     if not arcs or not self._afford(2):
                         break
                     new = self._apply_arcs(cur, arcs)
-                    if new == cur:
-                        break
                     self._replace(cur, new)
                     cur = new
                 if cur is not reducers[j].word:
                     # later targets may reduce against this relator's new value
-                    changed = True
                     reducers[j].slots.remove(j)
                     reducers[j] = self._record(cur)
                     reducers[j].slots.append(j)
                     self._birth(reducers[j])
-            if not changed:
+            if len(self.moves) == start:     # no rewrite this round
                 return
 
     # -- (a) generator elimination ---------------------------------------------
@@ -572,7 +570,6 @@ class _Simplifier:
             best = min(best, self._snapshot(), key=lambda s: s[0])
             if not self.eliminate_once():
                 break
-            self.normalize()
             best = min(best, self._snapshot(), key=lambda s: s[0])
         return TietzeLog(self.moves[:best[1]], self.exhausted or self.budget == 0)
 

@@ -227,6 +227,15 @@ def test_cli_act_bounds(capsys):
     assert capsys.readouterr().out.strip() == str(image)
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_cli_act_needs_two_strands(n, capsys):
+    # the strand count is checked before the braid, so the error names it
+    assert main(["act", "--n", n, "--braid", "s1", "--word", "d1"]) == 2
+    assert capsys.readouterr() == ("", f"error: --n {n} is fewer than 2 strands\n")
+    assert main(["act", "--n", "2", "--braid", "s1", "--word", "d1"]) == 0
+    assert capsys.readouterr() == ("d2\n", "")
+
+
 def test_cli_act_work_bound(capsys):
     # s1^1000000 parses (it is MAX_LETTERS letters), and the image of d1 grows by
     # two letters a step: the letters written over all steps stop it

@@ -3,7 +3,9 @@
 The reference collector walks every reducer through its suffix automaton,
 over the whole of r + r, with no pieces and no memory of earlier scans;
 the engine's diagonal runs must find exactly the same arcs, and so the same
-moves.
+moves.  A second oracle puts back the checks that the engine's invariants
+make redundant, asserts those invariants, and must emit the same moves at
+every budget.
 """
 
 import gc
@@ -13,8 +15,9 @@ import tracemalloc
 
 from braidpi import pipeline, presentation
 from braidpi.pipeline import GAMMA, SIGMA, full_alphabet, pi_prime
-from braidpi.presentation import (Presentation, _enc, _iinv, _icyc, _prefilter_pieces,
-                                  _Simplifier, add_relators, tietze_simplify)
+from braidpi.presentation import (Presentation, TietzeLog, _enc, _iinv, _icyc,
+                                  _prefilter_pieces, _Simplifier, _TietzeState, add_relators,
+                                  tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
 
 from .reference import SuffixAutomaton
@@ -114,6 +117,100 @@ class _ReferenceSimplifier(_Simplifier):
 def _reference_simplify(p, budget=20000, protect=()):
     log = _ReferenceSimplifier(p, budget, frozenset(protect)).run()
     return log.replay(p), log
+
+
+class _RewriteAllState(_TietzeState):
+    """The state with an elimination that re-reduces every relator; it asserts
+    that the ones without the generator come out unchanged."""
+
+    def apply(self, move):
+        if move.kind != "eliminate-generator":
+            return super().apply(move)
+        sym, expr, defining = move.payload
+        g = self.source.index(sym) + 1
+        self.rels.remove(self.enc(defining))
+        assert all(_icyc(r) == r for r in self.rels if g not in r and -g not in r)
+        images = {g: self.source.encode(expr)}
+        images[-g] = _iinv(images[g])
+        self.rels = [w for w in (_icyc(x for l in r for x in images.get(l, (l,)))
+                                 for r in self.rels) if w]
+        self.symbols.remove(sym)
+
+
+class _GuardedSimplifier(_Simplifier):
+    """The engine with the checks its invariants make redundant: a liveness
+    test and a no-shrink break for each rewrite, a normalization after each
+    elimination, and the elimination of ``_RewriteAllState``.  It asserts
+    that every rewrite shrinks and that, within a round, the relator list is
+    the round's slots at their current values, so the target is live."""
+
+    def __init__(self, p, budget, protect):
+        super().__init__(p, budget, protect)
+        self.state = _RewriteAllState(p)
+        self.values, self.slot, self.rewrites = [], 0, 0
+
+    def _apply_arcs(self, r, arcs):
+        new = _Simplifier._apply_arcs(r, arcs)
+        assert len(new) < len(r), (r, arcs)
+        return new
+
+    def _replace(self, old, new):
+        assert self.values[self.slot] == old and sorted(self.rels) == sorted(self.values)
+        super()._replace(old, new)
+        self.values[self.slot] = new
+        self.rewrites += 1
+
+    def shorten(self):
+        while self.budget > 0:
+            self.normalize()
+            if not self.rels:
+                return
+            reducers = self._admit(self.rels)
+            self.values = list(self.rels)
+            order = sorted(range(len(self.rels)),
+                           key=lambda j: (-len(self.rels[j]), self.rels[j]))
+            changed = False
+            for j in order:
+                cur, self.slot = reducers[j].word, j
+                while cur and cur in self.rels:
+                    arcs = self._collect_arcs(j, cur, reducers)
+                    if not arcs or not self._afford(2):
+                        break
+                    new = self._apply_arcs(cur, arcs)
+                    if new == cur:
+                        break
+                    self._replace(cur, new)
+                    cur = new
+                if cur is not reducers[j].word:
+                    changed = True
+                    reducers[j].slots.remove(j)
+                    reducers[j] = self._record(cur)
+                    reducers[j].slots.append(j)
+                    self._birth(reducers[j])
+            if not changed:
+                return
+
+    def run(self):
+        best = self._snapshot()
+        while self.budget > 0:
+            self.shorten()
+            best = min(best, self._snapshot(), key=lambda s: s[0])
+            if not self.eliminate_once():
+                break
+            self.normalize()
+            best = min(best, self._snapshot(), key=lambda s: s[0])
+        return TietzeLog(self.moves[:best[1]], self.exhausted or self.budget == 0)
+
+
+def _guarded_simplify(p, budget=20000, protect=()):
+    """The guarded oracle's result, replayed through ``_RewriteAllState``, its
+    log, and the simplifier (for its counters)."""
+    sim = _GuardedSimplifier(p, budget, frozenset(protect))
+    log = sim.run()
+    state = _RewriteAllState(p)
+    for mv in log.moves:
+        state.apply(mv)
+    return state.presentation(), log, sim
 
 
 def _random_word(rng, ngens, length):
@@ -492,10 +589,37 @@ def test_pipeline_stages_match_reference(monkeypatch):
         pipe.orbifold(k)
     assert len(calls) == 6
     assert calls[0][0] == pipe.pi_prime
+    rewrites = 0
     for p, budget, protect, (result, log) in calls:
         ref_result, ref_log = _reference_simplify(p, budget, protect)
         assert log == ref_log, repr(p)
         assert result == ref_result, repr(p)
+        # the guarded oracle asserts the engine's invariants at every rewrite
+        guarded_result, guarded_log, sim = _guarded_simplify(p, budget, protect)
+        assert (guarded_result, guarded_log) == (result, log), repr(p)
+        rewrites += sim.rewrites
+    assert rewrites > 100
+
+
+def test_guarded_oracle_matches_at_every_budget():
+    # budgets from 1 to past the moves of an unbounded run cut the run inside
+    # normalizations, rewrite pairs and eliminations alike
+    rng = random.Random(18)
+    runs = rewrites = eliminations = exhausted = 0
+    for _ in range(80):
+        ngens = rng.randint(2, 4)
+        alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
+        p = Presentation(alph, [alph.decode(_icyc(_random_word(rng, ngens, rng.randint(1, 14))))
+                                for _ in range(rng.randint(2, 7))])
+        spent = len(_guarded_simplify(p)[2].moves)
+        for budget in range(1, spent + 3):
+            result, log, sim = _guarded_simplify(p, budget)
+            assert tietze_simplify(p, budget) == (result, log), (p, budget)
+            runs += 1
+            rewrites += sim.rewrites
+            eliminations += sum(mv.kind == "eliminate-generator" for mv in log.moves)
+            exhausted += log.exhausted
+    assert runs > 1000 and rewrites > 3000 and eliminations > 500 and exhausted > 500
 
 
 def test_rescan_meets_a_value_that_came_back():
@@ -514,7 +638,8 @@ def test_rescan_meets_a_value_that_came_back():
 # sha256 prefixes of repr((log.moves, log.exhausted)), recorded before the
 # shortener kept its rescan state; every log must stay byte-identical
 _STAGE_LOGS = ("344aa1c34215005c", "34f2c35e1a1556ac", "468dbc63446313b0")
-_ORBIFOLD_LOGS = {1: "1968f7d83494dea0", 2: "7d1b7d592e672dd6", 3: "0f583a9770b9d763"}
+_ORBIFOLD_LOGS = {1: "1968f7d83494dea0", 2: "7d1b7d592e672dd6", 3: "0f583a9770b9d763",
+                  20: "b88b72d945098084"}  # k = 20: 853 moves, 62 eliminations
 _QUOTIENT_LOG = "e6e251545cb4a57c"  # no moves: T(k) is enumerated as it is
 
 
@@ -534,7 +659,7 @@ def test_tietze_logs_match_recorded_digests(monkeypatch):
     monkeypatch.setattr(pipeline, "tietze_simplify", recording)
     pipe = pipeline.Pipeline()           # Pi', the Z/2 parent, the Z/2 cover
     assert tuple(_log_digest(log) for log in logs) == _STAGE_LOGS
-    for k in (1, 2, 3):
+    for k in _ORBIFOLD_LOGS:
         logs.clear()
         pipe.orbifold(k)
         assert [_log_digest(log) for log in logs] == [_ORBIFOLD_LOGS[k]], k
