@@ -2,7 +2,8 @@
 
 Submodules: ``word_core`` (free-group words), ``braid`` (Artin actions),
 ``presentation`` (finitely presented groups, Tietze moves), ``schreier``
-(subgroup presentations), ``analysis`` (Todd-Coxeter, Smith normal form),
+(the kernel of a checked map onto Z/n and its ``SchreierGenSet``, by
+``subgroup_presentation``), ``analysis`` (Todd-Coxeter, Smith normal form),
 ``curves`` (exact conic/cubic geometry over Q on one sparse ``Poly``;
 irrational points are checked in rational coordinates x = sqrt(d) X, as
 the curves are even in x),
@@ -12,7 +13,8 @@ relations), ``cli`` (command line).
 
 The cover computation is a ``Pipeline``: its constructor builds Pi' and
 the Z/2 cover once, and ``Pipeline.run(k)`` builds the Z/(k+1) orbifold
-cover and certifies it; each cover stage is one call of ``cover``.
+cover and certifies it; each cover stage is one call of ``cover``, and its
+``SchreierGenSet`` turns the parent's coset table into the stage's.
 ``run(k)`` does the same in a fresh Pipeline.
 
 Public names resolve on first use (PEP 562): ``import braidpi`` loads no submodule.
@@ -30,7 +32,7 @@ _HOME = {name: module for module, names in {
     "pipeline": "Cover Pipeline PipelineReport cover paper_braids pi_prime regression_corpus run",
     "presentation": "Presentation TietzeLog add_relators conjugation_relators stabilizer_relators "
                     "tietze_simplify",
-    "schreier": "CyclicMap SchreierGenSet Transversal subgroup_presentation",
+    "schreier": "SchreierGenSet subgroup_presentation",
     "word_core": "Alphabet GenSym Word alphabet",
 }.items() for name in names.split()}
 

@@ -9,9 +9,12 @@ with an optional minus sign (``grammar.parse_int``); anything else, such as
 another script's digits or ``1_0``, is exit 2.  ``act`` on fewer than 2
 or more than ``MAX_STRANDS`` strands, with an image past ``MAX_LETTERS``
 letters, or writing more than ``MAX_ACT_LETTERS`` letters summed over the
-images of its steps (it applies the braid letter by letter), and
-``schreier`` with a modulus n where n * (generators + total relator length)
-passes ``MAX_LETTERS``, are usage errors.  So are ``pipeline --k K``,
+images of its steps (it applies the braid letter by letter), are usage
+errors.  So is ``schreier --mod n`` when n (2n * generators + total relator
+length) passes ``MAX_LETTERS`` (n * generators defining words of under 2n
+letters each, and n rewrites of each relator), or with a ``--transversal``
+word longer than n - 1 letters, which no Schreier transversal holds (checked
+as each word is parsed).  So are ``pipeline --k K``,
 ``pipeline --all --max-k K`` and ``regression --k K`` when 2 (K + 1)^2
 passes ``MAX_LETTERS``: the orbifold kernel holds the K + 1 rewrites of
 G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with ``--max-k`` below 1,
@@ -117,10 +120,11 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_schreier(args) -> int:
-    from .schreier import CyclicMap, Transversal, subgroup_presentation
+    from .schreier import subgroup_presentation
     p = parse_presentation(_read_source(args.file))
-    if args.mod * (len(p.alphabet) + p.total_length()) > MAX_LETTERS:
-        raise ValueError(f"--mod {args.mod}: the kernel presentation would pass "
+    n = args.mod
+    if n * (2 * n * len(p.alphabet) + p.total_length()) > MAX_LETTERS:
+        raise ValueError(f"--mod {n}: the kernel presentation would pass "
                          f"{MAX_LETTERS} letters")
     images = {}
     for item in args.images.split(","):
@@ -132,11 +136,15 @@ def _cmd_schreier(args) -> int:
             why = "is given twice" if sym in images else "is not a generator"
             raise ValueError(f"--images: {sym} {why}")
         images[sym] = parse_int(value)
-    t = None
+    reps = None
     if args.transversal is not None:
-        reps = [parse_word(part, p.alphabet) for part in args.transversal.split(";")]
-        t = Transversal.of(reps)
-    sub, gens = subgroup_presentation(p, CyclicMap(args.mod, images), t)
+        reps, longest = [], max(n - 1, 0)
+        for part in args.transversal.split(";"):
+            reps.append(parse_word(part, p.alphabet))
+            if len(reps[-1]) > longest:
+                raise ValueError(f"--transversal: a word of {len(reps[-1])} letters; a Schreier "
+                                 f"transversal for --mod {n} has none past {longest}")
+    sub, gens = subgroup_presentation(p, n, images, reps)
     if args.simplify:
         sub = _simplify(sub)
     lines = [str(sub), ""]

@@ -56,7 +56,7 @@ from .braid import Braid
 from .grammar import parse_word
 from .presentation import (Presentation, add_relators, conjugation_relators,
                            stabilizer_relators, tietze_simplify)
-from .schreier import CyclicMap, SchreierGenSet, Transversal, subgroup_presentation
+from .schreier import SchreierGenSet, subgroup_presentation
 from .word_core import Alphabet, GenSym, Word
 
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
@@ -125,30 +125,8 @@ def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
           protect: Iterable[GenSym] = ()) -> Cover:
     """The kernel of ``parent`` -> Z/modulus (``images``) on the Schreier generators
     of the transversal ``reps`` and ``names``, simplified keeping ``protect``."""
-    raw, gens = subgroup_presentation(parent, CyclicMap(modulus, images),
-                                      Transversal.of(reps), names)
+    raw, gens = subgroup_presentation(parent, modulus, images, reps, names)
     return Cover(parent, raw, gens, _simplify(raw, protect))
-
-
-def _cover_table(parent: CosetTable, gens: SchreierGenSet) -> CosetTable:
-    """``parent``'s cosets under a cover's Schreier generators, each acting
-    as its defining word u_r g u_{r+q(g)}^-1 does."""
-    cols = parent.cols
-    act = {s: (cols[2 * i], cols[2 * i + 1]) for i, s in enumerate(parent.alphabet)}
-    ident, reps = list(range(parent.order + 1)), gens.transversal.reps
-    perm = {(): (ident, ident)}     # each representative's and its inverse's, by prefix
-    for u in sorted(reps, key=len)[1:]:
-        (sym, sign), (img, inv) = u.letters[-1], perm[u.letters[:-1]]
-        fwd, bwd = act[sym][::sign]
-        perm[u.letters] = ([fwd[x] for x in img], [inv[x] for x in bwd])
-    images = []
-    for (r, g), sym in gens.gens.items():   # in the order of gens.alphabet
-        if sym is not None:
-            ur, ur_inv = perm[reps[r].letters]
-            us, us_inv = perm[reps[(r + gens.q.images[g]) % gens.q.modulus].letters]
-            fwd, bwd = act[g]
-            images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
-    return CosetTable(gens.alphabet, parent.order, images)
 
 
 def _simplify(p: Presentation, protect: Iterable[GenSym]) -> Presentation:
@@ -425,8 +403,8 @@ class Pipeline:
         # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
         if quotient.order != 2 * (k + 1) * table.order:
             raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")
-        z2 = _cover_table(quotient, self.z2.gens)
-        tables = {"pi_prime": quotient, "z2": z2, "orbifold": _cover_table(z2, orb.gens)}
+        z2 = self.z2.gens.table(quotient)
+        tables = {"pi_prime": quotient, "z2": z2, "orbifold": orb.gens.table(z2)}
         corpus = regression_corpus(k)
         holds = {e.ident: holds_in(tables[e.stage], e.relation) for e in corpus}
         regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}

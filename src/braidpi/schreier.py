@@ -1,8 +1,9 @@
 """Reidemeister-Schreier presentations for kernels of maps onto Z/n.
 
-Given a presentation of G and a surjection q: G -> Z/n (a residue for
-each generator under which every relator maps to 0), the kernel is
-presented on the Schreier generators
+``subgroup_presentation`` is the one entry point.  Given a presentation
+of G and a surjection q: G -> Z/n (a residue for each generator under
+which every relator maps to 0), the kernel is presented on the Schreier
+generators
 
     s(r, g) = u_r g u_{r + q(g)}^-1        r a residue, g a generator,
 
@@ -11,6 +12,9 @@ whose defining word freely reduces to the identity (the transversal tree
 edges) are dropped.  Relators are the rewrites of every parent relator
 started at every residue, which equal the rewrites of u_r R u_r^-1
 because the transversal is prefix-closed (Schreier property, enforced).
+The map and a given transversal are checked once, on entry; the default
+transversal is found breadth-first.  A ``SchreierGenSet`` records the
+kernel: the map, the transversal, the generators and their defining words.
 
 Rewriting walks a word letter by letter, tracking the current residue:
 a positive letter g at residue r contributes s(r, g); a negative letter
@@ -20,10 +24,11 @@ g^-1 at residue r contributes s(r - q(g), g)^-1.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
+from .analysis import CosetTable
 from .presentation import Presentation
-from .word_core import Alphabet, GenSym, Word, _Record
+from .word_core import Alphabet, GenSym, Word
 
 
 class QuotientMapError(ValueError):
@@ -34,161 +39,146 @@ class TransversalError(ValueError):
     """A transversal that does not match the cyclic map."""
 
 
-class CyclicMap(_Record):
-    """Map onto Z/modulus given by a residue for each generator; unhashable."""
-
-    __slots__ = ("modulus", "images")
-
-    def __init__(self, modulus: int, images: Mapping[GenSym, int]):
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        self._init(modulus, {g: r % modulus for g, r in dict(images).items()})
-
-    @staticmethod
-    def onto(p: Presentation, modulus: int, images: Mapping[GenSym, int]) -> "CyclicMap":
-        """Validated constructor: defined on all of p, kills every relator, surjective."""
-        q = CyclicMap(modulus, images)
-        for g in p.alphabet:
-            if g not in q.images:
-                raise QuotientMapError(f"no image for generator {g}")
-        for r in p.relators:
-            if q.residue(r) != 0:
-                raise QuotientMapError(f"relator {r} maps to {q.residue(r)} != 0 mod {modulus}")
-        if modulus > 1:
-            d = gcd(modulus, *(q.images[g] for g in p.alphabet))
-            if d != 1:
-                raise QuotientMapError(f"images generate {d}Z/{modulus}Z, map not onto")
-        return q
-
-    def residue(self, w: Word) -> int:
-        tot = 0
-        for s, e in w:
-            try:
-                tot += e * self.images[s]
-            except KeyError:
-                raise QuotientMapError(f"no image for symbol {s}") from None
-        return tot % self.modulus
+def _residue(w: Word, modulus: int, images: Mapping[GenSym, int]) -> int:
+    if missing := [s for s, _ in w if s not in images]:
+        raise QuotientMapError(f"no image for symbol {missing[0]}")
+    return sum(e * images[s] for s, e in w) % modulus
 
 
-class Transversal(NamedTuple):
-    """Coset representatives, one per residue; reps[0] is the identity."""
-
-    reps: tuple[Word, ...]
-
-    @staticmethod
-    def of(words: Iterable[Word]) -> "Transversal":
-        return Transversal(tuple(words))
-
-    def validate(self, q: CyclicMap) -> None:
-        if len(self.reps) != q.modulus:
-            raise TransversalError(
-                f"{len(self.reps)} representatives for modulus {q.modulus}")
-        if not self.reps[0].is_identity():
-            raise TransversalError("representative of residue 0 must be the identity")
-        rep_set = {r.letters for r in self.reps}
-        for r, u in enumerate(self.reps):
-            if q.residue(u) != r:
-                raise TransversalError(f"representative {u} maps to {q.residue(u)}, not {r}")
-            for k in range(len(u)):
-                if u.letters[:k] not in rep_set:
-                    raise TransversalError(
-                        f"not a Schreier transversal: prefix of {u} missing")
-
-    @staticmethod
-    def schreier_default(p: Presentation, q: CyclicMap) -> "Transversal":
-        """Prefix-closed transversal by breadth-first search in alphabet order."""
-        found: dict[int, Word] = {0: Word.identity()}
-        frontier = [Word.identity()]
-        while len(found) < q.modulus and frontier:
-            nxt: list[Word] = []
-            for u in frontier:
-                for g in p.alphabet:
-                    for sign in (1, -1):
-                        w = u * Word.gen(g, sign)
-                        if len(w) <= len(u):
-                            continue
-                        r = q.residue(w)
-                        if r not in found:
-                            found[r] = w
-                            nxt.append(w)
-            frontier = nxt
-        if len(found) < q.modulus:
-            raise TransversalError("generators do not reach every residue")
-        return Transversal(tuple(found[r] for r in range(q.modulus)))
+def _breadth_first(parent: Alphabet, modulus: int,
+                   images: Mapping[GenSym, int]) -> tuple[Word, ...]:
+    """Prefix-closed transversal by breadth-first search in alphabet order;
+    the map is onto, so the search reaches every residue."""
+    found, queue = {0: Word.identity()}, [0]
+    for ru in queue:                # the queue grows as the search goes
+        u = found[ru]
+        for g in parent:
+            for sign in (1, -1):
+                w, r = u * Word.gen(g, sign), (ru + sign * images[g]) % modulus
+                if len(w) > len(u) and r not in found:
+                    found[r] = w
+                    queue.append(r)
+    return tuple(found[r] for r in range(modulus))
 
 
 class SchreierGenSet:
-    """Schreier generators of the kernel with their defining parent words.
+    """The kernel of the map g -> ``images[g]`` onto Z/modulus, with the
+    transversal ``reps`` (u_r = ``reps[r]``) and the Schreier generators.
 
     ``gens[(r, g)]`` is the subgroup symbol for s(r, g), or None when that
     generator is trivial (u_r g is again a representative).  ``backmap``
     sends each subgroup symbol to its defining word in the parent.
     """
 
-    def __init__(self, parent: Alphabet, q: CyclicMap, t: Transversal,
+    def __init__(self, parent: Alphabet, modulus: int, images: Mapping[GenSym, int],
+                 reps: tuple[Word, ...],
                  names: Mapping[tuple[int, GenSym], GenSym] | None = None):
-        self.q = q
-        self.transversal = t
+        self.modulus, self.images, self.reps = modulus, images, reps
         self.gens: dict[tuple[int, GenSym], GenSym | None] = {}
         self.backmap: dict[GenSym, Word] = {}
-        names = dict(names or {})
+        names = names or {}
         ordered: list[GenSym] = []
         for g in parent:
-            for r in range(q.modulus):
-                w = t.reps[r] * Word.gen(g) * t.reps[(r + q.images[g]) % q.modulus].inverse()
+            for r in range(modulus):
+                w = reps[r] * Word.gen(g) * reps[(r + images[g]) % modulus].inverse()
                 if w.is_identity():
                     self.gens[(r, g)] = None
                     continue
-                sym = names.get((r, g)) or _default_name(g, r, q.modulus)
+                sym = names.get((r, g)) or (g if modulus == 1 else GenSym(f"{g}_", r))
                 self.gens[(r, g)] = sym
                 self.backmap[sym] = w
                 ordered.append(sym)
         self.alphabet = Alphabet(ordered)
 
+    def residue(self, w: Word) -> int:
+        return _residue(w, self.modulus, self.images)
+
     def rewrite(self, w: Word, start: int = 0) -> Word:
         """Rewrite a kernel word (residue 0) into the subgroup generators."""
-        if self.q.residue(w) != 0:
+        if self.residue(w) != 0:
             raise QuotientMapError(f"word {w} is not in the kernel")
         out: list[tuple[GenSym, int]] = []
         r = start
         for g, e in w:
-            img = self.q.images[g]
+            if e < 0:
+                r = (r - self.images[g]) % self.modulus
+            sym = self.gens[(r, g)]
             if e > 0:
-                sym = self.gens[(r, g)]
-                r = (r + img) % self.q.modulus
-            else:
-                r = (r - img) % self.q.modulus
-                sym = self.gens[(r, g)]
+                r = (r + self.images[g]) % self.modulus
             if sym is not None:
                 out.append((sym, e))
         return Word.of(out)
 
-
-def _default_name(g: GenSym, r: int, modulus: int) -> GenSym:
-    if modulus == 1:
-        return g
-    return GenSym(f"{g}_", r)
+    def table(self, parent: CosetTable) -> CosetTable:
+        """``parent``'s cosets under the Schreier generators, each acting
+        as its defining word u_r g u_{r+q(g)}^-1 does."""
+        cols = parent.cols
+        act = {s: (cols[2 * i], cols[2 * i + 1]) for i, s in enumerate(parent.alphabet)}
+        ident, reps = list(range(parent.order + 1)), self.reps
+        perm = {(): (ident, ident)}     # each representative's and its inverse's, by prefix
+        for u in sorted(reps, key=len)[1:]:
+            (sym, sign), (img, inv) = u.letters[-1], perm[u.letters[:-1]]
+            fwd, bwd = act[sym][::sign]
+            perm[u.letters] = ([fwd[x] for x in img], [inv[x] for x in bwd])
+        images = []
+        for (r, g), sym in self.gens.items():   # in the order of self.alphabet
+            if sym is not None:
+                ur, ur_inv = perm[reps[r].letters]
+                us, us_inv = perm[reps[(r + self.images[g]) % self.modulus].letters]
+                fwd, bwd = act[g]
+                images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
+        return CosetTable(self.alphabet, parent.order, images)
 
 
 def subgroup_presentation(
     p: Presentation,
-    q: CyclicMap,
-    t: Transversal | None = None,
+    modulus: int,
+    images: Mapping[GenSym, int],
+    reps: Iterable[Word] | None = None,
     names: Mapping[tuple[int, GenSym], GenSym] | None = None,
 ) -> tuple[Presentation, SchreierGenSet]:
-    """Presentation of ker(q) on Schreier generators.
+    """Presentation of the kernel of ``p`` -> Z/modulus, g -> ``images[g]``.
 
+    The map must be defined on all of ``p``, kill every relator and be
+    onto; ``reps`` defaults to the breadth-first Schreier transversal.
     Rewrites every relator of ``p`` from every residue (the transversal
     conjugates t R t^-1); redundancy among these is left to
     ``tietze_simplify``.  ``names`` may assign chosen symbols to
-    particular (residue, generator) pairs.  ``q`` is checked on ``p`` as
-    ``CyclicMap.onto`` checks it.
+    particular (residue, generator) pairs.
     """
-    CyclicMap.onto(p, q.modulus, q.images)
-    if t is None:
-        t = Transversal.schreier_default(p, q)
-    t.validate(q)
-    gens = SchreierGenSet(p.alphabet, q, t, names)
-    rels = [gens.rewrite(rel, start)
-            for rel in p.relators for start in range(q.modulus)]
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    images = {g: r % modulus for g, r in images.items()}
+    for g in p.alphabet:
+        if g not in images:
+            raise QuotientMapError(f"no image for generator {g}")
+    for r in p.relators:
+        if _residue(r, modulus, images) != 0:
+            raise QuotientMapError(f"relator {r} maps to {_residue(r, modulus, images)} "
+                                   f"!= 0 mod {modulus}")
+    if modulus > 1:
+        d = gcd(modulus, *(images[g] for g in p.alphabet))
+        if d != 1:
+            raise QuotientMapError(f"images generate {d}Z/{modulus}Z, map not onto")
+    if reps is None:
+        reps = _breadth_first(p.alphabet, modulus, images)
+    else:
+        reps = tuple(reps)
+        if len(reps) != modulus:
+            raise TransversalError(f"{len(reps)} representatives for modulus {modulus}")
+        if not reps[0].is_identity():
+            raise TransversalError("representative of residue 0 must be the identity")
+        # all proper prefixes of u are representatives when the one a letter
+        # shorter is a representative with this property
+        closed: dict[tuple, bool] = {}
+        for u in sorted(reps, key=len):
+            closed[u.letters] = not u or closed.get(u.letters[:-1], False)
+        for r, u in enumerate(reps):
+            if _residue(u, modulus, images) != r:
+                raise TransversalError(
+                    f"representative {u} maps to {_residue(u, modulus, images)}, not {r}")
+            if not closed[u.letters]:
+                raise TransversalError(f"not a Schreier transversal: prefix of {u} missing")
+    gens = SchreierGenSet(p.alphabet, modulus, images, reps, names)
+    rels = [gens.rewrite(rel, start) for rel in p.relators for start in range(modulus)]
     return Presentation(gens.alphabet, rels), gens

@@ -12,7 +12,7 @@ from braidpi.cli import main
 from braidpi.curves import verify_persson_configuration
 from braidpi.pipeline import A, D, fiber_alphabet, paper_braids
 from braidpi.presentation import Presentation, tietze_simplify
-from braidpi.schreier import CyclicMap, subgroup_presentation
+from braidpi.schreier import subgroup_presentation
 from braidpi.word_core import GenSym, Word, alphabet
 
 from .test_analysis import ORACLE_CORPUS, det, mat_mul, pres
@@ -116,8 +116,7 @@ def test_criterion_4_reidemeister_schreier_soundness(pipe):
             names = ["a", "b", "c"][:g]
             free = Presentation(alphabet(*names), [])
             images = {GenSym(nm): (1 if i == 0 else 0) for i, nm in enumerate(names)}
-            q = CyclicMap.onto(free, n, images)
-            sub, _ = subgroup_presentation(free, q)
+            sub, _ = subgroup_presentation(free, n, images)
             simplified, _ = tietze_simplify(sub)
             assert simplified.relators == ()
             assert len(simplified.alphabet) == n * (g - 1) + 1, (n, g)

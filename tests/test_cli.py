@@ -322,6 +322,36 @@ def test_cli_schreier_modulus_bound(tmp_path, capsys):
     assert "letters" in capsys.readouterr().err
 
 
+def test_cli_schreier_modulus_bound_counts_the_defining_words(monkeypatch, capsys):
+    # < a | > mod n has n defining words of up to 2n - 1 letters: the bound
+    # n (2n + 0) <= 10^6 refuses n = 708 at once and accepts n = 707
+    for modulus, code in (("1000", 2), ("708", 2), ("707", 0)):
+        monkeypatch.setattr("sys.stdin", io.StringIO("< a | >"))
+        start = time.perf_counter()
+        assert main(["schreier", "-", "--mod", modulus, "--images", "a=1"]) == code
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: --mod {modulus}: the kernel "
+                       "presentation would pass 1000000 letters\n")
+
+
+def test_cli_schreier_transversal_word_bound(monkeypatch, capsys):
+    # no word of a Schreier transversal of n words is longer than n - 1
+    # letters; a longer one is refused as soon as it is parsed
+    for transversal, letters in (("1;a a;(", 2), (";".join(["a^99999"] * 20), 99999)):
+        monkeypatch.setattr("sys.stdin", io.StringIO("< a | >"))
+        start = time.perf_counter()
+        assert main(["schreier", "-", "--mod", "2", "--images", "a=1",
+                     "--transversal", transversal]) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err == (
+            f"error: --transversal: a word of {letters} letters; a Schreier transversal "
+            "for --mod 2 has none past 1\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("< a | >"))
+    assert main(["schreier", "-", "--mod", "3", "--images", "a=1",
+                 "--transversal", "1;a;a^2"]) == 0
+
+
 @pytest.mark.parametrize("argv", [["pipeline", "--k", "100000000"],
                                   ["pipeline", "--all", "--max-k", "5000"],
                                   ["regression", "--k", "5000"]])

@@ -248,8 +248,8 @@ def test_stage_tables_certify_their_covers(pipe, k):
     # a stage table is T(k)'s cosets under the cover's Schreier generators:
     # closed, mutually inverse, and every cover relator fixes every coset
     orbifold = pipe.orbifold(k)
-    z2 = pipeline._cover_table(pipe.quotient(k), pipe.z2.gens)
-    for table, stage in ((z2, pipe.z2), (pipeline._cover_table(z2, orbifold.gens), orbifold)):
+    z2 = pipe.z2.gens.table(pipe.quotient(k))
+    for table, stage in ((z2, pipe.z2), (orbifold.gens.table(z2), orbifold)):
         table.validate(stage.raw)
         table.validate(stage.simplified)
     suspect = next(e for e in regression_corpus(k) if e.suspect)

@@ -12,7 +12,6 @@ from braidpi.analysis import AbelianInvariants
 from braidpi.braid import Braid
 from braidpi.curves import ProjPoint
 from braidpi.presentation import TietzeLog, TietzeMove
-from braidpi.schreier import CyclicMap
 from braidpi.word_core import GenSym, Word
 
 A, B = GenSym("a"), GenSym("b")
@@ -20,7 +19,7 @@ A, B = GenSym("a"), GenSym("b")
 
 def _values():
     return [GenSym("d", 1), GenSym("G"), Word.of([(A, 1), (B, -1)]), Word(),
-            Braid(5, ((1, 1), (4, -1))), CyclicMap(3, {A: 4, B: 0}), ProjPoint.of(1, -1, 1)]
+            Braid(5, ((1, 1), (4, -1))), ProjPoint.of(1, -1, 1)]
 
 
 def test_equality_holds_only_within_a_class():
@@ -35,8 +34,6 @@ def test_equality_holds_only_within_a_class():
     assert w == Word(((A, 1),)) and w != w.letters and Word() != ()
     assert Braid(3, ((1, 1),)) == Braid(3, ((1, 1),)) != Braid(4, ((1, 1),))
     assert Braid(3) != (3, ())
-    assert CyclicMap(2, {A: 3}) == CyclicMap(2, {A: 1}) != CyclicMap(4, {A: 1})
-    assert CyclicMap(2, {A: 1}) != (2, {A: 1})
     assert TietzeLog() == TietzeLog([], False) != TietzeLog([], True)
     assert TietzeLog() != ([], False)
 
@@ -48,9 +45,8 @@ def test_hashing_is_the_tuple_of_fields():
     assert hash(Braid(5, ((2, -1),))) == hash((5, ((2, -1),)))
     # equal by value, so one set entry
     assert len({GenSym("a"), GenSym("a"), Word(), Word(), Braid(2), Braid(2)}) == 3
-    for unhashable in (CyclicMap(2, {A: 1}), TietzeLog()):
-        with pytest.raises(TypeError):
-            hash(unhashable)
+    with pytest.raises(TypeError):
+        hash(TietzeLog())
 
 
 def test_value_types_are_immutable():
@@ -72,7 +68,6 @@ def test_value_types_are_immutable():
     (lambda: Braid(5, ((5, 1),)), "Artin index 5 out of range for 5 strands"),
     (lambda: Braid(5, ((0, 1),)), "Artin index 0 out of range for 5 strands"),
     (lambda: Braid(5, ((1, 2),)), "braid letter sign must be +-1"),
-    (lambda: CyclicMap(0, {}), "modulus must be >= 1"),
 ])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -80,7 +75,6 @@ def test_validation_errors(make, message):
 
 
 def test_constructors_normalize():
-    assert CyclicMap(3, {A: -1, B: 7}).images == {A: 2, B: 1}
     assert all(type(c) is Fraction for c in ProjPoint.of(1, -2, 3).coords)
     assert Word().letters == () and Braid(3).letters == ()
     assert TietzeLog().moves == [] and TietzeLog().moves is not TietzeLog().moves
