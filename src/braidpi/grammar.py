@@ -128,18 +128,26 @@ class _Parser:
                              tok.line, tok.column)
 
     def product(self, stop: tuple[str, ...]) -> Word:
+        """Factors are freely reduced, so letters cancel only where two meet."""
         letters: list[tuple[GenSym, int]] = []
+        total = 0                        # letters before cancellation, for the bound
         saw = False
         while True:
             tok = self.peek()
             if tok.kind == "end" or (tok.kind == "punct" and tok.text in stop):
                 break
-            letters.extend(self.factor(stop))
-            self.bound(len(letters), tok)
+            f = self.factor(stop).letters
+            total += len(f)
+            self.bound(total, tok)
+            i = 0
+            while i < len(f) and letters and letters[-1] == (f[i][0], -f[i][1]):
+                letters.pop()
+                i += 1
+            letters.extend(f[i:])
             saw = True
         if not saw:
             self.fail("expected a word")
-        return Word.of(letters)
+        return Word(tuple(letters))
 
     def factor(self, stop: tuple[str, ...]) -> Word:
         tok = self.next()

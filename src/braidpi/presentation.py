@@ -14,11 +14,21 @@ dropped.
       and p occurs cyclically in r, rewrite r with p replaced by q^-1,
   (c) drop duplicates / rotations / inversions.
 
-The engine and ``TietzeLog.replay`` change state only by ``TietzeMove``s, through
-one routine, so the log replays to the result exactly and the output presents an
-isomorphic group by construction.  A rewrite in (b) is strictly shorter (each arc
-gains |p| - |q| > 0 letters) and adds the new value before it removes the old: in
-a round the relator list is the multiset of the slots' current values.
+Two relators equal up to rotation and inversion have the same length and sum of
+|letters| (their fingerprint), so the canonical key (the least rotation of w or
+w^-1, by Booth's algorithm) is computed only for relators whose fingerprint
+another one has; the first occurrence is kept, in ``Presentation`` and in (c).
+
+Moves are coded in the int letters of the input alphabet: ("add-relator", w),
+("remove-relator", w) and ("eliminate-generator", g, expr, defining).  The
+engine, the result (the kept moves, applied again to the input) and
+``TietzeLog.replay`` (which encodes each logged ``TietzeMove`` once) change
+state only through one routine, ``_TietzeState.apply``, so the log replays to
+the result exactly and the output presents an isomorphic group by construction.
+The log decodes each distinct int word once, and the input's relators not at
+all.  A rewrite in (b) is strictly shorter (each arc gains |p| - |q| > 0
+letters) and adds the new value before it removes the old: in a round the
+relator list is the multiset of the slots' current values.
 The substring search in (b) reads the first L + |s| - 1 letters of r + r
 (L = |r|: a later match repeats one ending L letters earlier) and needs, at
 each end, the longest match in T = s + s, s^-1 + s^-1 (never across the halves)
@@ -48,6 +58,7 @@ budget.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
@@ -106,24 +117,32 @@ def _canon_key(w: IntWord) -> IntWord:
     return a if a <= b else b
 
 
+def _repeats(words: Sequence[IntWord], key=_canon_key) -> set[int]:
+    """Indices of the words equal up to rotation and inversion to an earlier
+    one.  Such words share length and sum of |letters|, so ``key`` runs only on
+    words whose fingerprint another word has."""
+    prints = [(len(w), sum(map(abs, w))) for w in words]
+    shared = {f for f, n in Counter(prints).items() if n > 1}
+    first: dict[IntWord, int] = {}
+    return {i for i, w in enumerate(words)
+            if prints[i] in shared and first.setdefault(key(w), i) != i}
+
+
 class Presentation:
     """Generator alphabet plus normalized relator list."""
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
         self.alphabet = alphabet
-        normalized: list[Word] = []
-        seen: set[IntWord] = set()
+        words: list[Word] = []
         for w in relators:
             alphabet.check_word(w)
             w = w.cyclically_reduced()
-            if w.is_identity():
-                continue
-            key = _canon_key(alphabet.encode(w))
-            if key in seen:
-                continue
-            seen.add(key)
-            normalized.append(w)
-        self.relators: tuple[Word, ...] = tuple(normalized)
+            if w:
+                words.append(w)
+        codes = [alphabet.encode(w) for w in words]
+        drop = _repeats(codes)
+        self.relators: tuple[Word, ...] = tuple(w for i, w in enumerate(words) if i not in drop)
+        self._codes = tuple(c for i, c in enumerate(codes) if i not in drop)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Presentation)
@@ -137,7 +156,7 @@ class Presentation:
         return sum(len(r) for r in self.relators)
 
     def encoded_relators(self) -> list[IntWord]:
-        return [self.alphabet.encode(r) for r in self.relators]
+        return list(self._codes)
 
     def __str__(self) -> str:
         gens = " ".join(str(s) for s in self.alphabet)
@@ -186,38 +205,58 @@ class TietzeMove(NamedTuple):
     payload: tuple
 
 
+IntMove = tuple  # a move in int letters of the input alphabet (module docstring)
+
+
 class _TietzeState:
-    """Mutable (alphabet, relator list) that only changes via apply()."""
+    """Mutable (alphabet, relator list) that only changes via apply(), which
+    takes int-coded moves; ``word`` decodes each int word at most once."""
 
     def __init__(self, p: Presentation):
         self.source = p.alphabet  # int codes stay relative to the source alphabet
         self.symbols: list[GenSym] = list(p.alphabet.symbols)
         # already distinct up to rotation and inversion (Presentation.__init__)
         self.rels: list[IntWord] = p.encoded_relators()
+        self.words: dict[IntWord, Word] = dict(zip(self.rels, p.relators))
 
-    def enc(self, w: Word) -> IntWord:
-        return _icyc(self.source.encode(w))
+    def word(self, w: IntWord) -> Word:
+        out = self.words.get(w)
+        if out is None:
+            out = self.words[w] = self.source.decode(w)
+        return out
 
-    def apply(self, move: TietzeMove) -> None:
-        if move.kind == "add-relator":
-            self.rels.append(self.enc(move.payload[0]))
-        elif move.kind == "remove-relator":
-            self.rels.remove(self.enc(move.payload[0]))
-        elif move.kind == "eliminate-generator":
-            sym, expr, defining = move.payload
-            g = self.source.index(sym) + 1
-            self.rels.remove(self.enc(defining))
-            images = {g: self.source.encode(expr), -g: self.source.encode(expr.inverse())}
+    def apply(self, move: IntMove) -> None:
+        kind = move[0]
+        if kind == "add-relator":
+            self.rels.append(move[1])
+        elif kind == "remove-relator":
+            self.rels.remove(move[1])
+        elif kind == "eliminate-generator":
+            _, g, expr, defining = move
+            self.rels.remove(defining)
+            images = {g: expr, -g: _iinv(expr)}
             # stored relators are cyclically reduced, so only those holding +-g change
             self.rels = [w for w in (_icyc(x for l in r for x in images.get(l, (l,)))
                                      if g in r or -g in r else r for r in self.rels) if w]
-            self.symbols.remove(sym)
+            self.symbols.remove(self.source.symbols[g - 1])
         else:
-            raise ValueError(f"unknown move kind {move.kind}")
+            raise ValueError(f"unknown move kind {kind}")
 
     def presentation(self) -> Presentation:
-        return Presentation(Alphabet(self.symbols),
-                            [self.source.decode(r) for r in self.rels])
+        return Presentation(Alphabet(self.symbols), [self.word(r) for r in self.rels])
+
+    def outcome(self, moves: list[IntMove], exhausted: bool) -> tuple[Presentation, TietzeLog]:
+        """Apply ``moves``; the presentation reached, and the moves as a log."""
+        log = []
+        for mv in moves:
+            self.apply(mv)
+            if mv[0] == "eliminate-generator":
+                _, g, expr, defining = mv
+                payload = (self.source.symbols[g - 1], self.word(expr), self.word(defining))
+            else:
+                payload = (self.word(mv[1]),)
+            log.append(TietzeMove(mv[0], payload))
+        return self.presentation(), TietzeLog(log, exhausted)
 
 
 class TietzeLog(_Record):
@@ -227,10 +266,16 @@ class TietzeLog(_Record):
         self._init([] if moves is None else moves, exhausted)
 
     def replay(self, p: Presentation) -> Presentation:
-        """Re-apply the recorded moves to ``p``, reproducing the target."""
+        """Re-apply the recorded moves to ``p``, reproducing the target: each is
+        encoded once and applied as the engine applies its own."""
         state = _TietzeState(p)
-        for mv in self.moves:
-            state.apply(mv)
+        code = p.alphabet.encode
+        for kind, payload in self.moves:
+            if kind == "eliminate-generator":
+                sym, expr, defining = payload
+                state.apply((kind, p.alphabet.index(sym) + 1, code(expr), _icyc(code(defining))))
+            else:
+                state.apply((kind, _icyc(code(payload[0]))))
         return state.presentation()
 
 
@@ -344,7 +389,7 @@ class _Simplifier:
     def __init__(self, p: Presentation, budget: int, protect: frozenset[GenSym]):
         self.state = _TietzeState(p)
         self.protect = {p.alphabet.index(s) + 1 for s in protect}
-        self.moves: list[TietzeMove] = []
+        self.moves: list[IntMove] = []
         self.budget = budget
         self.exhausted = False
         # relator records by value, for this call only
@@ -363,17 +408,13 @@ class _Simplifier:
         self.budget -= n
         return True
 
-    def _word(self, w: IntWord) -> Word:
-        return self.state.source.decode(w)
-
-    def _emit(self, kind: str, *payload) -> None:
-        mv = TietzeMove(kind, payload)
-        self.moves.append(mv)
-        self.state.apply(mv)
+    def _emit(self, *move) -> None:
+        self.moves.append(move)
+        self.state.apply(move)
 
     def _replace(self, old: IntWord, new: IntWord) -> None:
-        self._emit("add-relator", self._word(new))
-        self._emit("remove-relator", self._word(old))
+        self._emit("add-relator", new)
+        self._emit("remove-relator", old)
 
     def _record(self, w: IntWord) -> _Relator:
         rec = self.records.get(w)
@@ -383,20 +424,23 @@ class _Simplifier:
 
     # -- (c) normalization --------------------------------------------------
 
+    def _key(self, w: IntWord) -> IntWord:
+        rec = self._record(w)
+        rec.key = rec.key or _canon_key(w)
+        return rec.key
+
     def normalize(self) -> None:
-        """Drop empty relators and repeats up to rotation and inversion (every
-        relator is already cyclically reduced: ``_TietzeState`` stores no other)."""
-        seen: set[IntWord] = set()
-        for w in list(self.rels):
-            if w:
-                rec = self._record(w)
-                rec.key = rec.key or _canon_key(w)
-                if rec.key not in seen:
-                    seen.add(rec.key)
-                    continue
+        """Drop empty relators and repeats up to rotation and inversion, the first
+        occurrence kept (every relator is already cyclically reduced:
+        ``_TietzeState`` stores no other)."""
+        rels = list(self.rels)
+        drop = _repeats(rels, self._key)
+        for i, w in enumerate(rels):
+            if w and i not in drop:
+                continue
             if not self._afford(1):
                 return
-            self._emit("remove-relator", self._word(w))
+            self._emit("remove-relator", w)
 
     # -- (b) common-substring shortening --------------------------------------
 
@@ -553,8 +597,7 @@ class _Simplifier:
         at = next(k for k, l in enumerate(r) if abs(l) == g)
         rot = r[at:] + r[:at]
         expr = _iinv(rot[1:]) if rot[0] > 0 else rot[1:]
-        sym = self.state.source.symbols[g - 1]
-        self._emit("eliminate-generator", sym, self._word(expr), self._word(r))
+        self._emit("eliminate-generator", g, expr, r)
         return True
 
     # -- driver ------------------------------------------------------------------
@@ -563,7 +606,8 @@ class _Simplifier:
         quality = (sum(len(r) for r in self.rels), len(self.state.symbols), len(self.rels))
         return quality, len(self.moves)
 
-    def run(self) -> TietzeLog:
+    def run(self) -> tuple[list[IntMove], bool]:
+        """The moves up to the best state reached, and whether the budget ran out."""
         best = self._snapshot()
         while self.budget > 0:
             self.shorten()
@@ -571,7 +615,7 @@ class _Simplifier:
             if not self.eliminate_once():
                 break
             best = min(best, self._snapshot(), key=lambda s: s[0])
-        return TietzeLog(self.moves[:best[1]], self.exhausted or self.budget == 0)
+        return self.moves[:best[1]], self.exhausted or self.budget == 0
 
 
 def tietze_simplify(p: Presentation, budget: int = 20000,
@@ -586,5 +630,4 @@ def tietze_simplify(p: Presentation, budget: int = 20000,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    log = _Simplifier(p, budget, frozenset(protect)).run()
-    return log.replay(p), log
+    return _TietzeState(p).outcome(*_Simplifier(p, budget, frozenset(protect)).run())

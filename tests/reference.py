@@ -11,10 +11,13 @@ tracing a stage's own alphabet on T(k) must agree with.
 letter-by-letter braid action are built on.  ``SuffixAutomaton`` (Blumer et
 al., TCS 1985) gives, at each end of a walk, the longest match in its text and
 that match's first end there: the Tietze shortener's diagonal runs must agree.
+``first_occurrences`` keeps the first of the int words equal up to rotation and
+inversion by a plain set of canonical keys, with no fingerprints.
 """
 
 from braidpi.analysis import CosetLimitExceeded, _col
-from braidpi.word_core import Word, _reduce_into
+from braidpi.presentation import _canon_key
+from braidpi.word_core import Word, _iinv, _reduce_into
 
 
 class MissingImageError(KeyError):
@@ -30,6 +33,22 @@ def substitute(w: Word, images) -> Word:
         img = images[sym]
         _reduce_into(out, img.letters if sign > 0 else img.inverse().letters)
     return Word(tuple(out))
+
+
+def canon_key(w):
+    """The least rotation of w or of w^-1, by trying them all."""
+    return min((u[i:] + u[:i] for u in (w, _iinv(w)) for i in range(len(w))), default=w)
+
+
+def first_occurrences(words):
+    """Indices of the words with no earlier one of the same ``_canon_key``."""
+    seen, kept = set(), []
+    for i, w in enumerate(words):
+        key = _canon_key(w)
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept
 
 
 class SuffixAutomaton:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from braidpi import analysis, grammar, pipeline
+from braidpi import analysis, grammar, pipeline, word_core
 from braidpi.cli import MAX_ACT_LETTERS, MAX_COSETS, main
 from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
                              parse_word)
@@ -62,6 +63,56 @@ def test_parse_identity_atom():
             parse_word(text)
     with pytest.raises(ParseError):
         parse_presentation("< 1 | a >")
+
+
+def _random_product(rng, depth):
+    """The text of a random product of symbols, 1s, parenthesized products,
+    inverses and powers, and its letters expanded with no cancellation."""
+    texts, letters = [], []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if depth and kind < 0.4:
+            text, ls = _random_product(rng, depth - 1)
+            text = f"({text})"
+        elif kind < 0.5:
+            text, ls = "1", []
+        else:
+            text = rng.choice("ab")
+            ls = [(GenSym(text), 1)]
+        for _ in range(rng.randint(0, 2)):
+            n = -1 if rng.random() < 0.4 else rng.randint(-3, 3)
+            text += "'" if n == -1 and rng.random() < 0.5 else f"^{n}"
+            ls = (ls if n >= 0 else [(sym, -sign) for sym, sign in reversed(ls)]) * abs(n)
+        texts.append(text)
+        letters += ls
+    return " ".join(texts), letters
+
+
+def test_parse_word_matches_the_expanded_letters():
+    rng = random.Random(20)
+    cancelled = 0
+    for _ in range(2000):
+        text, letters = _random_product(rng, 3)
+        w = parse_word(text)
+        assert w == Word.of(letters), text
+        cancelled += len(w) < len(letters)
+    assert cancelled > 500
+
+
+def test_parse_word_cancels_only_where_factors_meet(monkeypatch):
+    # factors are freely reduced, so a product does not pass the letters of
+    # a^999999 (one letter under MAX_LETTERS) through the free reducer again
+    passed = []
+    real = word_core._reduce_into
+
+    def counting(out, letters):
+        letters = list(letters)
+        passed.append(len(letters))
+        return real(out, letters)
+
+    monkeypatch.setattr(word_core, "_reduce_into", counting)
+    assert parse_word("a^999999") == Word.gen(GenSym("a")) ** 999999
+    assert sum(passed) <= 2, passed
 
 
 def test_parse_braid():

@@ -5,11 +5,13 @@ import pytest
 from braidpi.analysis import abelian_invariants, todd_coxeter
 from braidpi.braid import Braid
 from braidpi.pipeline import fiber_alphabet, paper_braids
-from braidpi.presentation import (Presentation, add_relators, conjugation_relators,
-                                  stabilizer_relators, tietze_simplify)
+from braidpi.pipeline import pi_prime
+from braidpi.presentation import (Presentation, _canon_key, _icyc, _iinv, _Simplifier,
+                                  add_relators, conjugation_relators, stabilizer_relators,
+                                  tietze_simplify)
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
 
-from .reference import substitute
+from .reference import canon_key, first_occurrences, substitute
 
 A, B, C = GenSym("a"), GenSym("b"), GenSym("c")
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
@@ -31,6 +33,78 @@ def test_normalization_drops_trivial_and_duplicates():
         word((B, 1), (A, 1), (B, 1), (B, -1)),    # reduces to a rotation again
     ])
     assert p.relators == (word((A, 1), (B, 1)),)
+
+
+def _planted_words(rng):
+    """Cyclically reduced words, with rotations and inversions of earlier ones,
+    exact copies, and words of an earlier one's length and sum of |letters|:
+    its letters shuffled, or some of them inverted."""
+    ngens = rng.randint(1, 4)
+    words = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if words and kind < 0.6:
+            w = rng.choice(words)
+            i = rng.randrange(len(w))
+            w = w[i:] + w[:i]
+            if kind < 0.15:
+                w = _iinv(w)
+            elif kind < 0.35:
+                w = tuple(rng.sample(w, len(w)))
+            elif kind < 0.45:
+                w = tuple(l if rng.random() < 0.5 else -l for l in w)
+        else:
+            w = tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
+                      for _ in range(rng.randint(1, 8)))
+        w = _icyc(w)
+        if w:
+            words.append(w)
+    return Alphabet(GenSym("x", i) for i in range(1, ngens + 1)), words
+
+
+def test_dedupe_matches_reference():
+    # the fingerprint buckets keep what a plain set of canonical keys keeps,
+    # in the same order, first occurrence first, in Presentation and in the
+    # engine's normalization, which removes the rest in order
+    rng = random.Random(2026)
+    repeats = lookalikes = 0
+    for _ in range(3000):
+        alph, words = _planted_words(rng)
+        kept = first_occurrences(words)
+        p = Presentation(alph, [alph.decode(w) for w in words])
+        assert p.relators == tuple(alph.decode(words[i]) for i in kept), words
+        assert p.encoded_relators() == [words[i] for i in kept]
+        sim = _Simplifier(Presentation(alph, []), 10**6, frozenset())
+        sim.state.rels = list(words) + [()]
+        sim.normalize()
+        removed = [w for i, w in enumerate(words) if i not in kept] + [()]
+        assert sim.moves == [("remove-relator", w) for w in removed], words
+        repeats += len(words) - len(kept)
+        keys = [canon_key(w) for w in words]
+        assert keys == [_canon_key(w) for w in words]
+        prints = {}
+        for w, key in zip(words, keys):
+            prints.setdefault((len(w), sum(map(abs, w))), set()).add(key)
+        lookalikes += sum(len(ks) > 1 for ks in prints.values())
+    assert repeats > 5000 and lookalikes > 400
+
+
+def test_simplify_decodes_each_word_once(monkeypatch):
+    # the engine emits int moves: the log decodes each distinct word once, the
+    # start relators not at all, and the result its relators
+    p = pi_prime()
+    calls = []
+    real = Alphabet.decode
+
+    def counting(self, ints):
+        calls.append(ints)
+        return real(self, ints)
+
+    monkeypatch.setattr(Alphabet, "decode", counting)
+    q, log = tietze_simplify(p)
+    words = {w for mv in log.moves for w in mv.payload if isinstance(w, Word)}
+    assert len(log.moves) > 100
+    assert len(calls) <= len(words) + len(q.relators), (len(calls), len(words))
 
 
 def test_relators_cyclically_reduced():

@@ -15,9 +15,8 @@ import tracemalloc
 
 from braidpi import pipeline, presentation
 from braidpi.pipeline import GAMMA, SIGMA, full_alphabet, pi_prime
-from braidpi.presentation import (Presentation, TietzeLog, _enc, _iinv, _icyc,
-                                  _prefilter_pieces, _Simplifier, _TietzeState, add_relators,
-                                  tietze_simplify)
+from braidpi.presentation import (Presentation, _enc, _iinv, _icyc, _prefilter_pieces,
+                                  _Simplifier, _TietzeState, add_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
 
 from .reference import SuffixAutomaton
@@ -115,8 +114,7 @@ class _ReferenceSimplifier(_Simplifier):
 
 
 def _reference_simplify(p, budget=20000, protect=()):
-    log = _ReferenceSimplifier(p, budget, frozenset(protect)).run()
-    return log.replay(p), log
+    return _TietzeState(p).outcome(*_ReferenceSimplifier(p, budget, frozenset(protect)).run())
 
 
 class _RewriteAllState(_TietzeState):
@@ -124,17 +122,16 @@ class _RewriteAllState(_TietzeState):
     that the ones without the generator come out unchanged."""
 
     def apply(self, move):
-        if move.kind != "eliminate-generator":
+        if move[0] != "eliminate-generator":
             return super().apply(move)
-        sym, expr, defining = move.payload
-        g = self.source.index(sym) + 1
-        self.rels.remove(self.enc(defining))
+        _, g, expr, defining = move
+        self.rels.remove(defining)
         assert all(_icyc(r) == r for r in self.rels if g not in r and -g not in r)
-        images = {g: self.source.encode(expr)}
+        images = {g: expr}
         images[-g] = _iinv(images[g])
         self.rels = [w for w in (_icyc(x for l in r for x in images.get(l, (l,)))
                                  for r in self.rels) if w]
-        self.symbols.remove(sym)
+        self.symbols.remove(self.source.symbols[g - 1])
 
 
 class _GuardedSimplifier(_Simplifier):
@@ -199,18 +196,15 @@ class _GuardedSimplifier(_Simplifier):
                 break
             self.normalize()
             best = min(best, self._snapshot(), key=lambda s: s[0])
-        return TietzeLog(self.moves[:best[1]], self.exhausted or self.budget == 0)
+        return self.moves[:best[1]], self.exhausted or self.budget == 0
 
 
 def _guarded_simplify(p, budget=20000, protect=()):
     """The guarded oracle's result, replayed through ``_RewriteAllState``, its
     log, and the simplifier (for its counters)."""
     sim = _GuardedSimplifier(p, budget, frozenset(protect))
-    log = sim.run()
-    state = _RewriteAllState(p)
-    for mv in log.moves:
-        state.apply(mv)
-    return state.presentation(), log, sim
+    result, log = _RewriteAllState(p).outcome(*sim.run())
+    return result, log, sim
 
 
 def _random_word(rng, ngens, length):
@@ -593,7 +587,7 @@ def test_pipeline_stages_match_reference(monkeypatch):
     for p, budget, protect, (result, log) in calls:
         ref_result, ref_log = _reference_simplify(p, budget, protect)
         assert log == ref_log, repr(p)
-        assert result == ref_result, repr(p)
+        assert result == ref_result == log.replay(p), repr(p)
         # the guarded oracle asserts the engine's invariants at every rewrite
         guarded_result, guarded_log, sim = _guarded_simplify(p, budget, protect)
         assert (guarded_result, guarded_log) == (result, log), repr(p)
