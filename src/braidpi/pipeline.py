@@ -54,8 +54,7 @@ from .analysis import (AbelianInvariants, CosetTable, abelian_invariants, holds_
                        is_abelian, todd_coxeter, trivial_in_abelianization)
 from .braid import Braid
 from .grammar import parse_word
-from .presentation import (Presentation, add_relators, conjugation_relators,
-                           stabilizer_relators, tietze_simplify)
+from .presentation import Presentation, _monodromy_codes, add_relators, tietze_simplify
 from .schreier import SchreierGenSet, subgroup_presentation
 from .word_core import Alphabet, GenSym, Word
 
@@ -98,10 +97,11 @@ def pi_prime() -> Presentation:
                    b1 * beta["b0"] * b1.inverse(),
                    b1 * beta["b-"] * b1.inverse(),
                    b1 * beta["b+"] * b1.inverse()]
-    fiber = fiber_alphabet()
-    return Presentation(full_alphabet(),
-                        stabilizer_relators(fiber, stabilizing)
-                        + conjugation_relators(fiber, GAMMA, b1 * b1))
+    fiber, full = fiber_alphabet(), full_alphabet()
+    # the codes of stabilizer_relators, then of conjugation_relators, never decoded twice
+    codes = [c for beta in stabilizing for c in _monodromy_codes(fiber, beta)]
+    return Presentation.from_codes(
+        full, codes + _monodromy_codes(fiber, b1 * b1, full.index(GAMMA) + 1))
 
 
 def _modulus(k: int) -> int:

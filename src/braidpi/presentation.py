@@ -48,10 +48,19 @@ rather than one per place in r + r and in T.  A run of h letters or more is
 found from its first anchor, at most k - 1 letters after its start.  The longest
 match ending at i then starts at the least start of the runs through i, and it
 first occurs in T at the least place (below p in its half) among the runs from
-there.  Each relator value has one record per call (encodings, pieces and
-their places, period, canonical key), and a target value that came up empty is
-next tested only against the reducers that entered the list since and the
-owner it left out.
+there.  The candidates are taken greedily in key order (|s| - 2 |match|, start
+in r, reducer, |match|, end), each unless it meets a letter taken before.  The
+matches of one run form at most two families, each in key order: the partial
+ones from its start (the cut falls) and the whole copies of s (the start
+rises).  A heap holds each family's next candidate not yet ruled out.  Taken
+letters are never given back, so a candidate that meets them now still meets
+them at its turn: a blocked family skips at once to its first candidate clear
+of them, its key only grows, and the heap takes exactly the arcs of a sort of
+all the candidates, at a cost per run rather than per end.
+Each relator value has one record per call (encodings, pieces and their
+places, period, fingerprint, canonical key), and a target value that came up
+empty is next tested only against the reducers that entered the list since and
+the owner it left out.  Encodings read one letter table per call.
 All iteration orders are fixed, so results are deterministic for a given
 budget.
 """
@@ -59,6 +68,7 @@ budget.
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heapify, heappop, heapreplace
 from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
@@ -69,8 +79,15 @@ IntWord = tuple[int, ...]
 _OFS = 0x20  # encoded letters are printable
 
 
-def _enc(w: IntWord) -> str:
-    return "".join(chr(_OFS + 2 * abs(l) + (0 if l > 0 else 1)) for l in w)
+def _chars(letters: Iterable[int]) -> dict[int, str]:
+    """The letter -> char table of ``_enc`` for ``letters``."""
+    return {l: chr(_OFS + 2 * abs(l) + (l < 0)) for l in letters}
+
+
+def _enc(w: IntWord, chars: dict[int, str] | None = None) -> str:
+    """w as a string, read from a table ``chars`` that holds its letters
+    (by default the table of w's own letters)."""
+    return "".join(map((chars or _chars(set(w))).__getitem__, w))
 
 
 def _icyc(letters: Iterable[int]) -> IntWord:
@@ -117,11 +134,16 @@ def _canon_key(w: IntWord) -> IntWord:
     return a if a <= b else b
 
 
-def _repeats(words: Sequence[IntWord], key=_canon_key) -> set[int]:
+def _fingerprint(w: IntWord) -> tuple[int, int]:
+    return len(w), sum(map(abs, w))
+
+
+def _repeats(words: Sequence[IntWord], prints: Sequence[tuple[int, int]],
+             key=_canon_key) -> set[int]:
     """Indices of the words equal up to rotation and inversion to an earlier
-    one.  Such words share length and sum of |letters|, so ``key`` runs only on
-    words whose fingerprint another word has."""
-    prints = [(len(w), sum(map(abs, w))) for w in words]
+    one.  Such words share length and sum of |letters| (``prints``, their
+    ``_fingerprint``s), so ``key`` runs only on words whose fingerprint another
+    word has."""
     shared = {f for f, n in Counter(prints).items() if n > 1}
     first: dict[IntWord, int] = {}
     return {i for i, w in enumerate(words)
@@ -140,9 +162,21 @@ class Presentation:
             if w:
                 words.append(w)
         codes = [alphabet.encode(w) for w in words]
-        drop = _repeats(codes)
+        drop = _repeats(codes, list(map(_fingerprint, codes)))
         self.relators: tuple[Word, ...] = tuple(w for i, w in enumerate(words) if i not in drop)
         self._codes = tuple(c for i, c in enumerate(codes) if i not in drop)
+
+    @classmethod
+    def from_codes(cls, alphabet: Alphabet, codes: Iterable[IntWord]) -> Presentation:
+        """The presentation of cyclically reduced int words over ``alphabet``: the
+        repeats are dropped first, and each kept word is decoded once."""
+        codes = [c for c in codes if c]
+        drop = _repeats(codes, list(map(_fingerprint, codes)))
+        p = cls.__new__(cls)
+        p.alphabet = alphabet
+        p._codes = tuple(c for i, c in enumerate(codes) if i not in drop)
+        p.relators = tuple(map(alphabet.decode, p._codes))
+        return p
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Presentation)
@@ -168,29 +202,27 @@ class Presentation:
                 f"{len(self.relators)} relators, total length {self.total_length()})")
 
 
-def _fiber_images(fiber: Alphabet, beta: Braid) -> list[Word]:
-    """(d) beta for each d of the fiber, from one set of strand images."""
+def _monodromy_codes(fiber: Alphabet, beta: Braid, gamma: int = 0) -> list[IntWord]:
+    """Per strand d_i of the fiber, cyclically reduced in the codes of the fiber
+    followed by one generator coded ``gamma``: d_i^-1 (d_i) beta if ``gamma`` is
+    0, else gamma d_i gamma^-1 ((d_i) beta)^-1."""
     images = strand_images(beta, fiber)
-    return [fiber.decode(images.get(i, (i,))) for i in range(1, len(fiber) + 1)]
+    if not gamma:
+        return [_icyc([-i] + images.get(i, [i])) for i in range(1, len(fiber) + 1)]
+    return [_icyc((gamma, i, -gamma) + _iinv(images.get(i, (i,))))
+            for i in range(1, len(fiber) + 1)]
 
 
 def conjugation_relators(fiber: Alphabet, gamma: GenSym, beta: Braid) -> list[Word]:
     """Relators gamma d gamma^-1 ((d) beta)^-1: conjugation by gamma acts as beta."""
-    g = Word.gen(gamma)
-    return [g * Word.gen(d) * g.inverse() * image.inverse()
-            for d, image in zip(fiber, _fiber_images(fiber, beta))]
+    alph = Alphabet(fiber.symbols + (gamma,))
+    return [alph.decode(c) for c in _monodromy_codes(fiber, beta, len(fiber) + 1)]
 
 
 def stabilizer_relators(fiber: Alphabet, braids: Sequence[Braid]) -> list[Word]:
     """Relators d_i^-1 (d_i) beta stating that each braid fixes the fiber,
     cyclically reduced; ``Presentation`` drops the duplicates among them."""
-    out: list[Word] = []
-    for beta in braids:
-        for d, image in zip(fiber, _fiber_images(fiber, beta)):
-            w = (Word.gen(d, -1) * image).cyclically_reduced()
-            if w:
-                out.append(w)
-    return out
+    return [fiber.decode(c) for beta in braids for c in _monodromy_codes(fiber, beta) if c]
 
 
 def add_relators(p: Presentation, ws: Iterable[Word]) -> Presentation:
@@ -365,11 +397,12 @@ class _Relator:
     and places, each built at most once, and its place in the rescan rule (see
     ``shorten``)."""
 
-    __slots__ = ("word", "text", "both", "pieces", "places", "period", "key", "born",
-                 "clean", "excluded", "slots")
+    __slots__ = ("word", "fingerprint", "text", "both", "pieces", "places", "period", "key",
+                 "born", "clean", "excluded", "slots")
 
     def __init__(self, word: IntWord):
         self.word = word
+        self.fingerprint = _fingerprint(word)
         self.text = ""                   # _enc(word + word): as a target, and as a reducer
         self.both = ""                   # text + _enc(word^-1 + word^-1): T, as a reducer
         self.pieces: tuple[str, ...] = ()  # its pieces, as a reducer
@@ -396,6 +429,7 @@ class _Simplifier:
         self.records: dict[IntWord, _Relator] = {}
         self.reducers: list[_Relator] = []   # the latest round's reducer list
         self.born: list[_Relator] = []       # born[t - 1] got birth stamp t
+        self.chars = _chars(l for g in range(1, len(p.alphabet) + 1) for l in (g, -g))
 
     @property
     def rels(self) -> list[IntWord]:
@@ -422,6 +456,10 @@ class _Simplifier:
             rec = self.records[w] = _Relator(w)
         return rec
 
+    def _records(self, words: Iterable[IntWord]) -> list[_Relator]:
+        get = self.records.get
+        return [get(w) or self._record(w) for w in words]
+
     # -- (c) normalization --------------------------------------------------
 
     def _key(self, w: IntWord) -> IntWord:
@@ -434,7 +472,7 @@ class _Simplifier:
         occurrence kept (every relator is already cyclically reduced:
         ``_TietzeState`` stores no other)."""
         rels = list(self.rels)
-        drop = _repeats(rels, self._key)
+        drop = _repeats(rels, [rec.fingerprint for rec in self._records(rels)], self._key)
         for i, w in enumerate(rels):
             if w and i not in drop:
                 continue
@@ -449,8 +487,8 @@ class _Simplifier:
         rec.born = len(self.born)
         if not rec.pieces:
             w = rec.word
-            rec.text = rec.text or _enc(w + w)
-            inverse = _enc(_iinv(w) * 2)
+            rec.text = rec.text or _enc(w + w, self.chars)
+            inverse = _enc(_iinv(w) * 2, self.chars)
             rec.both = rec.text + inverse
             rec.pieces = _prefilter_pieces(len(w), rec.text, inverse)
             rec.period = rec.text.find(rec.text[:len(w)], 1)
@@ -460,7 +498,7 @@ class _Simplifier:
         last = set(self.reducers)
         for rec in self.reducers:
             rec.slots = []
-        self.reducers = [self._record(w) for w in words]
+        self.reducers = self._records(words)
         for j, rec in enumerate(self.reducers):
             if not rec.slots and rec not in last:
                 self._birth(rec)
@@ -470,25 +508,40 @@ class _Simplifier:
     def _collect_arcs(self, owner: int, r: IntWord, reducers: list[_Relator]):
         """Disjoint positive-gain replacement arcs on the cyclic word r.
 
-        Collects every match with 2 |match| > |s| in r + r (module docstring)
-        of each reducer s, in order of reducer, then end, and greedily keeps a
-        disjoint set, best gain first.  Reducers are the other relators with
-        |s| <= |r| in the round's list from ``_admit``, always at their
-        *current* value: rewriting against a relator no longer in the
+        Every match with 2 |match| > |s| in r + r (module docstring) of each
+        reducer s is a candidate, keyed (|s| - 2 cut, start, reducer, cut) and
+        then by its end, and the arcs are the candidates taken greedily in key
+        order, each unless it meets one taken before.  Reducers are the other
+        relators with |s| <= |r| in the round's list from ``_admit``, always at
+        their *current* value: rewriting against a relator no longer in the
         presentation is not a Tietze move and can change the group.  A value of
         r scanned before without an arc tests only the reducers that scan did
         not (the rule is in ``shorten``).  Returns arcs (start, cut,
-        complement) in the coordinates of r.
+        complement) in the coordinates of r, in the order taken.
+
+        The candidates of a diagonal run (a, y, b) form at most two families,
+        each in key order: the partial matches from a (the start is a mod L
+        and the cut falls from the longest) and the whole matches of s (cut
+        |s|, ends below L + |s| - 1, so starts below L, rising).  A heap holds
+        each family's least candidate not yet ruled out.  The taken letters only
+        grow, so a candidate that meets them now meets them when its turn
+        comes: a partial family blocked at its first taken letter t falls to
+        cut t (or dies below its least cut), a whole family jumps past its last
+        taken letter, and after an accepted whole match its next start is |s|
+        further on.  The heap so takes exactly the arcs of the sorted scan.
         """
         L = len(r)
         rec = self._record(r)
-        target = rec.text = rec.text or _enc(r + r)
+        target = rec.text = rec.text or _enc(r + r, self.chars)
         if rec.clean:                    # a rescan: only what its last scan did not test
             scan = sorted({j for s in self.born[rec.clean:]
                            for j in s.slots}.union(self.records[rec.excluded].slots))
         else:
             scan = range(len(reducers))
-        cands: list[tuple[int, int, int, int, int]] = []
+        # (|s| - 2 cut, start, j, cut, a, bound, y): bound is a partial family's
+        # least cut, or a whole family's last start; a orders equal partial keys
+        # by end, as ends i and i + L of one cyclic match have the same key
+        families: list[tuple[int, int, int, int, int, int, int]] = []
         for j in scan:
             s = reducers[j]
             slen = len(s.word)
@@ -502,26 +555,51 @@ class _Simplifier:
             h = slen // 2 + 1           # shortest match with 2 |match| > |s|
             reach = 0                    # each end once, from the run of least (start, place)
             for a, y, b in _diagonal_runs(target, L + slen - 1, s):
-                for i in range(max(a + h - 1, reach), b):
-                    cut = min(i - a + 1, slen)
-                    cands.append((2 * cut - slen, (i - cut + 1) % L, cut, j, y + cut - 1))
+                lo = max(a + h - 1, reach)   # its first end
+                whole = a + slen - 1         # its first end of a whole match
+                if lo < b:
+                    if lo < whole:
+                        cut = min(b, whole) - a
+                        families.append((slen - 2 * cut, a % L, j, cut, a, lo - a + 1, y))
+                    if whole < b:
+                        first = max(lo, whole) - slen + 1
+                        families.append((-slen, first, j, slen, a, b - slen, y))
                 reach = max(reach, b)
-        if not cands:
+        if not families:
             rec.clean, rec.excluded = len(self.born), reducers[owner].word
             return []
-        cands.sort(key=lambda c: (-c[0], c[1], c[3], c[2]))
+        heapify(families)
         taken = 0                        # bits p and p + L both mark letter p of r
         arcs = []
-        for gain, start, cut, j, fend in cands:
+        while families:
+            order, start, j, cut, a, bound, y = families[0]
             span = ((1 << cut) - 1) << start
-            if taken & span:
-                continue
-            taken |= span | span << L | span >> L
+            hit = taken & span
             s = reducers[j].word
             slen = len(s)
-            u = s if fend < 2 * slen else _iinv(s)  # the half of T the match ends in
-            # the rest of the cyclic word u after the match (fend is its last letter)
-            arcs.append((start, cut, tuple(u[(fend + 1 + k) % slen] for k in range(slen - cut))))
+            if cut < slen:               # a partial family: its start is fixed
+                if hit:                  # cut back to the first taken letter
+                    cut = (hit & -hit).bit_length() - 1 - start
+                    if cut < bound:
+                        heappop(families)
+                    else:
+                        heapreplace(families, (slen - 2 * cut, start, j, cut, a, bound, y))
+                    continue
+                heappop(families)        # every shorter cut meets this arc
+                fend = y + cut - 1       # its last letter in T
+                u = s if fend < 2 * slen else _iinv(s)
+                # the rest of the cyclic word u after the match
+                arcs.append((start, cut, tuple(u[(fend + 1 + k) % slen] for k in range(slen - cut))))
+            else:                        # a whole family: its start rises
+                following = hit.bit_length() if hit else start + slen
+                if following > bound:
+                    heappop(families)
+                else:
+                    heapreplace(families, (order, following, j, cut, a, bound, y))
+                if hit:                  # next, just past the last taken letter
+                    continue
+                arcs.append((start, cut, ()))
+            taken |= span | span << L | span >> L
         return arcs
 
     @staticmethod

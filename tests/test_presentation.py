@@ -3,7 +3,8 @@ import random
 import pytest
 
 from braidpi.analysis import abelian_invariants, todd_coxeter
-from braidpi.braid import Braid
+from braidpi import presentation
+from braidpi.braid import Braid, act
 from braidpi.pipeline import fiber_alphabet, paper_braids
 from braidpi.pipeline import pi_prime
 from braidpi.presentation import (Presentation, _canon_key, _icyc, _iinv, _Simplifier,
@@ -147,6 +148,54 @@ def test_stabilizer_relators_examples():
     for braid in paper_braids().values():
         for r in stabilizer_relators(fiber, [braid]):
             assert sum(r.exponent_sums().values()) == 0
+
+
+def _symbolic_monodromy(fiber, gamma, stabilizing, conjugating):
+    """Stabilizer, then conjugation relators built in symbolic words from the
+    braid action, and the presentation they give."""
+    g = Word.gen(gamma)
+    stab = [(Word.gen(d, -1) * act(beta, Word.gen(d), fiber)).cyclically_reduced()
+            for beta in stabilizing for d in fiber]
+    conj = [g * Word.gen(d) * g.inverse() * act(conjugating, Word.gen(d), fiber).inverse()
+            for d in fiber]
+    return stab, conj, Presentation(Alphabet(fiber.symbols + (gamma,)), stab + conj)
+
+
+def test_monodromy_codes_match_symbolic_relators():
+    # Pi' and the public relator lists are built on int codes; they must be the
+    # symbolic construction's relators, in its order, with its encodings
+    fiber = fiber_alphabet()
+    beta = paper_braids()
+    b1 = beta["b1"]
+    stabilizing = [beta["b0"], beta["b-"], beta["b+"]]
+    stabilizing += [b1 * b * b1.inverse() for b in stabilizing]
+    _, _, expected = _symbolic_monodromy(fiber, G, stabilizing, b1 * b1)
+    p = pi_prime()
+    assert (p.alphabet, p.relators) == (expected.alphabet, expected.relators)
+    assert p.encoded_relators() == expected.encoded_relators()
+    assert len(p.relators) == 31 and p.total_length() == 12038
+    rng = random.Random(55)
+    fixing = dropped = 0
+    for _ in range(150):
+        braids = []
+        for _ in range(rng.randint(0, 4)):
+            top = rng.randint(1, 4)          # below 4, the braid fixes d5 (and more)
+            braids.append(Braid(5, tuple((rng.randint(1, top), rng.choice((1, -1)))
+                                         for _ in range(rng.randint(0, 12)))))
+        braids += rng.sample(braids, rng.randint(0, len(braids)))   # repeated braids
+        conjugating = Braid(5, tuple((rng.randint(1, 4), rng.choice((1, -1)))
+                                     for _ in range(rng.randint(0, 8))))
+        stab, conj, sym = _symbolic_monodromy(fiber, G, braids, conjugating)
+        assert stabilizer_relators(fiber, braids) == [w for w in stab if w]
+        assert conjugation_relators(fiber, G, conjugating) == conj
+        codes = [c for b in braids for c in presentation._monodromy_codes(fiber, b)]
+        codes += presentation._monodromy_codes(fiber, conjugating, len(fiber) + 1)
+        ints = Presentation.from_codes(sym.alphabet, codes)
+        assert (ints.alphabet, ints.relators) == (sym.alphabet, sym.relators)
+        assert ints.encoded_relators() == sym.encoded_relators()
+        fixing += any(not w for w in stab)
+        dropped += len(sym.relators) < sum(1 for w in stab + conj if w)
+    assert fixing > 50 and dropped > 50
 
 
 def test_add_relators():

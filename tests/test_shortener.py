@@ -724,3 +724,98 @@ def test_stride_piece_test_is_sound():
         spans = [(a, a + n // 2 + 2 - k) for a in range(0, n, k)]
         own = dict.fromkeys(_enc((u + u)[a:b]) for u in (s, _iinv(s)) for a, b in spans)
         assert _pieces(s) == tuple(own), s
+
+
+def _reference_candidates(r, s):
+    """The reference's candidates of the one reducer s on r, one per end i of
+    r + r with 2 cut > |s|: (i, start, cut, whether the match is in the s^-1 half)."""
+    L, n = len(r), len(s)
+    out = []
+    for i, l, fend in _walk(_automaton(s), _enc(r + r)):
+        cut = min(l, n, L)
+        if 2 * cut > n:
+            out.append((i, (i - cut + 1) % L, cut, fend > 2 * n))
+    return out
+
+
+def _family_case(rng):
+    """A target r and its reducers, planted for one shape of run family:
+    one- and two-letter reducers on a two- or three-letter target, a whole
+    match of s that wraps round the end of r, windows of s and s^-1 side by
+    side, a partial match cut short by the start of r + r, or several whole
+    turns of s in a row."""
+    ngens = rng.randint(1, 3)
+    kind = rng.randrange(5)
+    if kind == 0:
+        r = _reduced_word(rng, ngens, rng.randint(2, 3))
+        reducers = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randint(1, 2)
+            if rng.random() < 0.6:
+                u, a = rng.choice((r, _iinv(r))), rng.randrange(len(r))
+                reducers.append(_icyc((u + u)[a:a + n]) or u[:1])
+            else:
+                reducers.append(_reduced_word(rng, ngens, n))
+        return r, reducers
+    s = _reduced_word(rng, ngens, rng.randint(3 if kind == 3 else 2, 8))
+    n = len(s)
+    o = rng.randrange(n)
+    turn = (s + s)[o:o + n]
+    if kind == 1:
+        k = rng.randint(1, n - 1)
+        body = turn[k:] + _random_word(rng, ngens, rng.randint(0, 4)) + turn[:k]
+    elif kind == 2:
+        body = ()
+        for _ in range(rng.randint(2, 4)):
+            u, a = rng.choice((s, _iinv(s))), rng.randrange(n)
+            body += (u + u)[a:a + rng.randint(n // 2 + 1, n)]
+    elif kind == 3:
+        body = turn[:rng.randint(n // 2 + 1, n - 1)] + _random_word(rng, ngens, rng.randint(0, 3))
+    else:
+        body = turn * rng.randint(2, 5) + _random_word(rng, ngens, rng.randint(0, 3))
+    extra = [_reduced_word(rng, ngens, rng.randint(1, n)) for _ in range(rng.randint(0, 2))]
+    return _icyc(body), [s] + extra
+
+
+def test_run_families_match_reference_on_planted_shapes():
+    # each run's candidates are read lazily, as a partial family (fixed start,
+    # falling cut) and a whole family (cut |s|, rising start); at the edges of
+    # those families the arcs must still be the per-end reference's
+    rng = random.Random(2121)
+    alph = Alphabet(GenSym("x", i) for i in range(1, 4))
+    seen = dict.fromkeys(("wrap", "halves", "ends", "turns", "same key, both halves"), 0)
+    tiny = set()
+    for _ in range(3000):
+        r, others = _family_case(rng)
+        if not r:
+            continue
+        L, words = len(r), [r] + others
+        sim = _Simplifier(Presentation(alph, []), 20000, frozenset())
+        assert sim._collect_arcs(0, r, sim._admit(words)) == reference_arcs(0, r, words), words
+        for s in others:
+            n = len(s)
+            if n > L:
+                continue
+            pair = _Simplifier(Presentation(alph, []), 20000, frozenset())
+            arcs = pair._collect_arcs(0, r, pair._admit([r, s]))
+            assert arcs == reference_arcs(0, r, [r, s]), (r, s)
+            if arcs and n <= 2 and 2 <= L <= 3:
+                tiny.add((n, L))
+            whole = [start for start, cut, _ in arcs if cut == n]
+            seen["wrap"] += any(start + n > L for start in whole)
+            seen["turns"] += n > 1 and len(whole) > 2
+            cands = _reference_candidates(r, s)
+            ends = {i: (start, cut) for i, start, cut, _ in cands}
+            seen["ends"] += any(ends.get(i + L) == key for i, key in ends.items())
+            spans = [({(start + k) % L for k in range(cut)}, cut, half)
+                     for _, start, cut, half in cands]
+            seen["halves"] += any(c1 == c2 and h1 != h2 and s1 & s2
+                                  for s1, c1, h1 in spans for s2, c2, h2 in spans)
+            keys = {(start, cut, half) for _, start, cut, half in cands}
+            seen["same key, both halves"] += any((start, cut, not half) in keys
+                                                 for start, cut, half in keys)
+    # every shape met often; one key never comes from both halves, since a
+    # word longer than half a cyclic word cannot meet its inverse in it
+    assert tiny == {(1, 2), (1, 3), (2, 2), (2, 3)}, tiny
+    assert min(seen["wrap"], seen["halves"], seen["ends"], seen["turns"]) > 20, seen
+    assert seen["same key, both halves"] == 0, seen
