@@ -52,11 +52,11 @@ there.  The candidates are taken greedily in key order (|s| - 2 |match|, start
 in r, reducer, |match|, end), each unless it meets a letter taken before.  The
 matches of one run form at most two families, each in key order: the partial
 ones from its start (the cut falls) and the whole copies of s (the start
-rises).  A heap holds each family's next candidate not yet ruled out.  Taken
-letters are never given back, so a candidate that meets them now still meets
-them at its turn: a blocked family skips at once to its first candidate clear
-of them, its key only grows, and the heap takes exactly the arcs of a sort of
-all the candidates, at a cost per run rather than per end.
+rises).  A queue in key order holds each family's next candidate not yet
+ruled out.  Taken letters are never given back, so a candidate that meets them
+now still meets them at its turn: a blocked family skips at once to its first
+candidate clear of them, its key only grows, and the queue takes exactly the
+arcs of a sort of all the candidates, at a cost per run rather than per end.
 Each relator value has one record per call (encodings, pieces and their
 places, period, fingerprint, canonical key), and a target value that came up
 empty is next tested only against the reducers that entered the list since and
@@ -68,7 +68,7 @@ budget.
 from __future__ import annotations
 
 from collections import Counter
-from heapq import heapify, heappop, heapreplace
+from bisect import insort
 from typing import Iterable, NamedTuple, Sequence
 
 from .braid import Braid, strand_images
@@ -522,13 +522,14 @@ class _Simplifier:
         The candidates of a diagonal run (a, y, b) form at most two families,
         each in key order: the partial matches from a (the start is a mod L
         and the cut falls from the longest) and the whole matches of s (cut
-        |s|, ends below L + |s| - 1, so starts below L, rising).  A heap holds
-        each family's least candidate not yet ruled out.  The taken letters only
-        grow, so a candidate that meets them now meets them when its turn
-        comes: a partial family blocked at its first taken letter t falls to
-        cut t (or dies below its least cut), a whole family jumps past its last
-        taken letter, and after an accepted whole match its next start is |s|
-        further on.  The heap so takes exactly the arcs of the sorted scan.
+        |s|, ends below L + |s| - 1, so starts below L, rising).  A queue
+        sorted by key holds each family's least candidate not yet ruled out
+        (a family goes back in by ``insort``).  The taken letters only grow,
+        so a candidate that meets them now meets them when its turn comes: a
+        partial family blocked at its first taken letter t falls to cut t (or
+        dies below its least cut), a whole family jumps past its last taken
+        letter, and after an accepted whole match its next start is |s|
+        further on.  The queue so takes exactly the arcs of the sorted scan.
         """
         L = len(r)
         rec = self._record(r)
@@ -568,11 +569,13 @@ class _Simplifier:
         if not families:
             rec.clean, rec.excluded = len(self.born), reducers[owner].word
             return []
-        heapify(families)
+        families.sort()
         taken = 0                        # bits p and p + L both mark letter p of r
         arcs = []
-        while families:
-            order, start, j, cut, a, bound, y = families[0]
+        at = 0                           # families[at:] is the queue, in key order
+        while at < len(families):
+            order, start, j, cut, a, bound, y = families[at]
+            at += 1
             span = ((1 << cut) - 1) << start
             hit = taken & span
             s = reducers[j].word
@@ -580,22 +583,17 @@ class _Simplifier:
             if cut < slen:               # a partial family: its start is fixed
                 if hit:                  # cut back to the first taken letter
                     cut = (hit & -hit).bit_length() - 1 - start
-                    if cut < bound:
-                        heappop(families)
-                    else:
-                        heapreplace(families, (slen - 2 * cut, start, j, cut, a, bound, y))
+                    if cut >= bound:
+                        insort(families, (slen - 2 * cut, start, j, cut, a, bound, y), at)
                     continue
-                heappop(families)        # every shorter cut meets this arc
                 fend = y + cut - 1       # its last letter in T
                 u = s if fend < 2 * slen else _iinv(s)
                 # the rest of the cyclic word u after the match
                 arcs.append((start, cut, tuple(u[(fend + 1 + k) % slen] for k in range(slen - cut))))
             else:                        # a whole family: its start rises
                 following = hit.bit_length() if hit else start + slen
-                if following > bound:
-                    heappop(families)
-                else:
-                    heapreplace(families, (order, following, j, cut, a, bound, y))
+                if following <= bound:
+                    insort(families, (order, following, j, cut, a, bound, y), at)
                 if hit:                  # next, just past the last taken letter
                     continue
                 arcs.append((start, cut, ()))
