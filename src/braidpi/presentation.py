@@ -578,14 +578,15 @@ class _Simplifier:
             at += 1
             span = ((1 << cut) - 1) << start
             hit = taken & span
-            s = reducers[j].word
-            slen = len(s)
+            slen = order + 2 * cut
             if cut < slen:               # a partial family: its start is fixed
                 if hit:                  # cut back to the first taken letter
-                    cut = (hit & -hit).bit_length() - 1 - start
-                    if cut >= bound:
-                        insort(families, (slen - 2 * cut, start, j, cut, a, bound, y), at)
+                    if cut > bound:
+                        cut = (hit & -hit).bit_length() - 1 - start
+                        if cut >= bound:
+                            insort(families, (slen - 2 * cut, start, j, cut, a, bound, y), at)
                     continue
+                s = reducers[j].word
                 fend = y + cut - 1       # its last letter in T
                 u = s if fend < 2 * slen else _iinv(s)
                 # the rest of the cyclic word u after the match
