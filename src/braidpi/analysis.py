@@ -5,15 +5,20 @@ scan-and-fill every relator from every live coset, fill remaining row
 entries, and process coincidences through a union-find with full table
 repair (Holt-Eick-O'Brien 5.1), which clears every entry naming a dead
 coset: outside it no live row points at one, so scans need no union-find
-lookup.  Cosets are numbered in definition order and compacted at the end,
-so a given presentation and budget always yield the identical table, of
-at most ``MAX_TABLE_CELLS`` entries (cosets times columns).  Enumeration
-works on rows, so repair frees a dead coset's row at once; the finished
-``CosetTable`` is written once by column, one list per signed letter.  A
-complete table is the regular permutation representation; its size is
-the group order.  It is certified on whole columns: entries in 1..n
-(``min``/``max``), inverse columns undoing generators, and relators,
-composed as permutations of all cosets at once, the identity.
+lookup.  A generator g with relator g^2 (or g^-2) has one self-inverse
+column for g and g^-1, as in ACE (Havas 1991): g = g^-1 in the group, so
+each identification it makes follows from the relators, and T(k), whose
+d_i are involutions, defines about a quarter of the cosets.  Cosets are
+numbered in definition order and compacted at the end, so a given
+presentation and budget always yield the identical table, of at most
+``MAX_TABLE_CELLS`` entries (cosets times columns).  Enumeration works
+on rows, so repair frees a dead coset's row at once; the finished
+``CosetTable`` is written once by column, one list per signed letter (a
+shared column copied into both).  A complete table is the regular
+permutation representation; its size is the group order.  It is
+certified on whole columns: entries in 1..n (``min``/``max``), inverse
+columns undoing generators, and relators, composed as permutations of
+all cosets at once, the identity.
 
 ``smith_normal_form`` diagonalizes an integer matrix by unimodular row
 and column operations (smallest-pivot selection with remainder steps),
@@ -91,6 +96,9 @@ def _trace(cols: Sequence[list[int]], word: list[int], n: int) -> list[int]:
 def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; the table size is the group order.
 
+    A generator with relator g^2 shares one self-inverse column with g^-1,
+    as g^2 = 1 implies; ``validate`` still checks every column pair.
+
     Raises CosetLimitExceeded when more than ``max_cosets`` cosets would
     ever be defined (counting ones later merged away), or when the table
     would hold more than ``MAX_TABLE_CELLS`` entries.
@@ -99,9 +107,17 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         raise ValueError("max_cosets must be >= 1")
     ncols = 2 * len(p.alphabet)
     limit = min(max_cosets, MAX_TABLE_CELLS // max(ncols, 1))
+    encoded = sorted(p.encoded_relators(), key=lambda r: (len(r), r))
+    # home[c]: the column that letter column c is kept in; a generator with
+    # relator g^2 (or g^-2) keeps g^-1 in g's column, its own inverse
+    home, inv = list(range(ncols)), [c ^ 1 for c in range(ncols)]
+    for r in encoded:
+        if len(r) == 2 and r[0] == r[1]:
+            c = _col(abs(r[0]))
+            home[c + 1] = inv[c] = c
+    used = [c for c in range(ncols) if home[c] == c]
     # each relator's columns, and their inverses for the backward scan
-    relators = [([_col(l) for l in r], [_col(l) ^ 1 for l in r])
-                for r in sorted(p.encoded_relators(), key=lambda r: (len(r), r))]
+    relators = [([home[_col(l)] for l in r], [inv[home[_col(l)]] for l in r]) for r in encoded]
 
     # table[x][c] = x . c, or 0 while undefined
     table: list[list[int] | None] = [None, [0] * ncols]
@@ -131,21 +147,22 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         while dead:
             y = dead.pop()
             row = table[y]
-            for c in range(ncols):
+            for c in used:
                 d = row[c]
                 if not d:
                     continue
                 row[c] = 0
-                if table[d][c ^ 1] == y:
-                    table[d][c ^ 1] = 0
+                ic = inv[c]
+                if table[d][ic] == y:
+                    table[d][ic] = 0
                 mu, nu = find(y), find(d)
                 if table[mu][c]:
                     merge(nu, table[mu][c])
-                elif table[nu][c ^ 1]:
-                    merge(mu, table[nu][c ^ 1])
+                elif table[nu][ic]:
+                    merge(mu, table[nu][ic])
                 else:
                     table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    table[nu][ic] = mu
             table[y] = None              # repaired: no entry names y any more
 
     def define(f: int, c: int) -> int:
@@ -156,7 +173,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         table.append([0] * ncols)
         parent.append(nu)
         table[f][c] = nu
-        table[nu][c ^ 1] = f
+        table[nu][inv[c]] = f
         return nu
 
     coincidences = 0
@@ -187,7 +204,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
                     break
         if parent[alpha] == alpha:
             row = table[alpha]
-            for c in range(ncols):
+            for c in used:
                 if not row[c]:
                     define(alpha, c)
         alpha += 1
@@ -197,8 +214,9 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     for new, old in enumerate(live, 1):
         renumber[old] = new
     rows = [table[old] for old in live]
+    cols = {c: [0, *[renumber[row[c]] for row in rows]] for c in used}
     result = CosetTable(p.alphabet, len(live),
-                        [[0, *[renumber[row[c]] for row in rows]] for c in range(ncols)])
+                        [cols[c] if home[c] == c else cols[home[c]][:] for c in range(ncols)])
     result.defined, result.coincidences = len(table) - 1, coincidences
     del table[:], parent[:], rows[:]
     result.validate(p)

@@ -216,10 +216,12 @@ class Alphabet:
     def __init__(self, symbols: Iterable[GenSym]):
         self.symbols: tuple[GenSym, ...] = tuple(symbols)
         self._pos: dict[GenSym, int] = {}
+        self._letters: dict[int, Letter] = {}     # code -> letter, for decode
         for i, s in enumerate(self.symbols):
             if s in self._pos:
                 raise AlphabetError(f"duplicate symbol {s}")
             self._pos[s] = i
+            self._letters[i + 1], self._letters[-i - 1] = (s, 1), (s, -1)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -256,8 +258,11 @@ class Alphabet:
             raise AlphabetError(f"word uses foreign symbol {exc.args[0]}") from None
 
     def decode(self, ints: Iterable[int]) -> Word:
-        syms = self.symbols
-        return Word.of((syms[abs(i) - 1], 1 if i > 0 else -1) for i in ints)
+        letters = self._letters
+        try:
+            return Word.of(letters[i] for i in ints)
+        except KeyError as exc:
+            raise AlphabetError(f"code {exc.args[0]} not in an alphabet of {len(self)}") from None
 
     def __repr__(self) -> str:
         return f"Alphabet([{', '.join(str(s) for s in self.symbols)}])"

@@ -90,6 +90,7 @@ def test_todd_coxeter_deterministic():
 
 def test_todd_coxeter_trivial_group():
     assert todd_coxeter(pres(["a"], [word((A, 1))])).order == 1
+    assert todd_coxeter(pres(["a"], [word((A, 1)) ** 2, word((A, 1))])).order == 1
     assert todd_coxeter(pres([], [])).order == 1
 
 

@@ -152,10 +152,10 @@ def test_cli_coset_budget_bound(command, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["pipeline", "regression"])
 def test_cli_coset_budget_reaches_the_quotient(command, shared_pipeline, capsys):
-    # enumerating T(1) defines 14,016 cosets: one fewer is an overflow
-    assert main([command, "--k", "1", "--max", "14015"]) == 3
-    assert "budget of 14015 cosets exhausted" in capsys.readouterr().err
-    assert main([command, "--k", "1", "--max", "14016"]) == 0
+    # enumerating T(1) defines 3,239 cosets: one fewer is an overflow
+    assert main([command, "--k", "1", "--max", "3238"]) == 3
+    assert "budget of 3238 cosets exhausted" in capsys.readouterr().err
+    assert main([command, "--k", "1", "--max", "3239"]) == 0
 
 
 @pytest.mark.parametrize("argv,stdin,cap_kb", [

@@ -149,6 +149,13 @@ def test_decode_reduces_freely():
     assert alph.decode((1, -1)).is_identity()
 
 
+@pytest.mark.parametrize("code", [0, 3, -3, 6])
+def test_decode_rejects_codes_outside_the_alphabet(code):
+    # 0 once read as the last symbol's inverse, and 3 past the end as an IndexError
+    with pytest.raises(AlphabetError, match=f"code {code} not in an alphabet of 2"):
+        alphabet("a", "b").decode((1, code))
+
+
 def test_exponent_sums():
     word = w((A, 1), (B, -1), (A, 1), (B, 1), (A, -1))
     assert word.exponent_sums() == {A: 1, B: 0}
