@@ -459,6 +459,61 @@ def test_cli_verify_config_output_pinned(extra, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_CONFIG_SHA256[extra]
 
 
+# sha256 of `pipeline --k K --json`, recorded before Presentation kept its
+# relators as int codes alone; the report must not move by a byte
+_PIPELINE_JSON_SHA256 = {
+    1: "e9982d0bfc79026b044a4aa1b81518c5ce6037c7487936887495fd1520485569",
+    2: "1ff57ecd9c694b8540d7255a48182623c2356ed0a609cc155d3c2e27030afb04",
+    3: "fdfdf58740fe21221bcbe5379af722f138f4ba42c1fee978164c9537a9a5a924",
+    4: "9e9247a39a903294f46105f588aa668a6a42cf03f1772f4a6cd2e22cf9c71462",
+    5: "15cce0565dc939d183b47159676bc4d90d95feab29de26c1142cc71573c98b49",
+    6: "6ed47ce8c659342f8a96fda1d3c04d4325a8237f94af0ddf4929fee2bdf6df38",
+}
+
+
+@pytest.mark.parametrize("k", sorted(_PIPELINE_JSON_SHA256))
+def test_cli_pipeline_json_pinned(k, shared_pipeline, capsys):
+    assert main(["pipeline", "--k", str(k), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PIPELINE_JSON_SHA256[k]
+
+
+# sha256 of `present - --simplify` and `schreier - --mod 3 --simplify`, text and
+# --json, on two fixed inputs, recorded with the pipeline digests above
+_SIMPLIFY_INPUTS = {
+    "commutators": ("< a b c | a b a' b', a c a' c', b^2 c^3, b c b c' b' c' >", "a=1,b=0,c=0"),
+    "triangle": ("< a b | a^3, b^3, (a b)^3, (a b')^6 >", "a=1,b=1"),
+}
+_SIMPLIFY_SHA256 = {
+    ("commutators", "present", ()):
+        "e37e5e247873de3bbcffa77897ca24fac1e48719f1a5c972bfc392663d49c3ed",
+    ("commutators", "present", ("--json",)):
+        "f2e20ca6e2e21b4d609abfb3da983830e37255eab8c2a7b104fb96ab3192fca7",
+    ("commutators", "schreier", ()):
+        "ea1f0327b86c0b7f1a623afd2a2fefc3be5061b45e3e887a62e20adbdf52c5c0",
+    ("commutators", "schreier", ("--json",)):
+        "20d731faf28abdcefe5e7acc226ff34c4f6029ed0530f7607477fe611dd8796e",
+    ("triangle", "present", ()):
+        "2d59f322a5591aba8eadfce0358363d8440f76c5a242749bce7df2f1c89ab382",
+    ("triangle", "present", ("--json",)):
+        "78650543171f6b02434376e191798cdac57c6d6ebea2c87d3b14a5fbe8929f07",
+    ("triangle", "schreier", ()):
+        "b991a403c2346b14b8fe5bf7f22ac71377ae7860cf778e102714f9bad27d6d70",
+    ("triangle", "schreier", ("--json",)):
+        "1cf9005854d6823bb366007764659d3435371070faa486266ec36b0f7d240589",
+}
+
+
+@pytest.mark.parametrize("name,command,extra", sorted(_SIMPLIFY_SHA256))
+def test_cli_simplify_output_pinned(name, command, extra, monkeypatch, capsys):
+    text, images = _SIMPLIFY_INPUTS[name]
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    args = ["--mod", "3", "--images", images] if command == "schreier" else []
+    assert main([command, "-", *args, "--simplify", *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMPLIFY_SHA256[name, command, extra]
+
+
 def test_cli_present_stdin(monkeypatch, capsys):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("< a b | a b' >"))
