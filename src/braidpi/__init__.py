@@ -1,15 +1,16 @@
 """Braid-monodromy group computations over plane-curve configurations.
 
 Submodules: ``word_core`` (free-group words), ``braid`` (Artin actions),
-``presentation`` (finitely presented groups, Tietze moves), ``schreier``
-(the kernel of a checked map onto Z/n and its ``SchreierGenSet``, by
-``subgroup_presentation``), ``analysis`` (Todd-Coxeter, Smith normal form),
-``curves`` (exact conic/cubic geometry over Q on one sparse ``Poly``;
-irrational points are checked in rational coordinates x = sqrt(d) X, as
-the curves are even in x),
-``grammar`` (the text grammar of words and presentations), ``pipeline``
-(the cover computation, its regression corpus read from the printed
-relations), ``cli`` (command line).
+``presentation`` (finitely presented groups, whose relators are int codes
+in their own alphabet, decoded to ``Word``s only to print, log or trace;
+Tietze moves), ``schreier`` (the kernel of a checked map onto Z/n and its
+``SchreierGenSet``, by ``subgroup_presentation``, rewriting codes to
+codes), ``analysis`` (Todd-Coxeter, Smith normal form), ``curves`` (exact
+conic/cubic geometry over Q on one sparse ``Poly``; irrational points are
+checked in rational coordinates x = sqrt(d) X, as the curves are even in
+x), ``grammar`` (the text grammar of words and presentations),
+``pipeline`` (the cover computation, its regression corpus read from the
+printed relations), ``cli`` (command line).
 
 The cover computation is a ``Pipeline``: its constructor builds Pi' and
 the Z/2 cover once, and ``Pipeline.run(k)`` builds the Z/(k+1) orbifold
@@ -30,8 +31,7 @@ _HOME = {name: module for module, names in {
     "curves": "Poly ProjPoint cubic_discriminant family_cubic hessian is_tangent_at "
               "sylvester_resultant verify_persson_configuration",
     "pipeline": "Cover Pipeline PipelineReport cover paper_braids pi_prime regression_corpus run",
-    "presentation": "Presentation TietzeLog add_relators conjugation_relators stabilizer_relators "
-                    "tietze_simplify",
+    "presentation": "Presentation TietzeLog add_relators tietze_simplify",
     "schreier": "SchreierGenSet subgroup_presentation",
     "word_core": "Alphabet GenSym Word alphabet",
 }.items() for name in names.split()}

@@ -29,6 +29,7 @@ exponent-sum matrix of a presentation through it.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import NamedTuple, Sequence
 
@@ -107,7 +108,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
         raise ValueError("max_cosets must be >= 1")
     ncols = 2 * len(p.alphabet)
     limit = min(max_cosets, MAX_TABLE_CELLS // max(ncols, 1))
-    encoded = sorted(p.encoded_relators(), key=lambda r: (len(r), r))
+    encoded = sorted(p.codes, key=lambda r: (len(r), r))
     # home[c]: the column that letter column c is kept in; a generator with
     # relator g^2 (or g^-2) keeps g^-1 in g's column, its own inverse
     home, inv = list(range(ncols)), [c ^ 1 for c in range(ncols)]
@@ -328,14 +329,14 @@ class AbelianInvariants(NamedTuple):
         return " + ".join(parts) if parts else "trivial"
 
 
-def _exponent_row(alphabet: Alphabet, w: Word) -> list[int]:
-    sums = w.exponent_sums()
-    return [sums.get(g, 0) for g in alphabet]
+def _exponent_row(n: int, code: Sequence[int]) -> list[int]:
+    counts = Counter(code)
+    return [counts[g] - counts[-g] for g in range(1, n + 1)]
 
 
 def relation_matrix(p: Presentation) -> IntMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
-    return [_exponent_row(p.alphabet, r) for r in p.relators]
+    return [_exponent_row(len(p.alphabet), c) for c in p.codes]
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
@@ -354,7 +355,7 @@ def trivial_in_abelianization(p: Presentation, w: Word) -> bool:
     """Does w die in the abelianization of p?  Decided exactly through the
     Smith form: w is a Z-combination of relator rows iff (wV) is divisible
     entrywise by the invariant factors."""
-    vec = _exponent_row(p.alphabet, p.alphabet.check_word(w))
+    vec = _exponent_row(len(p.alphabet), p.alphabet.encode(w))
     mat = relation_matrix(p)
     if not mat:
         return all(x == 0 for x in vec)

@@ -16,11 +16,15 @@ letters each, and n rewrites of each relator), or with a ``--transversal``
 word longer than n - 1 letters, which no Schreier transversal holds (checked
 as each word is parsed).  So are ``pipeline --k K``,
 ``pipeline --all --max-k K`` and ``regression --k K`` when 2 (K + 1)^2
-passes ``MAX_LETTERS``: the orbifold kernel holds the K + 1 rewrites of
-G^(K+1) and of s^(K+1).  So is ``pipeline --all`` with ``--max-k`` below 1,
-which would check nothing, a coset budget ``--max`` above ``MAX_COSETS``,
-a ``schreier --images`` name that is not a generator or is given twice,
-and an empty ``schreier --transversal``.  A coset table past
+passes ``MAX_LETTERS`` (the orbifold kernel holds the K + 1 rewrites of
+G^(K+1) and of s^(K+1)), or when K passes ``MAX_K`` = 510: the orbifold
+Tietze stage spends 19,963 moves at k = 510, but 20,490, 20,041, 20,650 and
+20,359 at k = 511, 512, 515 and 520, past the 20,000 of its budget, and
+would fail with exit 1 after minutes.  So is
+``pipeline --all`` with ``--max-k`` below 1, which would check nothing, a
+coset budget ``--max`` above ``MAX_COSETS``, a ``schreier --images`` name
+that is not a generator or is given twice, and an empty ``schreier
+--transversal``.  A coset table past
 ``analysis.MAX_TABLE_CELLS`` entries (cosets times twice the generators) is
 an overflow, exit 3.
 
@@ -52,6 +56,7 @@ from .word_core import Alphabet, GenSym
 # the strand count ``act`` and the coset budget ``--max`` accept
 MAX_STRANDS, MAX_COSETS = 10_000, 10**6
 MAX_ACT_LETTERS = 4 * MAX_LETTERS  # the letters ``act`` may write over all its steps
+MAX_K = 510  # the largest k whose orbifold Tietze stage fits the move budget
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +79,7 @@ def _emit(stage: str, data: dict, as_json: bool, text: str) -> None:
 
 
 def _sizes(p: Presentation) -> dict:
-    return {"generators": [str(g) for g in p.alphabet], "relatorCount": len(p.relators)}
+    return {"generators": [str(g) for g in p.alphabet], "relatorCount": len(p.codes)}
 
 
 def verify_persson_configuration():
@@ -189,8 +194,9 @@ def _report_text(report) -> str:
 
 
 def _check_ks(ks: list[int]) -> None:
-    """Each k >= 1, and the orbifold kernel for m = k + 1 (at least 2 m^2
-    letters: the m rewrites of G^m and of s^m) within MAX_LETTERS."""
+    """Each k >= 1, the orbifold kernel for m = k + 1 (at least 2 m^2
+    letters: the m rewrites of G^m and of s^m) within MAX_LETTERS, and k
+    at most MAX_K."""
     if not ks:
         raise ValueError("no k to run: --max-k must be >= 1")
     if not all(k >= 1 for k in ks):
@@ -199,6 +205,9 @@ def _check_ks(ks: list[int]) -> None:
     if 2 * m * m > MAX_LETTERS:
         raise ValueError(f"k = {m - 1}: the orbifold kernel presentation would pass "
                          f"{MAX_LETTERS} letters")
+    if m - 1 > MAX_K:
+        raise ValueError(f"k = {m - 1}: the orbifold Tietze stage needs more moves than "
+                         f"its budget from k = {MAX_K + 1} on")
 
 
 def _cmd_pipeline(args) -> int:

@@ -196,14 +196,12 @@ class _Parser:
             syms.append(GenSym.parse(self.next().text))
         self.expect("|")
         alph = Alphabet(syms)
-        relators: list[Word] = []
+        relators: list[tuple[int, ...]] = []
         total = 0
         if self.peek().text != ">":
             while True:
-                w = self.relation((",", ">"))
-                alph.check_word(w)
-                relators.append(w)
-                total += len(w)
+                relators.append(alph.encode(self.relation((",", ">"))))
+                total += len(relators[-1])
                 self.bound(total, self.peek())
                 if self.peek().text == ",":
                     self.next()
@@ -212,7 +210,7 @@ class _Parser:
         self.expect(">")
         if self.peek().kind != "end":
             self.fail("trailing input after presentation")
-        return Presentation(alph, relators)
+        return Presentation.from_codes(alph, relators)
 
 
 def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
@@ -221,7 +219,7 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     if p.peek().kind != "end":
         p.fail("trailing input after word")
     if alphabet is not None:
-        alphabet.check_word(w)
+        alphabet.encode(w)               # a foreign symbol is an AlphabetError
     return w
 
 

@@ -52,11 +52,11 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .analysis import (AbelianInvariants, CosetTable, abelian_invariants, holds_in,
                        is_abelian, todd_coxeter, trivial_in_abelianization)
-from .braid import Braid
+from .braid import Braid, strand_images
 from .grammar import parse_word
-from .presentation import Presentation, _monodromy_codes, add_relators, tietze_simplify
+from .presentation import IntWord, Presentation, _icyc, add_relators, tietze_simplify
 from .schreier import SchreierGenSet, subgroup_presentation
-from .word_core import Alphabet, GenSym, Word
+from .word_core import Alphabet, GenSym, Word, _iinv
 
 D = [None] + [GenSym("d", i) for i in range(1, 6)]
 GAMMA = GenSym("G")
@@ -89,6 +89,17 @@ def paper_braids() -> dict[str, Braid]:
     return {"b0": b0, "b1": b1, "b-1": bm1, "b+": bp, "b-": bm}
 
 
+def _monodromy_codes(fiber: Alphabet, beta: Braid, gamma: int = 0) -> list[IntWord]:
+    """Per strand d_i of the fiber, cyclically reduced in the codes of the fiber
+    followed by one generator coded ``gamma``: d_i^-1 (d_i) beta if ``gamma`` is
+    0, else gamma d_i gamma^-1 ((d_i) beta)^-1."""
+    images = strand_images(beta, fiber)
+    if not gamma:
+        return [_icyc([-i] + images.get(i, [i])) for i in range(1, len(fiber) + 1)]
+    return [_icyc((gamma, i, -gamma) + _iinv(images.get(i, (i,))))
+            for i in range(1, len(fiber) + 1)]
+
+
 def pi_prime() -> Presentation:
     """Pi': six braids stabilize the fiber, and G conjugates it as b1^2 acts."""
     beta = paper_braids()
@@ -98,7 +109,7 @@ def pi_prime() -> Presentation:
                    b1 * beta["b-"] * b1.inverse(),
                    b1 * beta["b+"] * b1.inverse()]
     fiber, full = fiber_alphabet(), full_alphabet()
-    # the codes of stabilizer_relators, then of conjugation_relators, never decoded twice
+    # the stabilizer relators d_i^-1 (d_i) beta, then the conjugation relators
     codes = [c for beta in stabilizing for c in _monodromy_codes(fiber, beta)]
     return Presentation.from_codes(
         full, codes + _monodromy_codes(fiber, b1 * b1, full.index(GAMMA) + 1))
@@ -289,7 +300,7 @@ class StageInfo(NamedTuple):
     @staticmethod
     def of(name: str, p: Presentation) -> "StageInfo":
         return StageInfo(name, tuple(str(g) for g in p.alphabet),
-                         len(p.relators), p.total_length())
+                         len(p.codes), p.total_length())
 
 
 class SuspectVerdict(NamedTuple):

@@ -1,9 +1,12 @@
 """Finitely presented groups and Tietze simplification.
 
-A ``Presentation`` stores freely *and cyclically* reduced relators with
-no duplicates up to rotation and inversion (two such relators have the
-same normal closure, so they are one relator).  Identity relators are
-dropped.
+A ``Presentation`` keeps its relators in one store, ``codes``: int words in
+the letters of its own alphabet (generator i is i, its inverse -i), freely
+*and cyclically* reduced, with no duplicates up to rotation and inversion (two
+such relators have the same normal closure, so they are one relator) and no
+identity.  Words and codes pass one normalizer; ``relators`` decodes the codes
+on each read, to print, to log or to trace.  A code means nothing outside its
+alphabet: the Tietze result renumbers its codes into the symbols left.
 
 ``tietze_simplify`` applies the classical moves:
 
@@ -69,10 +72,10 @@ from __future__ import annotations
 
 from collections import Counter
 from bisect import insort
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .braid import Braid, strand_images
-from .word_core import Alphabet, GenSym, Word, _iinv, _ireduce, _Record
+from .word_core import Alphabet, AlphabetError, GenSym, Word, _iinv, _ireduce, _Record
 
 IntWord = tuple[int, ...]
 
@@ -151,46 +154,42 @@ def _repeats(words: Sequence[IntWord], prints: Sequence[tuple[int, int]],
 
 
 class Presentation:
-    """Generator alphabet plus normalized relator list."""
+    """Generator alphabet plus normalized relator list, kept as int codes in the
+    alphabet's letters (``codes``); ``relators`` decodes them on each read."""
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word]):
-        self.alphabet = alphabet
-        words: list[Word] = []
-        for w in relators:
-            alphabet.check_word(w)
-            w = w.cyclically_reduced()
-            if w:
-                words.append(w)
-        codes = [alphabet.encode(w) for w in words]
-        drop = _repeats(codes, list(map(_fingerprint, codes)))
-        self.relators: tuple[Word, ...] = tuple(w for i, w in enumerate(words) if i not in drop)
-        self._codes = tuple(c for i, c in enumerate(codes) if i not in drop)
+        self._normalize(alphabet, map(alphabet.encode, relators))
 
     @classmethod
     def from_codes(cls, alphabet: Alphabet, codes: Iterable[IntWord]) -> Presentation:
-        """The presentation of cyclically reduced int words over ``alphabet``: the
-        repeats are dropped first, and each kept word is decoded once."""
-        codes = [c for c in codes if c]
-        drop = _repeats(codes, list(map(_fingerprint, codes)))
+        """The presentation of int words over ``alphabet``, normalized as words are."""
         p = cls.__new__(cls)
-        p.alphabet = alphabet
-        p._codes = tuple(c for i, c in enumerate(codes) if i not in drop)
-        p.relators = tuple(map(alphabet.decode, p._codes))
+        p._normalize(alphabet, codes)
         return p
+
+    def _normalize(self, alphabet: Alphabet, codes: Iterable[IntWord]) -> None:
+        """Cyclically reduce, drop the empty codes, then the repeats."""
+        self.alphabet = alphabet
+        kept = [c for c in map(_icyc, codes) if c]
+        if not set().union(*kept) <= set(range(-len(alphabet), len(alphabet) + 1)) - {0}:
+            raise AlphabetError(f"a code outside an alphabet of {len(alphabet)}")
+        drop = _repeats(kept, list(map(_fingerprint, kept)))
+        self.codes: tuple[IntWord, ...] = tuple(c for i, c in enumerate(kept) if i not in drop)
+
+    @property
+    def relators(self) -> tuple[Word, ...]:
+        return tuple(map(self.alphabet.decode, self.codes))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Presentation)
                 and self.alphabet == other.alphabet
-                and self.relators == other.relators)
+                and self.codes == other.codes)
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.relators))
+        return hash((self.alphabet, self.codes))
 
     def total_length(self) -> int:
-        return sum(len(r) for r in self.relators)
-
-    def encoded_relators(self) -> list[IntWord]:
-        return list(self._codes)
+        return sum(map(len, self.codes))
 
     def __str__(self) -> str:
         gens = " ".join(str(s) for s in self.alphabet)
@@ -199,34 +198,11 @@ class Presentation:
 
     def __repr__(self) -> str:
         return (f"Presentation({len(self.alphabet)} generators, "
-                f"{len(self.relators)} relators, total length {self.total_length()})")
-
-
-def _monodromy_codes(fiber: Alphabet, beta: Braid, gamma: int = 0) -> list[IntWord]:
-    """Per strand d_i of the fiber, cyclically reduced in the codes of the fiber
-    followed by one generator coded ``gamma``: d_i^-1 (d_i) beta if ``gamma`` is
-    0, else gamma d_i gamma^-1 ((d_i) beta)^-1."""
-    images = strand_images(beta, fiber)
-    if not gamma:
-        return [_icyc([-i] + images.get(i, [i])) for i in range(1, len(fiber) + 1)]
-    return [_icyc((gamma, i, -gamma) + _iinv(images.get(i, (i,))))
-            for i in range(1, len(fiber) + 1)]
-
-
-def conjugation_relators(fiber: Alphabet, gamma: GenSym, beta: Braid) -> list[Word]:
-    """Relators gamma d gamma^-1 ((d) beta)^-1: conjugation by gamma acts as beta."""
-    alph = Alphabet(fiber.symbols + (gamma,))
-    return [alph.decode(c) for c in _monodromy_codes(fiber, beta, len(fiber) + 1)]
-
-
-def stabilizer_relators(fiber: Alphabet, braids: Sequence[Braid]) -> list[Word]:
-    """Relators d_i^-1 (d_i) beta stating that each braid fixes the fiber,
-    cyclically reduced; ``Presentation`` drops the duplicates among them."""
-    return [fiber.decode(c) for beta in braids for c in _monodromy_codes(fiber, beta) if c]
+                f"{len(self.codes)} relators, total length {self.total_length()})")
 
 
 def add_relators(p: Presentation, ws: Iterable[Word]) -> Presentation:
-    return Presentation(p.alphabet, list(p.relators) + list(ws))
+    return Presentation.from_codes(p.alphabet, p.codes + tuple(map(p.alphabet.encode, ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +218,13 @@ IntMove = tuple  # a move in int letters of the input alphabet (module docstring
 
 class _TietzeState:
     """Mutable (alphabet, relator list) that only changes via apply(), which
-    takes int-coded moves; ``word`` decodes each int word at most once."""
+    takes int-coded moves."""
 
     def __init__(self, p: Presentation):
         self.source = p.alphabet  # int codes stay relative to the source alphabet
         self.symbols: list[GenSym] = list(p.alphabet.symbols)
-        # already distinct up to rotation and inversion (Presentation.__init__)
-        self.rels: list[IntWord] = p.encoded_relators()
-        self.words: dict[IntWord, Word] = dict(zip(self.rels, p.relators))
-
-    def word(self, w: IntWord) -> Word:
-        out = self.words.get(w)
-        if out is None:
-            out = self.words[w] = self.source.decode(w)
-        return out
+        # already distinct up to rotation and inversion (Presentation._normalize)
+        self.rels: list[IntWord] = list(p.codes)
 
     def apply(self, move: IntMove) -> None:
         kind = move[0]
@@ -275,18 +244,24 @@ class _TietzeState:
             raise ValueError(f"unknown move kind {kind}")
 
     def presentation(self) -> Presentation:
-        return Presentation(Alphabet(self.symbols), [self.word(r) for r in self.rels])
+        """The relators renumbered into the alphabet of the symbols left."""
+        at = {self.source.index(s) + 1: i for i, s in enumerate(self.symbols, 1)}
+        at.update({-g: -i for g, i in at.items()})
+        return Presentation.from_codes(Alphabet(self.symbols),
+                                       [tuple(map(at.__getitem__, r)) for r in self.rels])
 
     def outcome(self, moves: list[IntMove], exhausted: bool) -> tuple[Presentation, TietzeLog]:
-        """Apply ``moves``; the presentation reached, and the moves as a log."""
+        """Apply ``moves``; the presentation reached, and the moves as a log,
+        which decodes each distinct int word once."""
+        word = cache(self.source.decode)
         log = []
         for mv in moves:
             self.apply(mv)
             if mv[0] == "eliminate-generator":
                 _, g, expr, defining = mv
-                payload = (self.source.symbols[g - 1], self.word(expr), self.word(defining))
+                payload = (self.source.symbols[g - 1], word(expr), word(defining))
             else:
-                payload = (self.word(mv[1]),)
+                payload = (word(mv[1]),)
             log.append(TietzeMove(mv[0], payload))
         return self.presentation(), TietzeLog(log, exhausted)
 

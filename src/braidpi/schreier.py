@@ -18,7 +18,8 @@ kernel: the map, the transversal, the generators and their defining words.
 
 Rewriting walks a word letter by letter, tracking the current residue:
 a positive letter g at residue r contributes s(r, g); a negative letter
-g^-1 at residue r contributes s(r - q(g), g)^-1.
+g^-1 at residue r contributes s(r - q(g), g)^-1.  One routine does it, on
+the parent's int codes, so the kernel's relators are never ``Word``s.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from .analysis import CosetTable
-from .presentation import Presentation
+from .presentation import IntWord, Presentation
 from .word_core import Alphabet, GenSym, Word
 
 
@@ -73,7 +74,7 @@ class SchreierGenSet:
     def __init__(self, parent: Alphabet, modulus: int, images: Mapping[GenSym, int],
                  reps: tuple[Word, ...],
                  names: Mapping[tuple[int, GenSym], GenSym] | None = None):
-        self.modulus, self.images, self.reps = modulus, images, reps
+        self.parent, self.modulus, self.images, self.reps = parent, modulus, images, reps
         self.gens: dict[tuple[int, GenSym], GenSym | None] = {}
         self.backmap: dict[GenSym, Word] = {}
         names = names or {}
@@ -89,6 +90,10 @@ class SchreierGenSet:
                 self.backmap[sym] = w
                 ordered.append(sym)
         self.alphabet = Alphabet(ordered)
+        # per parent generator: q(g), and the kernel code of s(r, g) at r (0 if trivial)
+        code = {sym: i for i, sym in enumerate(ordered, 1)}
+        self._steps = [(images[g], [code.get(self.gens[r, g], 0) for r in range(modulus)])
+                       for g in parent]
 
     def residue(self, w: Word) -> int:
         return _residue(w, self.modulus, self.images)
@@ -97,17 +102,21 @@ class SchreierGenSet:
         """Rewrite a kernel word (residue 0) into the subgroup generators."""
         if self.residue(w) != 0:
             raise QuotientMapError(f"word {w} is not in the kernel")
-        out: list[tuple[GenSym, int]] = []
-        r = start
-        for g, e in w:
-            if e < 0:
-                r = (r - self.images[g]) % self.modulus
-            sym = self.gens[(r, g)]
-            if e > 0:
-                r = (r + self.images[g]) % self.modulus
-            if sym is not None:
-                out.append((sym, e))
-        return Word.of(out)
+        return self.alphabet.decode(self._rewrite(self.parent.encode(w), start))
+
+    def _rewrite(self, w: IntWord, start: int) -> list[int]:
+        """The kernel code, not yet reduced, of the parent code w read from
+        residue ``start``."""
+        out, r, n = [], start, self.modulus
+        for l in w:
+            q, codes = self._steps[abs(l) - 1]
+            if l < 0:
+                r = (r - q) % n
+            if codes[r]:
+                out.append(codes[r] if l > 0 else -codes[r])
+            if l > 0:
+                r = (r + q) % n
+        return out
 
     def table(self, parent: CosetTable) -> CosetTable:
         """``parent``'s cosets under the Schreier generators, each acting
@@ -152,9 +161,10 @@ def subgroup_presentation(
     for g in p.alphabet:
         if g not in images:
             raise QuotientMapError(f"no image for generator {g}")
-    for r in p.relators:
-        if _residue(r, modulus, images) != 0:
-            raise QuotientMapError(f"relator {r} maps to {_residue(r, modulus, images)} "
+    shift = [images[g] for g in p.alphabet]
+    for c in p.codes:
+        if res := sum(shift[l - 1] if l > 0 else -shift[-l - 1] for l in c) % modulus:
+            raise QuotientMapError(f"relator {p.alphabet.decode(c)} maps to {res} "
                                    f"!= 0 mod {modulus}")
     if modulus > 1:
         d = gcd(modulus, *(images[g] for g in p.alphabet))
@@ -180,5 +190,5 @@ def subgroup_presentation(
             if not closed[u.letters]:
                 raise TransversalError(f"not a Schreier transversal: prefix of {u} missing")
     gens = SchreierGenSet(p.alphabet, modulus, images, reps, names)
-    rels = [gens.rewrite(rel, start) for rel in p.relators for start in range(modulus)]
-    return Presentation(gens.alphabet, rels), gens
+    rels = [gens._rewrite(c, start) for c in p.codes for start in range(modulus)]
+    return Presentation.from_codes(gens.alphabet, rels), gens

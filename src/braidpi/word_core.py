@@ -244,12 +244,6 @@ class Alphabet:
         except KeyError:
             raise AlphabetError(f"symbol {sym} not in alphabet") from None
 
-    def check_word(self, w: Word) -> Word:
-        for s, _ in w.letters:
-            if s not in self._pos:
-                raise AlphabetError(f"word uses foreign symbol {s}")
-        return w
-
     def encode(self, w: Word) -> tuple[int, ...]:
         pos = self._pos
         try:

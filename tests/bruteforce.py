@@ -45,7 +45,7 @@ def group_order_by_enumeration(p: Presentation, max_len: int) -> int:
     ngens = len(p.alphabet)
     letters = [g for i in range(1, ngens + 1) for g in (i, -i)]
     relators: list[tuple[int, ...]] = []
-    for r in p.encoded_relators():
+    for r in p.codes:
         for u in (r, tuple(-x for x in reversed(r))):
             for i in range(len(u)):
                 relators.append(u[i:] + u[:i])
@@ -123,7 +123,7 @@ def group_order_by_enumeration(p: Presentation, max_len: int) -> int:
         for c in range(n):
             if act[(act[(c, g)], -g)] != c:
                 raise Inconclusive(f"letters {g}, {-g} do not act inversely")
-    for r in p.encoded_relators():
+    for r in p.codes:
         for c in range(n):
             cur = c
             for g in r:

@@ -95,7 +95,7 @@ def todd_coxeter_rows(p, max_cosets=10**6):
         raise ValueError("max_cosets must be >= 1")
     ncols = 2 * len(p.alphabet)
     relators = [([_col(l) for l in r], [_col(l) ^ 1 for l in r])
-                for r in sorted(p.encoded_relators(), key=lambda r: (len(r), r))]
+                for r in sorted(p.codes, key=lambda r: (len(r), r))]
 
     table = [None, [None] * ncols]
     parent = [0, 1]

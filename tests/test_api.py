@@ -98,6 +98,16 @@ def test_subcommands_load_only_their_layers(argv, loaded, absent):
     assert ("json" in modules) == ("--json" in argv), argv
 
 
+def test_presentation_loads_no_braid():
+    # Pi's monodromy relators are built in pipeline: presentations need no braids
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, braidpi.presentation; print(' '.join(sys.modules))"],
+                          env=_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    modules = done.stdout.split()
+    assert "braidpi.presentation" in modules and "braidpi.braid" not in modules
+
+
 def test_no_module_level_caches():
     for module in MODULES:
         mod = importlib.import_module(f"braidpi.{module}")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidpi import pipeline, presentation
+from braidpi import pipeline
 from braidpi.braid import Braid, StrandMismatchError, act, compose, strand_images
 from braidpi.pipeline import fiber_alphabet, paper_braids
 from braidpi.word_core import Alphabet, GenSym, Word
@@ -183,6 +183,6 @@ def test_pi_prime_action_words_match_reference(monkeypatch):
             calls.append(image)
         return images
 
-    monkeypatch.setattr(presentation, "strand_images", checked)
+    monkeypatch.setattr(pipeline, "strand_images", checked)
     pipeline.pi_prime()
     assert len(calls) == 35

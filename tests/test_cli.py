@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from braidpi import analysis, grammar, pipeline, word_core
+from braidpi import analysis, cli, grammar, pipeline, word_core
 from braidpi.cli import MAX_ACT_LETTERS, MAX_COSETS, main
 from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
                              parse_word)
@@ -412,6 +412,20 @@ def test_cli_cover_parameter_bound(argv, capsys):
     assert main(argv) == 2
     assert time.perf_counter() - start < 2
     assert "letters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["pipeline", "--k", "511"],
+                                  ["pipeline", "--all", "--max-k", "706"],
+                                  ["regression", "--k", "600"]])
+def test_cli_cover_parameter_move_budget(argv, capsys):
+    # from k = 511 on, the orbifold Tietze stage needs more than its 20,000
+    # moves: refused at once instead of failing after minutes
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    assert "needs more moves than its budget from k = 511 on" in capsys.readouterr().err
+    cli._check_ks([510])
+    cli._check_ks(list(range(1, 511)))
 
 
 @pytest.mark.parametrize("max_k", ["0", "-3"])

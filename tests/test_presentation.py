@@ -3,13 +3,11 @@ import random
 import pytest
 
 from braidpi.analysis import abelian_invariants, todd_coxeter
-from braidpi import presentation
 from braidpi.braid import Braid, act
-from braidpi.pipeline import fiber_alphabet, paper_braids
+from braidpi.pipeline import _monodromy_codes, fiber_alphabet, paper_braids
 from braidpi.pipeline import pi_prime
 from braidpi.presentation import (Presentation, _canon_key, _icyc, _iinv, _Simplifier,
-                                  add_relators, conjugation_relators, stabilizer_relators,
-                                  tietze_simplify)
+                                  add_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
 
 from .reference import canon_key, first_occurrences, substitute
@@ -63,10 +61,21 @@ def _planted_words(rng):
     return Alphabet(GenSym("x", i) for i in range(1, ngens + 1)), words
 
 
+def _unreduced(rng, w, n):
+    """w conjugated by a letter, or with a cancelling pair put in: ``_icyc``
+    gives w back."""
+    x = rng.choice((1, -1)) * rng.randint(1, n)
+    if x in (-w[0], w[-1]):
+        i = rng.randrange(len(w) + 1)
+        return w[:i] + (x, -x) + w[i:]
+    return (x,) + w + (-x,)
+
+
 def test_dedupe_matches_reference():
     # the fingerprint buckets keep what a plain set of canonical keys keeps,
     # in the same order, first occurrence first, in Presentation and in the
-    # engine's normalization, which removes the rest in order
+    # engine's normalization, which removes the rest in order; words and codes
+    # (here not reduced, an identity among them) share one normalizer
     rng = random.Random(2026)
     repeats = lookalikes = 0
     for _ in range(3000):
@@ -74,7 +83,9 @@ def test_dedupe_matches_reference():
         kept = first_occurrences(words)
         p = Presentation(alph, [alph.decode(w) for w in words])
         assert p.relators == tuple(alph.decode(words[i]) for i in kept), words
-        assert p.encoded_relators() == [words[i] for i in kept]
+        assert p.codes == tuple(words[i] for i in kept)
+        q = Presentation.from_codes(alph, [_unreduced(rng, w, len(alph)) for w in words] + [()])
+        assert q == p and hash(q) == hash(p) and q.relators == p.relators, words
         sim = _Simplifier(Presentation(alph, []), 10**6, frozenset())
         sim.state.rels = list(words) + [()]
         sim.normalize()
@@ -91,9 +102,9 @@ def test_dedupe_matches_reference():
 
 
 def test_simplify_decodes_each_word_once(monkeypatch):
-    # the engine emits int moves: the log decodes each distinct word once, the
-    # start relators not at all, and the result its relators
-    p = pi_prime()
+    # Pi' is built on int codes and kept as codes, with no word decoded; the
+    # engine emits int moves: the log decodes each distinct word once, the
+    # start relators and the result not at all
     calls = []
     real = Alphabet.decode
 
@@ -102,10 +113,12 @@ def test_simplify_decodes_each_word_once(monkeypatch):
         return real(self, ints)
 
     monkeypatch.setattr(Alphabet, "decode", counting)
+    p = pi_prime()
+    assert calls == [] and len(p.codes) == 31
     q, log = tietze_simplify(p)
     words = {w for mv in log.moves for w in mv.payload if isinstance(w, Word)}
     assert len(log.moves) > 100
-    assert len(calls) <= len(words) + len(q.relators), (len(calls), len(words))
+    assert len(calls) == len(words), (len(calls), len(words))
 
 
 def test_relators_cyclically_reduced():
@@ -117,12 +130,21 @@ def test_relators_cyclically_reduced():
 def test_foreign_symbol_rejected():
     with pytest.raises(AlphabetError):
         Presentation(alphabet("a"), [word((B, 1))])
+    for code in ((1, 2), (-2,), (0, 1)):       # codes are read only in their alphabet
+        with pytest.raises(AlphabetError):
+            Presentation.from_codes(alphabet("a"), [(1,), code])
+
+
+def _conjugation(fiber, gamma, beta):
+    """The relators gamma d gamma^-1 ((d) beta)^-1 of ``_monodromy_codes``."""
+    alph = Alphabet(fiber.symbols + (gamma,))
+    return Presentation.from_codes(alph, _monodromy_codes(fiber, beta, len(fiber) + 1))
 
 
 def test_monodromy_relators_identity_braid():
     fiber = fiber_alphabet()
-    p = Presentation(Alphabet(fiber.symbols + (G,)),
-                     conjugation_relators(fiber, G, Braid.identity(5)))
+    p = _conjugation(fiber, G, Braid.identity(5))
+    assert p == _symbolic_monodromy(fiber, G, [], Braid.identity(5))[2]
     assert len(p.alphabet) == 6
     # relators are the commutators [G, d_i]; abelianization free of rank 6
     inv = abelian_invariants(p)
@@ -132,22 +154,28 @@ def test_monodromy_relators_identity_braid():
 def test_monodromy_relators_b0():
     fiber = fiber_alphabet()
     g0 = GenSym("g", 0)
-    p = Presentation(Alphabet(fiber.symbols + (g0,)),
-                     conjugation_relators(fiber, g0, paper_braids()["b0"]))
+    p = _conjugation(fiber, g0, paper_braids()["b0"])
     image = word((D[3], -1), (D[2], 1), (D[3], 1))  # (d2) b0 computed by hand
     expected = (word((g0, 1), (D[2], 1), (g0, -1)) * image.inverse()).cyclically_reduced()
     assert any(r == expected for r in p.relators)
 
 
+def _stabilizer(fiber, braids):
+    """The nonempty relators d_i^-1 (d_i) beta of ``_monodromy_codes``, as words."""
+    return [fiber.decode(c) for beta in braids for c in _monodromy_codes(fiber, beta) if c]
+
+
 def test_stabilizer_relators_examples():
     fiber = fiber_alphabet()
-    assert stabilizer_relators(fiber, [Braid.identity(5)]) == []
-    rels = stabilizer_relators(fiber, [paper_braids()["b+"]])
+    assert _stabilizer(fiber, [Braid.identity(5)]) == []
+    rels = _stabilizer(fiber, [paper_braids()["b+"]])
     assert rels, "b+ stabilizer relations are nonempty"
     # stabilizer relators are commutator-like: zero total exponent sum
     for braid in paper_braids().values():
-        for r in stabilizer_relators(fiber, [braid]):
+        for r in _stabilizer(fiber, [braid]):
             assert sum(r.exponent_sums().values()) == 0
+        assert _stabilizer(fiber, [braid]) == [w for w in _symbolic_monodromy(
+            fiber, G, [braid], Braid.identity(5))[0] if w]
 
 
 def _symbolic_monodromy(fiber, gamma, stabilizing, conjugating):
@@ -162,8 +190,8 @@ def _symbolic_monodromy(fiber, gamma, stabilizing, conjugating):
 
 
 def test_monodromy_codes_match_symbolic_relators():
-    # Pi' and the public relator lists are built on int codes; they must be the
-    # symbolic construction's relators, in its order, with its encodings
+    # Pi' and its relator codes are built from the strand images; they must be
+    # the symbolic construction's relators, in its order, with its encodings
     fiber = fiber_alphabet()
     beta = paper_braids()
     b1 = beta["b1"]
@@ -172,7 +200,7 @@ def test_monodromy_codes_match_symbolic_relators():
     _, _, expected = _symbolic_monodromy(fiber, G, stabilizing, b1 * b1)
     p = pi_prime()
     assert (p.alphabet, p.relators) == (expected.alphabet, expected.relators)
-    assert p.encoded_relators() == expected.encoded_relators()
+    assert p.codes == expected.codes
     assert len(p.relators) == 31 and p.total_length() == 12038
     rng = random.Random(55)
     fixing = dropped = 0
@@ -186,13 +214,13 @@ def test_monodromy_codes_match_symbolic_relators():
         conjugating = Braid(5, tuple((rng.randint(1, 4), rng.choice((1, -1)))
                                      for _ in range(rng.randint(0, 8))))
         stab, conj, sym = _symbolic_monodromy(fiber, G, braids, conjugating)
-        assert stabilizer_relators(fiber, braids) == [w for w in stab if w]
-        assert conjugation_relators(fiber, G, conjugating) == conj
-        codes = [c for b in braids for c in presentation._monodromy_codes(fiber, b)]
-        codes += presentation._monodromy_codes(fiber, conjugating, len(fiber) + 1)
+        assert _stabilizer(fiber, braids) == [w for w in stab if w]
+        conj_codes = _monodromy_codes(fiber, conjugating, len(fiber) + 1)
+        assert [sym.alphabet.decode(c) for c in conj_codes] == conj
+        codes = [c for b in braids for c in _monodromy_codes(fiber, b)] + conj_codes
         ints = Presentation.from_codes(sym.alphabet, codes)
         assert (ints.alphabet, ints.relators) == (sym.alphabet, sym.relators)
-        assert ints.encoded_relators() == sym.encoded_relators()
+        assert ints.codes == sym.codes
         fixing += any(not w for w in stab)
         dropped += len(sym.relators) < sum(1 for w in stab + conj if w)
     assert fixing > 50 and dropped > 50

@@ -6,7 +6,7 @@ from braidpi.analysis import todd_coxeter
 from braidpi.pipeline import GAMMA, GHAT, SIGMA
 from braidpi.presentation import Presentation, add_relators, tietze_simplify
 from braidpi.schreier import QuotientMapError, TransversalError, subgroup_presentation
-from braidpi.word_core import GenSym, Word, alphabet
+from braidpi.word_core import Alphabet, GenSym, Word, alphabet
 
 from .reference import backmap_word
 
@@ -168,3 +168,23 @@ def paper_relators_after_cover(pipe, m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_paper_kernel_relators_before_cover_equal_rewrites_after(pipe, m):
     assert pipe.orbifold(m - 1).raw == paper_relators_after_cover(pipe, m)
+
+
+@pytest.mark.parametrize("stage", ["z2", "orbifold"])
+def test_subgroup_presentation_rewrites_codes_to_codes(stage, pipe, monkeypatch):
+    # the parent's codes are rewritten straight into the kernel's, with no word
+    # decoded or encoded; the public Word rewrite gives the same kernel relators
+    cover = pipe.z2 if stage == "z2" else pipe.orbifold(2)
+    gens = cover.gens
+    names = {key: sym for key, sym in gens.gens.items() if sym is not None}
+    calls = []
+    for method in ("decode", "encode"):
+        real = getattr(Alphabet, method)
+        monkeypatch.setattr(Alphabet, method, lambda self, w, real=real:
+                            calls.append(w) or real(self, w))
+    raw, _ = subgroup_presentation(cover.parent, gens.modulus, gens.images, gens.reps, names)
+    assert calls == []
+    monkeypatch.undo()
+    assert raw == cover.raw
+    words = [gens.rewrite(w, r) for w in cover.parent.relators for r in range(gens.modulus)]
+    assert Presentation(gens.alphabet, words) == raw
