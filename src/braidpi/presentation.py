@@ -24,14 +24,15 @@ another one has; the first occurrence is kept, in ``Presentation`` and in (c).
 
 Moves are coded in the int letters of the input alphabet: ("add-relator", w),
 ("remove-relator", w) and ("eliminate-generator", g, expr, defining).  The
-engine, the result (the kept moves, applied again to the input) and
-``TietzeLog.replay`` (which encodes each logged ``TietzeMove`` once) change
-state only through one routine, ``_TietzeState.apply``, so the log replays to
-the result exactly and the output presents an isomorphic group by construction.
-The log decodes each distinct int word once, and the input's relators not at
-all.  A rewrite in (b) is strictly shorter (each arc gains |p| - |q| > 0
-letters) and adds the new value before it removes the old: in a round the
-relator list is the multiset of the slots' current values.
+engine, the result (its last state, or the kept moves applied again to the
+input if the best state came earlier) and ``TietzeLog.replay`` (which encodes
+each logged ``TietzeMove`` once) change state only through one routine,
+``_TietzeState.apply``, so the log replays to the result exactly and the output
+presents an isomorphic group by construction.  ``tietze_simplify`` decodes no
+word: its log keeps the int moves and decodes them on the first read of
+``moves``, each distinct word once.  A rewrite in (b) is strictly shorter (each
+arc gains |p| - |q| > 0 letters) and adds the new value before it removes the
+old: in a round the relator list is the multiset of the slots' current values.
 The substring search in (b) reads the first L + |s| - 1 letters of r + r
 (L = |r|: a later match repeats one ending L letters earlier) and needs, at
 each end, the longest match in T = s + s, s^-1 + s^-1 (never across the halves)
@@ -48,18 +49,16 @@ letters, read cyclically in the half.  A pair is left out when the pair q
 letters before it is one too, q the piece's least period: both lie in one run,
 so a reducer that nearly repeats a short word keeps about one anchor per place
 rather than one per place in r + r and in T.  A run of h letters or more is
-found from its first anchor, at most k - 1 letters after its start.  The longest
+found from its first anchor, at most k - 1 letters after its start; below 16
+letters that anchor is at its start (k = 1: every window is a piece, and a pair
+left out has an agreeing letter before it), so a run is taken, forward only,
+from each anchor whose letter before disagrees on its diagonal.  The longest
 match ending at i then starts at the least start of the runs through i, and it
 first occurs in T at the least place (below p in its half) among the runs from
 there.  The candidates are taken greedily in key order (|s| - 2 |match|, start
-in r, reducer, |match|, end), each unless it meets a letter taken before.  The
-matches of one run form at most two families, each in key order: the partial
-ones from its start (the cut falls) and the whole copies of s (the start
-rises).  A queue in key order holds each family's next candidate not yet
-ruled out.  Taken letters are never given back, so a candidate that meets them
-now still meets them at its turn: a blocked family skips at once to its first
-candidate clear of them, its key only grows, and the queue takes exactly the
-arcs of a sort of all the candidates, at a cost per run rather than per end.
+in r, reducer, |match|, end), each unless it meets a letter taken before, from
+a queue of the at most two families of each run's matches (``_collect_arcs``):
+exactly the arcs of a sort of all the candidates, at a cost per run, not per end.
 Each relator value has one record per call (encodings, pieces and their
 places, period, fingerprint, canonical key), and a target value that came up
 empty is next tested only against the reducers that entered the list since and
@@ -79,7 +78,7 @@ from .word_core import Alphabet, AlphabetError, GenSym, Word, _iinv, _ireduce, _
 
 IntWord = tuple[int, ...]
 
-_OFS = 0x20  # encoded letters are printable
+_OFS = 0x20  # encoded letters are printable; even, so ord ^ 1 swaps l's char and -l's
 
 
 def _chars(letters: Iterable[int]) -> dict[int, str]:
@@ -217,14 +216,16 @@ IntMove = tuple  # a move in int letters of the input alphabet (module docstring
 
 
 class _TietzeState:
-    """Mutable (alphabet, relator list) that only changes via apply(), which
-    takes int-coded moves."""
+    """Mutable (alphabet, relator list), from p and ``moves``, that only changes
+    via apply(), which takes int-coded moves."""
 
-    def __init__(self, p: Presentation):
+    def __init__(self, p: Presentation, moves: Iterable[IntMove] = ()):
         self.source = p.alphabet  # int codes stay relative to the source alphabet
         self.symbols: list[GenSym] = list(p.alphabet.symbols)
         # already distinct up to rotation and inversion (Presentation._normalize)
         self.rels: list[IntWord] = list(p.codes)
+        for mv in moves:
+            self.apply(mv)
 
     def apply(self, move: IntMove) -> None:
         kind = move[0]
@@ -250,40 +251,43 @@ class _TietzeState:
         return Presentation.from_codes(Alphabet(self.symbols),
                                        [tuple(map(at.__getitem__, r)) for r in self.rels])
 
-    def outcome(self, moves: list[IntMove], exhausted: bool) -> tuple[Presentation, TietzeLog]:
-        """Apply ``moves``; the presentation reached, and the moves as a log,
-        which decodes each distinct int word once."""
-        word = cache(self.source.decode)
-        log = []
-        for mv in moves:
-            self.apply(mv)
-            if mv[0] == "eliminate-generator":
-                _, g, expr, defining = mv
-                payload = (self.source.symbols[g - 1], word(expr), word(defining))
-            else:
-                payload = (word(mv[1]),)
-            log.append(TietzeMove(mv[0], payload))
-        return self.presentation(), TietzeLog(log, exhausted)
+
+class _Pending(_Record):
+    __slots__ = ("_codes",)              # (alphabet, int moves) of a log not yet decoded
 
 
-class TietzeLog(_Record):
+class TietzeLog(_Pending):
     __slots__ = ("moves", "exhausted")  # exhausted: the move budget ran out first
 
     def __init__(self, moves: list[TietzeMove] | None = None, exhausted: bool = False):
         self._init([] if moves is None else moves, exhausted)
 
+    @classmethod
+    def from_codes(cls, alphabet: Alphabet, moves: list[IntMove], exhausted: bool) -> TietzeLog:
+        """The log of int moves over ``alphabet``, decoded when ``moves`` is first read."""
+        log = cls.__new__(cls)
+        object.__setattr__(log, "_codes", (alphabet, moves))
+        object.__setattr__(log, "exhausted", exhausted)
+        return log
+
+    def __getattr__(self, name: str):
+        if name != "moves":
+            raise AttributeError(name)
+        alphabet, moves = self._codes
+        word = cache(alphabet.decode)
+        object.__setattr__(self, "moves", [TietzeMove(mv[0], (
+            alphabet.symbols[mv[1] - 1], word(mv[2]), word(mv[3]))
+            if mv[0] == "eliminate-generator" else (word(mv[1]),)) for mv in moves])
+        return self.moves
+
     def replay(self, p: Presentation) -> Presentation:
         """Re-apply the recorded moves to ``p``, reproducing the target: each is
         encoded once and applied as the engine applies its own."""
-        state = _TietzeState(p)
         code = p.alphabet.encode
-        for kind, payload in self.moves:
-            if kind == "eliminate-generator":
-                sym, expr, defining = payload
-                state.apply((kind, p.alphabet.index(sym) + 1, code(expr), _icyc(code(defining))))
-            else:
-                state.apply((kind, _icyc(code(payload[0]))))
-        return state.presentation()
+        return _TietzeState(p, [
+            (kind, p.alphabet.index(payload[0]) + 1, code(payload[1]), _icyc(code(payload[2])))
+            if kind == "eliminate-generator" else (kind, _icyc(code(payload[0])))
+            for kind, payload in self.moves]).presentation()
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +336,7 @@ def _anchors(target: str, end: int, s: _Relator) -> list[tuple[int, int]]:
     for piece, (q, ys, firsts) in zip(s.pieces, s.places):
         xs = _places(piece, target, 0, end)
         at = set(xs) if q and len(xs) > 1 else ()
-        for x in xs:
-            pairs += [(x, y) for y in (firsts if x - q in at else ys)]
+        pairs += [(x, y) for x in xs for y in (firsts if x - q in at else ys)]
     return pairs
 
 
@@ -344,8 +347,18 @@ def _diagonal_runs(target: str, end: int, s: _Relator) -> list[tuple[int, int, i
     run first tries to reach the furthest stop so far with one comparison."""
     n, p, both = len(s.word), s.period, s.both
     w = len(s.pieces[0])
-    reach: dict[int, int] = {}
     runs = []
+    if n < 16:                           # a run's first anchor is at its start: forward only
+        for x, y in _anchors(target, end, s):
+            base = y - y % (2 * n)
+            d = (y - base - x) % p
+            if not x or target[x - 1] != both[base + (x - 1 + d) % p]:
+                b = x + w
+                while b < end and target[b] == both[base + (b + d) % p]:
+                    b += 1
+                runs.append((x, y, b))
+        return sorted(runs)
+    reach: dict[int, int] = {}
     furthest = 0
     for x, y in sorted(_anchors(target, end, s)):
         base = y - y % (2 * n)           # the half of T that y lies in
@@ -405,6 +418,7 @@ class _Simplifier:
         self.reducers: list[_Relator] = []   # the latest round's reducer list
         self.born: list[_Relator] = []       # born[t - 1] got birth stamp t
         self.chars = _chars(l for g in range(1, len(p.alphabet) + 1) for l in (g, -g))
+        self.flip = {ord(c): ord(c) ^ 1 for c in self.chars.values()}  # l's char <-> -l's
 
     @property
     def rels(self) -> list[IntWord]:
@@ -426,10 +440,7 @@ class _Simplifier:
         self._emit("remove-relator", old)
 
     def _record(self, w: IntWord) -> _Relator:
-        rec = self.records.get(w)
-        if rec is None:
-            rec = self.records[w] = _Relator(w)
-        return rec
+        return self.records.get(w) or self.records.setdefault(w, _Relator(w))
 
     def _records(self, words: Iterable[IntWord]) -> list[_Relator]:
         get = self.records.get
@@ -462,8 +473,8 @@ class _Simplifier:
         rec.born = len(self.born)
         if not rec.pieces:
             w = rec.word
-            rec.text = rec.text or _enc(w + w, self.chars)
-            inverse = _enc(_iinv(w) * 2, self.chars)
+            rec.text = rec.text or _enc(w, self.chars) * 2
+            inverse = rec.text[::-1].translate(self.flip)   # _enc(w^-1 + w^-1)
             rec.both = rec.text + inverse
             rec.pieces = _prefilter_pieces(len(w), rec.text, inverse)
             rec.period = rec.text.find(rec.text[:len(w)], 1)
@@ -508,7 +519,7 @@ class _Simplifier:
         """
         L = len(r)
         rec = self._record(r)
-        target = rec.text = rec.text or _enc(r + r, self.chars)
+        target = rec.text = rec.text or _enc(r, self.chars) * 2
         if rec.clean:                    # a rescan: only what its last scan did not test
             scan = sorted({j for s in self.born[rec.clean:]
                            for j in s.slots}.union(self.records[rec.excluded].slots))
@@ -531,16 +542,16 @@ class _Simplifier:
             h = slen // 2 + 1           # shortest match with 2 |match| > |s|
             reach = 0                    # each end once, from the run of least (start, place)
             for a, y, b in _diagonal_runs(target, L + slen - 1, s):
-                lo = max(a + h - 1, reach)   # its first end
+                lo = a + h - 1 if a + h - 1 > reach else reach   # its first end
                 whole = a + slen - 1         # its first end of a whole match
                 if lo < b:
                     if lo < whole:
-                        cut = min(b, whole) - a
+                        cut = (b if b < whole else whole) - a
                         families.append((slen - 2 * cut, a % L, j, cut, a, lo - a + 1, y))
                     if whole < b:
-                        first = max(lo, whole) - slen + 1
+                        first = (lo if lo > whole else whole) - slen + 1
                         families.append((-slen, first, j, slen, a, b - slen, y))
-                reach = max(reach, b)
+                reach = b if b > reach else reach
         if not families:
             rec.clean, rec.excluded = len(self.born), reducers[owner].word
             return []
@@ -562,10 +573,10 @@ class _Simplifier:
                             insort(families, (slen - 2 * cut, start, j, cut, a, bound, y), at)
                     continue
                 s = reducers[j].word
-                fend = y + cut - 1       # its last letter in T
-                u = s if fend < 2 * slen else _iinv(s)
-                # the rest of the cyclic word u after the match
-                arcs.append((start, cut, tuple(u[(fend + 1 + k) % slen] for k in range(slen - cut))))
+                rest = range(y + cut, y + slen)  # T-places of the cyclic word after the match
+                # read from s in either half: letter i of s^-1 is -s[~i]
+                arcs.append((start, cut, tuple(s[e % slen] for e in rest) if y < 2 * slen
+                             else tuple(-s[~(e % slen)] for e in rest)))
             else:                        # a whole family: its start rises
                 following = hit.bit_length() if hit else start + slen
                 if following <= bound:
@@ -682,4 +693,7 @@ def tietze_simplify(p: Presentation, budget: int = 20000,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return _TietzeState(p).outcome(*_Simplifier(p, budget, frozenset(protect)).run())
+    sim = _Simplifier(p, budget, frozenset(protect))
+    moves, exhausted = sim.run()
+    state = sim.state if len(moves) == len(sim.moves) else _TietzeState(p, moves)
+    return state.presentation(), TietzeLog.from_codes(p.alphabet, moves, exhausted)

@@ -11,12 +11,15 @@ tracing a stage's own alphabet on T(k) must agree with.
 letter-by-letter braid action are built on.  ``SuffixAutomaton`` (Blumer et
 al., TCS 1985) gives, at each end of a walk, the longest match in its text and
 that match's first end there: the Tietze shortener's diagonal runs must agree.
+``anchors`` and ``diagonal_runs`` are the shortener's earlier run routine for
+every reducer: all anchors in order, each run extended both ways from the
+first anchor on it; the runs it takes from short reducers' starts must agree.
 ``first_occurrences`` keeps the first of the int words equal up to rotation and
 inversion by a plain set of canonical keys, with no fingerprints.
 """
 
 from braidpi.analysis import CosetLimitExceeded, _col
-from braidpi.presentation import _canon_key
+from braidpi.presentation import _canon_key, _piece_places, _places
 from braidpi.word_core import Word, _iinv, _reduce_into
 
 
@@ -49,6 +52,49 @@ def first_occurrences(words):
             seen.add(key)
             kept.append(i)
     return kept
+
+
+def anchors(target, end, s):
+    """Pairs (x, y) of places of one piece of s in target[:end] and in T, but
+    none whose pair q letters before is one too, q the piece's period."""
+    if not s.places:
+        s.places = tuple(_piece_places(piece, s.both, len(s.word), s.period)
+                         for piece in s.pieces)
+    pairs = []
+    for piece, (q, ys, firsts) in zip(s.pieces, s.places):
+        xs = _places(piece, target, 0, end)
+        at = set(xs) if q and len(xs) > 1 else ()
+        for x in xs:
+            pairs += [(x, y) for y in (firsts if x - q in at else ys)]
+    return pairs
+
+
+def diagonal_runs(target, end, s):
+    """Sorted maximal runs (start, place, stop) of target[:end] through every
+    anchor of the reducer s, each found from its first anchor in sorted order."""
+    n, p, both = len(s.word), s.period, s.both
+    w = len(s.pieces[0])
+    reach = {}
+    runs = []
+    furthest = 0
+    for x, y in sorted(anchors(target, end, s)):
+        base = y - y % (2 * n)
+        d = (y - base - x) % p
+        if x < reach.get(base + d, 0):
+            continue
+        a, b = x, x + w
+        while a and target[a - 1] == both[base + (a - 1 + d) % p]:
+            a -= 1
+        c = base + (b + d) % p
+        if b < furthest <= b + n and target[b:furthest] == both[c:c + furthest - b]:
+            b = furthest
+        while b < end and target[b] == both[base + (b + d) % p]:
+            b += 1
+        reach[base + d] = b
+        if b > furthest:
+            furthest = b
+        runs.append((a, base + (a + d) % p, b))
+    return sorted(runs)
 
 
 class SuffixAutomaton:

@@ -5,7 +5,7 @@ import pytest
 from braidpi.analysis import abelian_invariants, todd_coxeter
 from braidpi.braid import Braid, act
 from braidpi.pipeline import _monodromy_codes, fiber_alphabet, paper_braids
-from braidpi.pipeline import pi_prime
+from braidpi.pipeline import full_alphabet, pi_prime
 from braidpi.presentation import (Presentation, _canon_key, _icyc, _iinv, _Simplifier,
                                   add_relators, tietze_simplify)
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
@@ -103,8 +103,9 @@ def test_dedupe_matches_reference():
 
 def test_simplify_decodes_each_word_once(monkeypatch):
     # Pi' is built on int codes and kept as codes, with no word decoded; the
-    # engine emits int moves: the log decodes each distinct word once, the
-    # start relators and the result not at all
+    # engine emits int moves and simplifies without decoding a word; its log
+    # decodes each distinct word once, on the first read of its moves, and
+    # the start relators and the result not at all
     calls = []
     real = Alphabet.decode
 
@@ -115,10 +116,14 @@ def test_simplify_decodes_each_word_once(monkeypatch):
     monkeypatch.setattr(Alphabet, "decode", counting)
     p = pi_prime()
     assert calls == [] and len(p.codes) == 31
+    tietze_simplify(p, protect=full_alphabet())
+    assert calls == []
     q, log = tietze_simplify(p)
-    words = {w for mv in log.moves for w in mv.payload if isinstance(w, Word)}
-    assert len(log.moves) > 100
-    assert len(calls) == len(words), (len(calls), len(words))
+    assert calls == []
+    words = [{w for mv in log.moves for w in mv.payload if isinstance(w, Word)} for _ in range(2)]
+    assert len(log.moves) > 100 and words[0] == words[1]
+    assert len(calls) == len(words[0]), (len(calls), len(words[0]))
+    assert log.replay(p) == q
 
 
 def test_relators_cyclically_reduced():

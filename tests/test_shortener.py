@@ -15,10 +15,12 @@ import tracemalloc
 
 from braidpi import pipeline, presentation
 from braidpi.pipeline import GAMMA, SIGMA, full_alphabet, pi_prime
-from braidpi.presentation import (Presentation, _enc, _iinv, _icyc, _prefilter_pieces,
-                                  _Simplifier, _TietzeState, add_relators, tietze_simplify)
+from braidpi.presentation import (Presentation, TietzeLog, TietzeMove, _enc, _iinv, _icyc,
+                                  _prefilter_pieces, _Simplifier, _TietzeState, add_relators,
+                                  tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
 
+from . import reference
 from .reference import SuffixAutomaton
 
 _SEP = "\x01"     # below every encoded letter, so no match crosses it
@@ -113,8 +115,22 @@ class _ReferenceSimplifier(_Simplifier):
         return reference_arcs(owner, r, [s.word for s in reducers], self._automaton)
 
 
+def _outcome(state, moves, exhausted):
+    """``moves`` applied to a fresh ``state`` from the first: the presentation
+    reached, and a log decoded move by move, word by word."""
+    decode, log = state.source.decode, []
+    for mv in moves:
+        state.apply(mv)
+        if mv[0] == "eliminate-generator":
+            payload = (state.source.symbols[mv[1] - 1], decode(mv[2]), decode(mv[3]))
+        else:
+            payload = (decode(mv[1]),)
+        log.append(TietzeMove(mv[0], payload))
+    return state.presentation(), TietzeLog(log, exhausted)
+
+
 def _reference_simplify(p, budget=20000, protect=()):
-    return _TietzeState(p).outcome(*_ReferenceSimplifier(p, budget, frozenset(protect)).run())
+    return _outcome(_TietzeState(p), *_ReferenceSimplifier(p, budget, frozenset(protect)).run())
 
 
 class _RewriteAllState(_TietzeState):
@@ -203,7 +219,7 @@ def _guarded_simplify(p, budget=20000, protect=()):
     """The guarded oracle's result, replayed through ``_RewriteAllState``, its
     log, and the simplifier (for its counters)."""
     sim = _GuardedSimplifier(p, budget, frozenset(protect))
-    result, log = _RewriteAllState(p).outcome(*sim.run())
+    result, log = _outcome(_RewriteAllState(p), *sim.run())
     return result, log, sim
 
 
@@ -293,6 +309,84 @@ def test_short_reducers_match_reference():
     assert found > 150 and exact > 500
     # every length below the constant met both a passing and a failing target
     assert outcomes == {(n, b) for n in range(1, _WINDOWS) for b in (False, True)}
+
+
+def test_short_reducer_runs_match_reference(monkeypatch):
+    # below _WINDOWS letters a run is taken, forward only, from each anchor
+    # whose letter before disagrees on its diagonal: the run lists must be the
+    # earlier routine's, which sorts every anchor and extends the first on
+    # each run both ways
+    real = presentation._diagonal_runs
+    checked = []
+
+    def checking(target, end, s):
+        runs = real(target, end, s)
+        if len(s.word) < _WINDOWS:
+            assert runs == reference.diagonal_runs(target, end, s), (s.word, target, end)
+            checked.append(len(runs))
+        return runs
+
+    monkeypatch.setattr(presentation, "_diagonal_runs", checking)
+    pipe = pipeline.Pipeline()           # every stage of k = 1..6, Pi' included
+    for k in range(1, 7):
+        pipe.run(k)
+    assert len(checked) > 800 and sum(checked) > 4000, (len(checked), sum(checked))
+    # seeded reducers of 1 to 15 letters, proper powers among them, against
+    # targets that hold windows of s or s^-1 up to three turns long
+    rng = random.Random(15)
+    alph = Alphabet(GenSym("x", i) for i in range(1, 4))
+    fixed = [(1, 2) * 3, (1,) * 5, (1, -2) * 7, (2, 1, 3) * 5]
+    inverse = longer = powers = 0
+    for case in range(3000):
+        n = rng.randint(1, _WINDOWS - 1)
+        roots = [m for m in range(1, n) if n % m == 0]
+        if case < len(fixed):
+            s = fixed[case]
+        elif roots and rng.random() < 0.4:
+            m = rng.choice(roots)
+            s = _reduced_word(rng, 3, m) * (n // m)
+        else:
+            s = _reduced_word(rng, 3, n)
+        n = len(s)
+        u = rng.choice((s, _iinv(s)))
+        a = rng.randrange(n)
+        window = (u * 4)[a:a + rng.randint(n // 2 + 1, 3 * n)]
+        r = _icyc(_random_word(rng, 3, rng.randint(0, 4)) + window
+                  + _random_word(rng, 3, rng.randint(0, 4)))
+        if len(r) < n:
+            continue
+        sim = _Simplifier(Presentation(alph, []), 20000, frozenset())
+        rec = sim._admit([r, s])[1]
+        target, end = _enc(r + r), len(r) + n - 1
+        runs = real(target, end, rec)
+        assert runs == reference.diagonal_runs(target, end, rec), (s, r)
+        inverse += any(y >= 2 * n for _, y, _ in runs)
+        longer += any(b - a > n for a, _, b in runs)
+        powers += bool(runs) and rec.period < n
+    assert inverse > 1000 and longer > 1500 and powers > 700, (inverse, longer, powers)
+
+
+def test_inverse_half_complements_match_reference():
+    # a match in the s^-1 half reads its complement from s (letter i of s^-1
+    # is -s[~i]); with one letter per generator, a window of s^-1 occurs
+    # nowhere in s + s, so the planted window's arc comes from the s^-1 half
+    rng = random.Random(16)
+    planted = 0
+    for _ in range(600):
+        n = rng.randint(3, 30)
+        s = tuple(g * rng.choice((1, -1)) for g in rng.sample(range(1, n + 1), n))
+        inverse = _iinv(s) * 2
+        a, cut = rng.randrange(n), rng.randint(n // 2 + 1, n - 1)
+        r = _icyc(_random_word(rng, n, rng.randint(0, 6)) + inverse[a:a + cut]
+                  + _random_word(rng, n, rng.randint(0, 6)))
+        if len(r) < n:
+            continue
+        alph = Alphabet(GenSym("x", i) for i in range(1, n + 1))
+        sim = _Simplifier(Presentation(alph, []), 20000, frozenset())
+        arcs = sim._collect_arcs(0, r, sim._admit([r, s]))
+        assert arcs == reference_arcs(0, r, [r, s]), (r, s)
+        planted += (cut, inverse[a + cut:a + n]) in [(c, rest) for _, c, rest in arcs]
+    assert planted > 250, planted
 
 
 def _reduced_word(rng, ngens, length):
@@ -599,7 +693,7 @@ def test_guarded_oracle_matches_at_every_budget():
     # budgets from 1 to past the moves of an unbounded run cut the run inside
     # normalizations, rewrite pairs and eliminations alike
     rng = random.Random(18)
-    runs = rewrites = eliminations = exhausted = 0
+    runs = rewrites = eliminations = exhausted = earlier = 0
     for _ in range(80):
         ngens = rng.randint(2, 4)
         alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
@@ -613,7 +707,10 @@ def test_guarded_oracle_matches_at_every_budget():
             rewrites += sim.rewrites
             eliminations += sum(mv.kind == "eliminate-generator" for mv in log.moves)
             exhausted += log.exhausted
+            # the engine's last state is the result unless the best came earlier
+            earlier += len(log.moves) < len(sim.moves)
     assert runs > 1000 and rewrites > 3000 and eliminations > 500 and exhausted > 500
+    assert earlier > 50, earlier
 
 
 def test_rescan_meets_a_value_that_came_back():

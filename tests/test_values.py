@@ -12,14 +12,26 @@ from braidpi.analysis import AbelianInvariants
 from braidpi.braid import Braid
 from braidpi.curves import ProjPoint
 from braidpi.presentation import TietzeLog, TietzeMove
-from braidpi.word_core import GenSym, Word
+from braidpi.word_core import Alphabet, GenSym, Word
 
 A, B = GenSym("a"), GenSym("b")
 
 
+def _logs():
+    """A log of int moves, decoded when its moves are first read, and the same
+    log built by hand."""
+    codes = [("add-relator", (1, -2)), ("eliminate-generator", 2, (1,), (1, -2)),
+             ("remove-relator", ())]
+    ab = Word.of([(A, 1), (B, -1)])
+    by_hand = [TietzeMove("add-relator", (ab,)),
+               TietzeMove("eliminate-generator", (B, Word.gen(A), ab)),
+               TietzeMove("remove-relator", (Word(),))]
+    return TietzeLog.from_codes(Alphabet((A, B)), codes, True), TietzeLog(by_hand, True)
+
+
 def _values():
     return [GenSym("d", 1), GenSym("G"), Word.of([(A, 1), (B, -1)]), Word(),
-            Braid(5, ((1, 1), (4, -1))), ProjPoint.of(1, -1, 1)]
+            Braid(5, ((1, 1), (4, -1))), ProjPoint.of(1, -1, 1), _logs()[0]]
 
 
 def test_equality_holds_only_within_a_class():
@@ -36,6 +48,8 @@ def test_equality_holds_only_within_a_class():
     assert Braid(3) != (3, ())
     assert TietzeLog() == TietzeLog([], False) != TietzeLog([], True)
     assert TietzeLog() != ([], False)
+    lazy, by_hand = _logs()
+    assert lazy == by_hand and by_hand == _logs()[0] != TietzeLog(by_hand.moves, False)
 
 
 def test_hashing_is_the_tuple_of_fields():
@@ -45,8 +59,9 @@ def test_hashing_is_the_tuple_of_fields():
     assert hash(Braid(5, ((2, -1),))) == hash((5, ((2, -1),)))
     # equal by value, so one set entry
     assert len({GenSym("a"), GenSym("a"), Word(), Word(), Braid(2), Braid(2)}) == 3
-    with pytest.raises(TypeError):
-        hash(TietzeLog())
+    for log in (TietzeLog(), _logs()[0]):
+        with pytest.raises(TypeError):
+            hash(log)
 
 
 def test_value_types_are_immutable():
@@ -88,6 +103,7 @@ def test_reprs_read_by_the_recorded_digests():
                           "payload=(GenSym('d2'), Word('a'), Word('1')))")
     assert repr(AbelianInvariants((4, 4), 0)) == "AbelianInvariants(torsion=(4, 4), free_rank=0)"
     assert repr(TietzeLog([mv], True)) == f"TietzeLog(moves=[{mv!r}], exhausted=True)"
+    assert repr(_logs()[0]) == repr(_logs()[1])
     assert repr(Braid(3, ((1, -1),))) == "Braid(strands=3, letters=((1, -1),))"
 
 
