@@ -17,10 +17,11 @@ word longer than n - 1 letters, which no Schreier transversal holds (checked
 as each word is parsed).  So are ``pipeline --k K``,
 ``pipeline --all --max-k K`` and ``regression --k K`` when 2 (K + 1)^2
 passes ``MAX_LETTERS`` (the orbifold kernel holds the K + 1 rewrites of
-G^(K+1) and of s^(K+1)), or when K passes ``MAX_K`` = 510: the orbifold
-Tietze stage spends 19,963 moves at k = 510, but 20,490, 20,041, 20,650 and
-20,359 at k = 511, 512, 515 and 520, past the 20,000 of its budget, and
-would fail with exit 1 after minutes.  So is
+G^(K+1) and of s^(K+1)), or when K passes ``MAX_K`` = 510, the largest k
+whose orbifold Tietze stage fitted its 20,000-move budget before the stage
+eliminated short-defined generators first; it now spends 22 k + 31 moves at
+even k and 25 k + 22 at odd k (11,251 at k = 510, 12,797 at 511), and larger
+k wait for a measured cold run.  So is
 ``pipeline --all`` with ``--max-k`` below 1, which would check nothing, a
 coset budget ``--max`` above ``MAX_COSETS``, a ``schreier --images`` name
 that is not a generator or is given twice, and an empty ``schreier
@@ -29,7 +30,9 @@ that is not a generator or is given twice, and an empty ``schreier
 an overflow, exit 3.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
-3 coset enumeration overflow.  A failed certificate, such as a pipeline stage
+3 coset enumeration overflow; 141 (128 + SIGPIPE, as a shell reports a
+command that a closed pipe ended) the reader of standard output closed it,
+with no ``error:`` line.  A failed certificate, such as a pipeline stage
 whose Tietze move budget runs out or a coset table that does not validate, is
 exit 1 with one ``error:`` line.  ``--simplify`` notes a spent move budget on stderr.
 
@@ -45,6 +48,7 @@ globals here, looked up when a command runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import CosetLimitExceeded, abelian_invariants, todd_coxeter
@@ -56,7 +60,7 @@ from .word_core import Alphabet, GenSym
 # the strand count ``act`` and the coset budget ``--max`` accept
 MAX_STRANDS, MAX_COSETS = 10_000, 10**6
 MAX_ACT_LETTERS = 4 * MAX_LETTERS  # the letters ``act`` may write over all its steps
-MAX_K = 510  # the largest k whose orbifold Tietze stage fits the move budget
+MAX_K = 510  # the largest k accepted (module docstring)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +210,8 @@ def _check_ks(ks: list[int]) -> None:
         raise ValueError(f"k = {m - 1}: the orbifold kernel presentation would pass "
                          f"{MAX_LETTERS} letters")
     if m - 1 > MAX_K:
-        raise ValueError(f"k = {m - 1}: the orbifold Tietze stage needs more moves than "
-                         f"its budget from k = {MAX_K + 1} on")
+        raise ValueError(f"k = {m - 1}: the cold runs past MAX_K = {MAX_K} are not yet "
+                         "measured")
 
 
 def _cmd_pipeline(args) -> int:
@@ -323,7 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "max", 0) > MAX_COSETS:
             raise ValueError(f"--max {args.max} is more than {MAX_COSETS} cosets")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()               # a reader gone shows here, not at exit
+        return code
+    except BrokenPipeError:              # the exit's flush writes to nobody
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CosetLimitExceeded as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,9 @@ kernel of d_i -> 1, G -> 0 (mod 2) with transversal {1, d1}, on the
 Schreier generators D = d1^2, A_i = d1 d_i, B_i = d_i d1^-1, G,
 s = d1 G d1^-1.  ``Pipeline.orbifold(k)``, for m = k+1, adjoins G^m and
 s^m and takes the kernel of A_i -> 0, G, s -> 1 (mod m) with transversal
-{G^i}, producing generators A2_i = G^i A2 G^-i, ..., s_i, and Gh = G^m.
+{G^i}, producing generators A2_i = G^i A2 G^-i, ..., s_i, and Gh = G^m;
+its Tietze stage alone first eliminates the generators that relators of at
+most 3 letters define (``tietze_simplify(eliminate_short=True)``).
 The resulting group is finite; ``Pipeline.run(k)`` certifies its order,
 abelian invariants (Z/4 + Z/4 for odd k, Z/2 + Z/4 for even k) and
 commutativity by coset enumeration and Smith normal form.  Nothing is
@@ -133,16 +135,17 @@ class Cover(NamedTuple):
 
 def cover(parent: Presentation, modulus: int, images: Mapping[GenSym, int],
           reps: Iterable[Word], names: Mapping[tuple[int, GenSym], GenSym],
-          protect: Iterable[GenSym] = ()) -> Cover:
+          protect: Iterable[GenSym] = (), *, eliminate_short: bool = False) -> Cover:
     """The kernel of ``parent`` -> Z/modulus (``images``) on the Schreier generators
-    of the transversal ``reps`` and ``names``, simplified keeping ``protect``."""
+    of the transversal ``reps`` and ``names``, simplified keeping ``protect``
+    (first eliminating short-defined generators if ``eliminate_short``)."""
     raw, gens = subgroup_presentation(parent, modulus, images, reps, names)
-    return Cover(parent, raw, gens, _simplify(raw, protect))
+    return Cover(parent, raw, gens, _simplify(raw, protect, eliminate_short))
 
 
-def _simplify(p: Presentation, protect: Iterable[GenSym]) -> Presentation:
+def _simplify(p: Presentation, protect: Iterable[GenSym], eliminate_short=False) -> Presentation:
     """The Tietze stage of every step; a stage whose move budget runs out fails."""
-    simplified, log = tietze_simplify(p, protect=protect)
+    simplified, log = tietze_simplify(p, protect=protect, eliminate_short=eliminate_short)
     if log.exhausted:
         raise PipelineError(f"Tietze move budget exhausted on {p!r}")
     return simplified
@@ -238,6 +241,9 @@ _ORBIFOLD = (
     "A2_{even} = A2_0 (even index)", "A2_{odd} = A2_0 A4_0^2 (odd index)",
 )
 
+# the subscripts a template is read with once, renamed per i (no printed one is this large)
+_MARKERS = {name: 10**9 + n for n, name in enumerate(("i", "j", "even", "odd"))}
+
 # a trailing note: "as printed", or a parenthesized phrase in words
 _NOTE = re.compile(r" (as printed|\([^()]*[a-z]{3}[^()]*\))$")
 _ACTION = re.compile(r"\((.+)\) b1\^-1 = (.+)")
@@ -277,9 +283,14 @@ def regression_corpus(k: int) -> list[CorpusEntry]:
             seen.add(key)
             corpus.append(CorpusEntry(f"orbifold: {text}", "orbifold", rel))
 
+    # each template is read once, its subscripts i, j, even, odd as markers
+    marked = [_printed(t.format(**_MARKERS)) for t in _ORBIFOLD]
     for i in range(m):
-        for template in _ORBIFOLD:
-            orbifold(template.format(i=i, j=i + 1, even=2 * i % m, odd=(2 * i + 1) % m))
+        values = {"i": i, "j": i + 1, "even": 2 * i % m, "odd": (2 * i + 1) % m}
+        at = {_MARKERS[name]: value for name, value in values.items()}
+        for template, rel in zip(_ORBIFOLD, marked):
+            orbifold(template.format(**values),
+                     Word.of((GenSym(s.name, at.get(s.index, s.index)), e) for s, e in rel))
     orbifold("s_0 s_1 ... s_(m-1) = 1", Word.of((GenSym("s_", i), 1) for i in range(m)))
     orbifold("A4_0^(2m) = 1", Word.gen(GenSym("A4_", 0)) ** (2 * m))
     if m % 2:
@@ -381,7 +392,8 @@ class Pipeline:
         parent = add_relators(self.z2.simplified, [g ** m, Word.gen(SIGMA) ** m])
         images = {s: self.z2.gens.backmap[s].exponent_sums().get(GAMMA, 0)
                   for s in parent.alphabet}
-        return cover(parent, m, images, [g ** i for i in range(m)], {(m - 1, GAMMA): GHAT})
+        return cover(parent, m, images, [g ** i for i in range(m)], {(m - 1, GAMMA): GHAT},
+                     eliminate_short=True)
 
     def quotient(self, k: int, max_cosets: int = 10**6) -> CosetTable:
         """Coset table of T(k): the Z/2 parent with G^m and s^m = (d1 G d1^-1)^m."""

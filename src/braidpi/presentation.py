@@ -17,6 +17,13 @@ alphabet: the Tietze result renumbers its codes into the symbols left.
       and p occurs cyclically in r, rewrite r with p replaced by q^-1,
   (c) drop duplicates / rotations / inversions.
 
+With ``eliminate_short``, (a) first runs alone while its relator has at most
+``_SHORT_DEFINING`` = 3 letters, each elimination followed by (c): the
+substituted word has at most 2 letters, and no rewriting round runs between
+such eliminations (the input still counts as a best state).  The phase is
+asked for per stage: on every stage, no bound tried kept every final group of
+the pipeline as short, so ``pipeline`` uses it on the orbifold stage alone.
+
 Two relators equal up to rotation and inversion have the same length and sum of
 |letters| (their fingerprint), so the canonical key (the least rotation of w or
 w^-1, by Booth's algorithm) is computed only for relators whose fingerprint
@@ -78,6 +85,7 @@ from .word_core import Alphabet, AlphabetError, GenSym, Word, _iinv, _ireduce, _
 
 IntWord = tuple[int, ...]
 
+_SHORT_DEFINING = 3  # the longest defining relator of the elimination phase
 _OFS = 0x20  # encoded letters are printable; even, so ord ^ 1 swaps l's char and -l's
 
 
@@ -407,9 +415,11 @@ class _Relator:
 # the simplifier
 
 class _Simplifier:
-    def __init__(self, p: Presentation, budget: int, protect: frozenset[GenSym]):
+    def __init__(self, p: Presentation, budget: int, protect: frozenset[GenSym],
+                 eliminate_short: bool = False):
         self.state = _TietzeState(p)
         self.protect = {p.alphabet.index(s) + 1 for s in protect}
+        self.eliminate_short = eliminate_short
         self.moves: list[IntMove] = []
         self.budget = budget
         self.exhausted = False
@@ -652,9 +662,10 @@ class _Simplifier:
                     return r, g
         return None
 
-    def eliminate_once(self) -> bool:
+    def eliminate_once(self, longest: int | None = None) -> bool:
+        """Eliminate the first candidate unless its relator passes ``longest`` letters."""
         cand = self._candidate()
-        if cand is None or not self._afford(1):
+        if cand is None or longest and len(cand[0]) > longest or not self._afford(1):
             return False
         r, g = cand
         at = next(k for k, l in enumerate(r) if abs(l) == g)
@@ -672,6 +683,8 @@ class _Simplifier:
     def run(self) -> tuple[list[IntMove], bool]:
         """The moves up to the best state reached, and whether the budget ran out."""
         best = self._snapshot()
+        while self.eliminate_short and self.eliminate_once(_SHORT_DEFINING):
+            self.normalize()
         while self.budget > 0:
             self.shorten()
             best = min(best, self._snapshot(), key=lambda s: s[0])
@@ -681,19 +694,20 @@ class _Simplifier:
         return self.moves[:best[1]], self.exhausted or self.budget == 0
 
 
-def tietze_simplify(p: Presentation, budget: int = 20000,
-                    protect: Iterable[GenSym] = ()) -> tuple[Presentation, TietzeLog]:
+def tietze_simplify(p: Presentation, budget: int = 20000, protect: Iterable[GenSym] = (),
+                    *, eliminate_short: bool = False) -> tuple[Presentation, TietzeLog]:
     """Deterministic simplification by Tietze moves; see module docstring.
 
     ``budget`` caps the number of applied moves; on exhaustion the best
     state reached so far is returned, with ``log.exhausted`` set.  Symbols
-    in ``protect`` are never eliminated.  Total relator length of the result
-    never exceeds the input's, and replaying the returned log on ``p``
-    reproduces the result exactly.
+    in ``protect`` are never eliminated.  ``eliminate_short`` runs the phase
+    of short eliminations first (module docstring).  Total relator length of
+    the result never exceeds the input's, and replaying the returned log on
+    ``p`` reproduces the result exactly.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    sim = _Simplifier(p, budget, frozenset(protect))
+    sim = _Simplifier(p, budget, frozenset(protect), eliminate_short)
     moves, exhausted = sim.run()
     state = sim.state if len(moves) == len(sim.moves) else _TietzeState(p, moves)
     return state.presentation(), TietzeLog.from_codes(p.alphabet, moves, exhausted)

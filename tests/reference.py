@@ -16,11 +16,14 @@ every reducer: all anchors in order, each run extended both ways from the
 first anchor on it; the runs it takes from short reducers' starts must agree.
 ``first_occurrences`` keeps the first of the int words equal up to rotation and
 inversion by a plain set of canonical keys, with no fingerprints.
+``regression_corpus`` is the earlier corpus build, which reads every
+orbifold template again for each i, its subscripts written in.
 """
 
+from braidpi import pipeline
 from braidpi.analysis import CosetLimitExceeded, _col
 from braidpi.presentation import _canon_key, _piece_places, _places
-from braidpi.word_core import Word, _iinv, _reduce_into
+from braidpi.word_core import GenSym, Word, _iinv, _reduce_into
 
 
 class MissingImageError(KeyError):
@@ -290,3 +293,28 @@ def base_word(pipe, entry, orbifold) -> Word:
     if entry.stage in ("orbifold", "z2"):
         w = backmap_word(pipe.z2.gens, w)
     return w
+
+
+def regression_corpus(k):
+    """The corpus with each orbifold template formatted and parsed per i."""
+    m = k + 1
+    corpus = [e for e in pipeline.regression_corpus(k) if e.stage != "orbifold"]
+    seen = set()
+
+    def orbifold(text, rel=None):
+        rel = pipeline._printed(text) if rel is None else rel
+        rel = Word.of((GenSym(s.name, s.index % m), e) for s, e in rel)
+        key = rel.cyclically_reduced().letters
+        if key and key not in seen:
+            seen.add(key)
+            corpus.append(pipeline.CorpusEntry(f"orbifold: {text}", "orbifold", rel))
+
+    for i in range(m):
+        for template in pipeline._ORBIFOLD:
+            orbifold(template.format(i=i, j=i + 1, even=2 * i % m, odd=(2 * i + 1) % m))
+    orbifold("s_0 s_1 ... s_(m-1) = 1", Word.of((GenSym("s_", i), 1) for i in range(m)))
+    orbifold("A4_0^(2m) = 1", Word.gen(GenSym("A4_", 0)) ** (2 * m))
+    if m % 2:
+        orbifold("A4_0^2 = 1 (m odd)")
+    orbifold("commutative: A2_0 A4_0 = A4_0 A2_0")
+    return corpus

@@ -245,7 +245,8 @@ def test_cli_failed_certificate_exit_code(monkeypatch, capsys):
     # a pipeline stage whose Tietze move budget runs out, and a coset table
     # that does not validate, are failed checks: exit 1 with one error line
     monkeypatch.setattr(pipeline, "tietze_simplify",
-                        lambda p, budget=20000, protect=(): (p, TietzeLog([], True)))
+                        lambda p, budget=20000, protect=(), *, eliminate_short=False:
+                        (p, TietzeLog([], True)))
     assert main(["pipeline", "--k", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Tietze move budget exhausted on ") and err.count("\n") == 1
@@ -418,12 +419,12 @@ def test_cli_cover_parameter_bound(argv, capsys):
                                   ["pipeline", "--all", "--max-k", "706"],
                                   ["regression", "--k", "600"]])
 def test_cli_cover_parameter_move_budget(argv, capsys):
-    # from k = 511 on, the orbifold Tietze stage needs more than its 20,000
-    # moves: refused at once instead of failing after minutes
+    # from k = 511 on, no cold run has been measured: refused at once instead
+    # of running for minutes
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 2
-    assert "needs more moves than its budget from k = 511 on" in capsys.readouterr().err
+    assert "the cold runs past MAX_K = 510 are not yet measured" in capsys.readouterr().err
     cli._check_ks([510])
     cli._check_ks(list(range(1, 511)))
 
@@ -473,15 +474,16 @@ def test_cli_verify_config_output_pinned(extra, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_CONFIG_SHA256[extra]
 
 
-# sha256 of `pipeline --k K --json`, recorded before Presentation kept its
-# relators as int codes alone; the report must not move by a byte
+# sha256 of `pipeline --k K --json`, recorded when the orbifold stage began to
+# eliminate short-defined generators first (only its orbifold_simplified sizes
+# moved); the report must not move by a byte
 _PIPELINE_JSON_SHA256 = {
-    1: "e9982d0bfc79026b044a4aa1b81518c5ce6037c7487936887495fd1520485569",
-    2: "1ff57ecd9c694b8540d7255a48182623c2356ed0a609cc155d3c2e27030afb04",
-    3: "fdfdf58740fe21221bcbe5379af722f138f4ba42c1fee978164c9537a9a5a924",
-    4: "9e9247a39a903294f46105f588aa668a6a42cf03f1772f4a6cd2e22cf9c71462",
-    5: "15cce0565dc939d183b47159676bc4d90d95feab29de26c1142cc71573c98b49",
-    6: "6ed47ce8c659342f8a96fda1d3c04d4325a8237f94af0ddf4929fee2bdf6df38",
+    1: "542d6819fd09fe0578e4d35be7740173500094a26585df6917e49354d821502d",
+    2: "9f864e501de78468a411fc0876cba45a31d6f6d2bcf0b5c3cd417d04a2c64bdd",
+    3: "f9ec45a9bcc3959b0f68121a5bd5eadeeb35cc7ebab4cb86c6607611b10b10b5",
+    4: "c818c7be5fb2c68559649902df2f19a43257dcff8874c73a4770a25496a418eb",
+    5: "1f0c7dc20a6bfaf3fabd48b73a7a70e49d97571761f9d61b2f8ea5b4fbfc262a",
+    6: "37beb9e59586313127cc877d633ddf2742046cdc206934dfacccd7abe5e51ad3",
 }
 
 
@@ -597,3 +599,25 @@ def test_cli_runs_under_warnings_as_errors(argv):
                           text=True, env=env)
     assert (done.returncode, done.stderr) == (0, ""), done.stderr
     assert argv[-1] == "--help" or done.stdout == "order 6\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["pipeline", "--k", "1", "--json"], ["verify-config"],
+                                  ["tc", "-"]], ids=" ".join)
+def test_cli_closed_stdout_exit_code(argv, buffered):
+    # a reader that closed standard output before the command wrote (as
+    # `braidpi pipeline --json | head -1` can) is exit 141 with nothing on
+    # stderr, whether the write fails in a print or in the last flush
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "braidpi.cli", *argv],
+                              input=b"< a | a^2 >", stdout=write, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -3,12 +3,14 @@ import hashlib
 import pytest
 
 from braidpi import pipeline
-from braidpi.analysis import abelian_invariants, holds_in, is_abelian, todd_coxeter
+from braidpi.analysis import (AbelianInvariants, abelian_invariants, holds_in, is_abelian,
+                              todd_coxeter)
 from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, PipelineError, full_alphabet,
                               paper_braids, pi_prime, regression_corpus, run)
 from braidpi.presentation import add_relators
 from braidpi.word_core import GenSym, Word
 
+from . import reference
 from .reference import base_word
 
 
@@ -116,9 +118,9 @@ STAGES = {
 }
 ORBIFOLD_STAGES = {
     1: {"orbifold_parent": (4, 13, 60), "orbifold_cover": (7, 24, 108),
-        "orbifold_simplified": (3, 6, 23)},
+        "orbifold_simplified": (2, 4, 18)},
     2: {"orbifold_parent": (4, 13, 62), "orbifold_cover": (10, 35, 158),
-        "orbifold_simplified": (2, 4, 16)},
+        "orbifold_simplified": (2, 3, 10)},
 }
 
 
@@ -215,6 +217,17 @@ def test_regression_corpus_pinned(k):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CORPUS_SHA256[k]
 
 
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 100])
+def test_regression_corpus_matches_per_i_reading(k):
+    # each orbifold template is read once and renamed per i: the rows must be
+    # those of reading every instance of it from its own text
+    rows = [(e.ident, e.stage, e.relation.letters, e.suspect, e.note)
+            for e in regression_corpus(k)]
+    assert rows == [(e.ident, e.stage, e.relation.letters, e.suspect, e.note)
+                    for e in reference.regression_corpus(k)]
+    assert sum(e.stage == "orbifold" for e in regression_corpus(k)) > 10 * (k + 1)
+
+
 def test_corpus_relations_trace_in_both_quotients(pipe):
     for k in (1, 2):
         probe = pipe.quotient(k)
@@ -290,7 +303,8 @@ def test_parity_law_at_k39_k40(pipe, k, invariants):
 def test_stage_budget_exhaustion_fails_the_run(monkeypatch):
     real = pipeline.tietze_simplify
     monkeypatch.setattr(pipeline, "tietze_simplify",
-                        lambda p, budget=20000, protect=(): real(p, 3, protect))
+                        lambda p, budget=20000, protect=(), *, eliminate_short=False:
+                        real(p, 3, protect, eliminate_short=eliminate_short))
     with pytest.raises(PipelineError, match="budget"):
         pipeline._simplify(pi_prime(), full_alphabet())
     with pytest.raises(PipelineError):
@@ -301,8 +315,8 @@ def test_pipeline_stages_stay_within_budget(monkeypatch):
     logs = []
     real = pipeline.tietze_simplify
 
-    def recording(p, budget=20000, protect=()):
-        result = real(p, budget, protect)
+    def recording(p, budget=20000, protect=(), *, eliminate_short=False):
+        result = real(p, budget, protect, eliminate_short=eliminate_short)
         logs.append(result[1])
         return result
 
@@ -314,6 +328,24 @@ def test_pipeline_stages_stay_within_budget(monkeypatch):
     # coset enumeration unsimplified)
     assert len(logs) == 9
     assert not any(log.exhausted for log in logs)
+
+
+# the orbifold_simplified total length of k = 1..8 and 20 before the orbifold
+# stage eliminated short-defined generators first
+_PLAIN_ORBIFOLD_LENGTHS = {1: 23, 2: 16, 3: 18, 4: 16, 5: 18, 6: 16, 7: 18, 8: 16, 20: 16}
+
+
+@pytest.mark.parametrize("k", sorted(_PLAIN_ORBIFOLD_LENGTHS))
+def test_short_eliminations_lengthen_no_orbifold_stage(pipe, k):
+    # the elimination phase may not make any final group's presentation longer,
+    # nor change what the run certifies
+    report = pipe.run(k)
+    final = {s.name: s for s in report.stages}["orbifold_simplified"]
+    assert final.total_length <= _PLAIN_ORBIFOLD_LENGTHS[k]
+    assert report.order == (16 if k % 2 else 8)
+    assert report.invariants == AbelianInvariants((4, 4) if k % 2 else (2, 4), 0)
+    assert report.abelian and report.all_regressions_hold
+    assert [tuple(v[1:]) for v in report.suspects] == [(False, True, True)]
 
 
 def test_invalid_k(pipe):

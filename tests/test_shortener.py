@@ -129,8 +129,9 @@ def _outcome(state, moves, exhausted):
     return state.presentation(), TietzeLog(log, exhausted)
 
 
-def _reference_simplify(p, budget=20000, protect=()):
-    return _outcome(_TietzeState(p), *_ReferenceSimplifier(p, budget, frozenset(protect)).run())
+def _reference_simplify(p, budget=20000, protect=(), eliminate_short=False):
+    sim = _ReferenceSimplifier(p, budget, frozenset(protect), eliminate_short)
+    return _outcome(_TietzeState(p), *sim.run())
 
 
 class _RewriteAllState(_TietzeState):
@@ -155,10 +156,13 @@ class _GuardedSimplifier(_Simplifier):
     test and a no-shrink break for each rewrite, a normalization after each
     elimination, and the elimination of ``_RewriteAllState``.  It asserts
     that every rewrite shrinks and that, within a round, the relator list is
-    the round's slots at their current values, so the target is live."""
+    the round's slots at their current values, so the target is live.  Its
+    elimination phase finds each candidate by a scan of its own and asserts
+    that the generator occurs once in a defining relator of at most three
+    letters."""
 
-    def __init__(self, p, budget, protect):
-        super().__init__(p, budget, protect)
+    def __init__(self, p, budget, protect, eliminate_short=False):
+        super().__init__(p, budget, protect, eliminate_short)
         self.state = _RewriteAllState(p)
         self.values, self.slot, self.rewrites = [], 0, 0
 
@@ -203,8 +207,25 @@ class _GuardedSimplifier(_Simplifier):
             if not changed:
                 return
 
+    def _short_candidate(self):
+        """The least (length, relator, generator) with the generator once in a
+        relator of at most three letters and not protected, or None."""
+        return min(((len(r), r, g) for r in self.rels if len(r) <= 3
+                    for g in {abs(l) for l in r}
+                    if g not in self.protect and [abs(l) for l in r].count(g) == 1),
+                   default=None)
+
     def run(self):
         best = self._snapshot()
+        while self.eliminate_short and self.budget > 0:
+            cand = self._short_candidate()
+            if cand is None:
+                break
+            before = len(self.moves)
+            if not self.eliminate_once():
+                break
+            assert self.moves[before][1:4:2] == (cand[2], cand[1]), (cand, self.moves[before])
+            self.normalize()
         while self.budget > 0:
             self.shorten()
             best = min(best, self._snapshot(), key=lambda s: s[0])
@@ -215,10 +236,10 @@ class _GuardedSimplifier(_Simplifier):
         return self.moves[:best[1]], self.exhausted or self.budget == 0
 
 
-def _guarded_simplify(p, budget=20000, protect=()):
+def _guarded_simplify(p, budget=20000, protect=(), eliminate_short=False):
     """The guarded oracle's result, replayed through ``_RewriteAllState``, its
     log, and the simplifier (for its counters)."""
-    sim = _GuardedSimplifier(p, budget, frozenset(protect))
+    sim = _GuardedSimplifier(p, budget, frozenset(protect), eliminate_short)
     result, log = _outcome(_RewriteAllState(p), *sim.run())
     return result, log, sim
 
@@ -327,8 +348,8 @@ def test_short_reducer_runs_match_reference(monkeypatch):
         return runs
 
     monkeypatch.setattr(presentation, "_diagonal_runs", checking)
-    pipe = pipeline.Pipeline()           # every stage of k = 1..6, Pi' included
-    for k in range(1, 7):
+    pipe = pipeline.Pipeline()           # every stage of k = 1..8, Pi' included
+    for k in range(1, 9):
         pipe.run(k)
     assert len(checked) > 800 and sum(checked) > 4000, (len(checked), sum(checked))
     # seeded reducers of 1 to 15 letters, proper powers among them, against
@@ -666,9 +687,9 @@ def test_pipeline_stages_match_reference(monkeypatch):
     calls = []
     real = pipeline.tietze_simplify
 
-    def recording(p, budget=20000, protect=()):
-        result = real(p, budget, protect)
-        calls.append((p, budget, tuple(protect), result))
+    def recording(p, budget=20000, protect=(), *, eliminate_short=False):
+        result = real(p, budget, protect, eliminate_short=eliminate_short)
+        calls.append((p, budget, tuple(protect), eliminate_short, result))
         return result
 
     monkeypatch.setattr(pipeline, "tietze_simplify", recording)
@@ -677,40 +698,56 @@ def test_pipeline_stages_match_reference(monkeypatch):
         pipe.orbifold(k)
     assert len(calls) == 6
     assert calls[0][0] == pipe.pi_prime
-    rewrites = 0
-    for p, budget, protect, (result, log) in calls:
-        ref_result, ref_log = _reference_simplify(p, budget, protect)
+    # the elimination phase runs on the orbifold stages alone
+    assert [call[3] for call in calls] == [False] * 3 + [True] * 3
+    rewrites = short = 0
+    for p, budget, protect, eliminate_short, (result, log) in calls:
+        ref_result, ref_log = _reference_simplify(p, budget, protect, eliminate_short)
         assert log == ref_log, repr(p)
         assert result == ref_result == log.replay(p), repr(p)
         # the guarded oracle asserts the engine's invariants at every rewrite
-        guarded_result, guarded_log, sim = _guarded_simplify(p, budget, protect)
+        guarded_result, guarded_log, sim = _guarded_simplify(p, budget, protect, eliminate_short)
         assert (guarded_result, guarded_log) == (result, log), repr(p)
         rewrites += sim.rewrites
-    assert rewrites > 100
+        if eliminate_short:              # the orbifold stages without the phase too
+            plain = tietze_simplify(p, budget, protect)
+            assert plain == _reference_simplify(p, budget, protect), repr(p)
+            assert plain == _guarded_simplify(p, budget, protect)[:2], repr(p)
+            assert result.total_length() <= plain[0].total_length(), repr(p)
+            short += log.moves != plain[1].moves
+    assert rewrites > 100 and short == 3
 
 
 def test_guarded_oracle_matches_at_every_budget():
     # budgets from 1 to past the moves of an unbounded run cut the run inside
-    # normalizations, rewrite pairs and eliminations alike
+    # normalizations, rewrite pairs and eliminations alike, with the
+    # elimination phase off and on
     rng = random.Random(18)
-    runs = rewrites = eliminations = exhausted = earlier = 0
+    runs, rewrites, eliminations, exhausted, earlier = ([0, 0] for _ in range(5))
+    changed = 0                          # presentations whose log the phase changes
     for _ in range(80):
         ngens = rng.randint(2, 4)
         alph = Alphabet(GenSym("x", i) for i in range(1, ngens + 1))
         p = Presentation(alph, [alph.decode(_icyc(_random_word(rng, ngens, rng.randint(1, 14))))
                                 for _ in range(rng.randint(2, 7))])
-        spent = len(_guarded_simplify(p)[2].moves)
-        for budget in range(1, spent + 3):
-            result, log, sim = _guarded_simplify(p, budget)
-            assert tietze_simplify(p, budget) == (result, log), (p, budget)
-            runs += 1
-            rewrites += sim.rewrites
-            eliminations += sum(mv.kind == "eliminate-generator" for mv in log.moves)
-            exhausted += log.exhausted
-            # the engine's last state is the result unless the best came earlier
-            earlier += len(log.moves) < len(sim.moves)
-    assert runs > 1000 and rewrites > 3000 and eliminations > 500 and exhausted > 500
-    assert earlier > 50, earlier
+        for short in (False, True):
+            spent = len(_guarded_simplify(p, eliminate_short=short)[2].moves)
+            for budget in range(1, spent + 3):
+                result, log, sim = _guarded_simplify(p, budget, eliminate_short=short)
+                got = tietze_simplify(p, budget, eliminate_short=short)
+                assert got == (result, log), (p, budget, short)
+                runs[short] += 1
+                rewrites[short] += sim.rewrites
+                eliminations[short] += sum(mv.kind == "eliminate-generator" for mv in log.moves)
+                exhausted[short] += log.exhausted
+                # the engine's last state is the result unless the best came earlier
+                earlier[short] += len(log.moves) < len(sim.moves)
+        changed += tietze_simplify(p)[1] != tietze_simplify(p, eliminate_short=True)[1]
+    assert runs[0] > 1000 and rewrites[0] > 3000 and eliminations[0] > 500, (runs, rewrites)
+    assert exhausted[0] > 500 and earlier[0] > 50, (exhausted, earlier)
+    # the phase shortens the runs: floors at about four fifths of what they reach
+    assert runs[1] > 500 and rewrites[1] > 1200 and eliminations[1] > 550, (runs, rewrites)
+    assert exhausted[1] > 350 and earlier[1] > 200 and changed > 40, (exhausted, earlier, changed)
 
 
 def test_rescan_meets_a_value_that_came_back():
@@ -731,6 +768,9 @@ def test_rescan_meets_a_value_that_came_back():
 _STAGE_LOGS = ("344aa1c34215005c", "34f2c35e1a1556ac", "468dbc63446313b0")
 _ORBIFOLD_LOGS = {1: "1968f7d83494dea0", 2: "7d1b7d592e672dd6", 3: "0f583a9770b9d763",
                   20: "b88b72d945098084"}  # k = 20: 853 moves, 62 eliminations
+# the orbifold stage as the pipeline runs it, with the elimination phase
+_ORBIFOLD_SHORT_LOGS = {1: "1aef9149f29b6b53", 2: "e384ef60a61875ac", 3: "5921fd0ad71da8de",
+                        20: "1e1b7570e422b1c7"}  # k = 20: 471 moves, 62 eliminations
 _QUOTIENT_LOG = "e6e251545cb4a57c"  # no moves: T(k) is enumerated as it is
 
 
@@ -742,8 +782,8 @@ def test_tietze_logs_match_recorded_digests(monkeypatch):
     logs = []
     real = pipeline.tietze_simplify
 
-    def recording(p, budget=20000, protect=()):
-        result = real(p, budget, protect)
+    def recording(p, budget=20000, protect=(), *, eliminate_short=False):
+        result = real(p, budget, protect, eliminate_short=eliminate_short)
         logs.append(result[1])
         return result
 
@@ -752,8 +792,10 @@ def test_tietze_logs_match_recorded_digests(monkeypatch):
     assert tuple(_log_digest(log) for log in logs) == _STAGE_LOGS
     for k in _ORBIFOLD_LOGS:
         logs.clear()
-        pipe.orbifold(k)
-        assert [_log_digest(log) for log in logs] == [_ORBIFOLD_LOGS[k]], k
+        orb = pipe.orbifold(k)
+        assert [_log_digest(log) for log in logs] == [_ORBIFOLD_SHORT_LOGS[k]], k
+        # the same stage without the elimination phase, as recorded before it
+        assert _log_digest(tietze_simplify(orb.raw)[1]) == _ORBIFOLD_LOGS[k], k
         m = k + 1
         t_k = add_relators(pipe.z2_parent, [Word.gen(GAMMA) ** m,
                                             pipe.z2.gens.backmap[SIGMA] ** m])
