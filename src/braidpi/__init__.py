@@ -2,10 +2,11 @@
 
 Submodules: ``word_core`` (free-group words), ``braid`` (Artin actions),
 ``presentation`` (finitely presented groups, whose relators are int codes
-in their own alphabet, decoded to ``Word``s only to print, log or trace;
-Tietze moves), ``schreier`` (the kernel of a checked map onto Z/n and its
-``SchreierGenSet``, by ``subgroup_presentation``, rewriting codes to
-codes), ``analysis`` (Todd-Coxeter, Smith normal form), ``curves`` (exact
+in their own alphabet, decoded to ``Word``s only to print, log or trace),
+``tietze`` (Tietze moves and their logs), ``schreier`` (the kernel of a
+checked map onto Z/n and its ``SchreierGenSet``, by
+``subgroup_presentation``, rewriting codes to codes), ``cosets``
+(Todd-Coxeter), ``analysis`` (Smith normal form), ``curves`` (exact
 conic/cubic geometry over Q on one sparse ``Poly``; irrational points are
 checked in rational coordinates x = sqrt(d) X, as the curves are even in
 x), ``grammar`` (the text grammar of words and presentations),
@@ -25,14 +26,15 @@ import importlib
 
 # the submodule that defines each public name
 _HOME = {name: module for module, names in {
-    "analysis": "AbelianInvariants CosetLimitExceeded CosetTable abelian_invariants holds_in "
-                "is_abelian smith_normal_form todd_coxeter",
+    "analysis": "AbelianInvariants abelian_invariants smith_normal_form",
     "braid": "Braid act compose",
+    "cosets": "CosetTable holds_in is_abelian todd_coxeter",
     "curves": "Poly ProjPoint cubic_discriminant family_cubic hessian is_tangent_at "
               "sylvester_resultant verify_persson_configuration",
     "pipeline": "Cover Pipeline PipelineReport cover paper_braids pi_prime regression_corpus run",
-    "presentation": "Presentation TietzeLog add_relators tietze_simplify",
+    "presentation": "CosetLimitExceeded Presentation add_relators",
     "schreier": "SchreierGenSet subgroup_presentation",
+    "tietze": "TietzeLog tietze_simplify",
     "word_core": "Alphabet GenSym Word alphabet",
 }.items() for name in names.split()}
 

@@ -26,7 +26,7 @@ k wait for a measured cold run.  So is
 coset budget ``--max`` above ``MAX_COSETS``, a ``schreier --images`` name
 that is not a generator or is given twice, and an empty ``schreier
 --transversal``.  A coset table past
-``analysis.MAX_TABLE_CELLS`` entries (cosets times twice the generators) is
+``cosets.MAX_TABLE_CELLS`` entries (cosets times twice the generators) is
 an overflow, exit 3.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 usage or parse error;
@@ -36,13 +36,15 @@ with no ``error:`` line.  A failed certificate, such as a pipeline stage
 whose Tietze move budget runs out or a coset table that does not validate, is
 exit 1 with one ``error:`` line.  ``--simplify`` notes a spent move budget on stderr.
 
-Each subcommand loads only the layers it runs: ``grammar``, ``presentation`` and
-``analysis`` always, ``schreier`` for ``schreier``, ``pipeline`` and
-``regression``, ``pipeline`` for the last two, ``curves`` for ``verify-config``;
-``json`` is imported only to print ``--json`` output.
-The names ``benchmarks/tracer.py`` hooks (``parse_presentation``,
-``tietze_simplify``, ``todd_coxeter``, ``verify_persson_configuration``) stay
-globals here, looked up when a command runs.
+Each subcommand loads only the layers it runs (a cold call compiles each):
+``word_core``, ``presentation`` and ``grammar`` always; ``cosets`` for ``tc``,
+``analysis`` for ``abelianize``, ``tietze`` for ``--simplify``, ``schreier``
+for ``schreier``, ``curves`` for ``verify-config``, ``braid`` for ``act``, and
+every layer but ``curves`` for ``pipeline`` and ``regression``; ``json`` only
+to print ``--json`` output.  The names ``benchmarks/tracer.py`` hooks
+(``parse_presentation``, ``tietze_simplify``, ``todd_coxeter``,
+``verify_persson_configuration``) stay globals here, looked up when a command
+runs; the last three import their layer when called.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ import argparse
 import os
 import sys
 
-from .analysis import CosetLimitExceeded, abelian_invariants, todd_coxeter
 from .grammar import (MAX_LETTERS, ParseError, parse_braid, parse_int, parse_presentation,
                       parse_word)
-from .presentation import Presentation, tietze_simplify
+from .presentation import CosetLimitExceeded, Presentation
 from .word_core import Alphabet, GenSym
 
 # the strand count ``act`` and the coset budget ``--max`` accept
@@ -89,6 +90,16 @@ def _sizes(p: Presentation) -> dict:
 def verify_persson_configuration():
     from . import curves  # loaded by verify-config alone
     return curves.verify_persson_configuration()
+
+
+def tietze_simplify(p: Presentation, **options):
+    from . import tietze  # loaded by --simplify alone
+    return tietze.tietze_simplify(p, **options)
+
+
+def todd_coxeter(p: Presentation, max_cosets: int):
+    from . import cosets  # loaded by tc alone
+    return cosets.todd_coxeter(p, max_cosets)
 
 
 def _cmd_act(args) -> int:
@@ -172,6 +183,7 @@ def _cmd_tc(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
+    from .analysis import abelian_invariants
     p = parse_presentation(_read_source(args.file))
     inv = abelian_invariants(p)
     data = {**_sizes(p), "invariants": list(inv.torsion), "freeRank": inv.free_rank}

@@ -21,12 +21,13 @@ reads one INT alone, as the command line's numeric options are read.
 
 from __future__ import annotations
 
-import string
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .braid import Braid
 from .presentation import Presentation
 from .word_core import Alphabet, GenSym, Word
+
+if TYPE_CHECKING:
+    from .braid import Braid
 
 
 class ParseError(ValueError):
@@ -46,8 +47,8 @@ class _Token(NamedTuple):
 # symbols and integers are ASCII only: str.isdigit and str.isalnum also accept
 # other scripts' digits and superscripts, which int() reads as numbers or
 # rejects with no line and column
-_DIGITS = frozenset(string.digits)
-_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _WORD = _LETTERS | _DIGITS | {"_"}
 
 
@@ -234,6 +235,7 @@ def parse_int(text: str) -> int:
 
 
 def parse_braid(text: str, n: int) -> Braid:
+    from .braid import Braid  # loaded by act alone
     strand_alphabet = Alphabet(GenSym("s", i) for i in range(1, n))
     w = parse_word(text, strand_alphabet)
     return Braid(n, tuple((sym.index, sign) for sym, sign in w))

@@ -52,12 +52,13 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, NamedTuple
 
-from .analysis import (AbelianInvariants, CosetTable, abelian_invariants, holds_in,
-                       is_abelian, todd_coxeter, trivial_in_abelianization)
+from .analysis import AbelianInvariants, abelian_invariants, trivial_in_abelianization
 from .braid import Braid, strand_images
+from .cosets import CosetTable, holds_in, is_abelian, todd_coxeter
 from .grammar import parse_word
-from .presentation import IntWord, Presentation, _icyc, add_relators, tietze_simplify
+from .presentation import IntWord, Presentation, _icyc, add_relators
 from .schreier import SchreierGenSet, subgroup_presentation
+from .tietze import tietze_simplify
 from .word_core import Alphabet, GenSym, Word, _iinv
 
 D = [None] + [GenSym("d", i) for i in range(1, 6)]

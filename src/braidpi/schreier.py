@@ -25,11 +25,13 @@ the parent's int codes, so the kernel's relators are never ``Word``s.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .analysis import CosetTable
 from .presentation import IntWord, Presentation
 from .word_core import Alphabet, GenSym, Word
+
+if TYPE_CHECKING:
+    from .cosets import CosetTable
 
 
 class QuotientMapError(ValueError):
@@ -136,7 +138,7 @@ class SchreierGenSet:
                 us, us_inv = perm[reps[(r + self.images[g]) % self.modulus].letters]
                 fwd, bwd = act[g]
                 images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
-        return CosetTable(self.alphabet, parent.order, images)
+        return type(parent)(self.alphabet, parent.order, images)
 
 
 def subgroup_presentation(

@@ -21,8 +21,9 @@ orbifold template again for each i, its subscripts written in.
 """
 
 from braidpi import pipeline
-from braidpi.analysis import CosetLimitExceeded, _col
-from braidpi.presentation import _canon_key, _piece_places, _places
+from braidpi.cosets import _col
+from braidpi.presentation import CosetLimitExceeded, _canon_key
+from braidpi.tietze import _piece_places, _places
 from braidpi.word_core import GenSym, Word, _iinv, _reduce_into
 
 

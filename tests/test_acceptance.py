@@ -6,13 +6,15 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import random
 import time
 
-from braidpi.analysis import holds_in, smith_normal_form, todd_coxeter
+from braidpi.analysis import smith_normal_form
 from braidpi.braid import Braid, act
 from braidpi.cli import main
+from braidpi.cosets import holds_in, todd_coxeter
 from braidpi.curves import verify_persson_configuration
 from braidpi.pipeline import A, D, fiber_alphabet, paper_braids
-from braidpi.presentation import Presentation, tietze_simplify
+from braidpi.presentation import Presentation
 from braidpi.schreier import subgroup_presentation
+from braidpi.tietze import tietze_simplify
 from braidpi.word_core import GenSym, Word, alphabet
 
 from .test_analysis import ORACLE_CORPUS, det, mat_mul, pres

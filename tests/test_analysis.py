@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from braidpi.analysis import (AbelianInvariants, CosetLimitExceeded, abelian_invariants,
-                              holds_in, is_abelian, relation_matrix, smith_normal_form,
-                              todd_coxeter, trivial_in_abelianization)
+from braidpi.analysis import (AbelianInvariants, abelian_invariants, relation_matrix,
+                              smith_normal_form, trivial_in_abelianization)
 from braidpi.cli import parse_presentation
-from braidpi.presentation import Presentation
+from braidpi.cosets import holds_in, is_abelian, todd_coxeter
+from braidpi.presentation import CosetLimitExceeded, Presentation
 from braidpi.word_core import GenSym, Word, alphabet
 
 from . import reference

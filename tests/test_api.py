@@ -70,22 +70,36 @@ def test_public_names_resolve_lazily():
         braidpi.nonsense
 
 
+# every command loads these; a cold call compiles each module it loads
+_CORE = {"cli", "grammar", "presentation", "word_core"}
+# what the commands that run the whole cover computation load
+_ALL_BUT_CURVES = set(MODULES) - {"curves"}
+
+
 @pytest.mark.parametrize("argv,loaded,absent", [
     ([], set(), set(MODULES)),
-    (["tc", "-"], {"cli", "analysis"}, {"curves", "pipeline", "schreier"}),
-    (["abelianize", "-"], {"cli", "analysis"}, {"curves", "pipeline", "schreier"}),
-    (["present", "-", "--simplify"], {"cli", "presentation"},
-     {"curves", "pipeline", "schreier"}),
+    (["tc", "-"], _CORE | {"cosets"},
+     {"tietze", "analysis", "braid", "curves", "pipeline", "schreier"}),
+    (["abelianize", "-"], _CORE | {"analysis"},
+     {"tietze", "cosets", "braid", "curves", "pipeline", "schreier"}),
+    (["present", "-", "--simplify"], _CORE | {"tietze"},
+     {"cosets", "analysis", "braid", "curves", "pipeline", "schreier"}),
+    (["present", "-"], _CORE,
+     {"tietze", "cosets", "analysis", "braid", "curves", "pipeline", "schreier"}),
     (["schreier", "-", "--mod", "2", "--images", "a=1,b=0", "--simplify"],
-     {"cli", "schreier"}, {"curves", "pipeline"}),
-    (["verify-config"], {"cli", "curves"}, {"pipeline", "schreier"}),
-    (["act", "--braid", "s1 s2'", "--word", "d1 d2"], {"cli", "braid"},
-     {"curves", "pipeline", "schreier"}),
-    (["pipeline", "--k", "1"], {"cli", "pipeline", "schreier"}, {"curves"}),
-    (["pipeline", "--k", "1", "--json"], {"cli", "pipeline", "schreier"}, {"curves"}),
-    (["tc", "-", "--json"], {"cli", "analysis"}, {"curves", "pipeline", "schreier"}),
-], ids=["import braidpi", "tc", "abelianize", "present", "schreier", "verify-config", "act",
-        "pipeline --k 1", "pipeline --k 1 --json", "tc --json"])
+     _CORE | {"schreier", "tietze"}, {"cosets", "analysis", "braid", "curves", "pipeline"}),
+    (["verify-config"], _CORE | {"curves"},
+     {"tietze", "cosets", "analysis", "braid", "schreier", "pipeline"}),
+    (["act", "--braid", "s1 s2'", "--word", "d1 d2"], _CORE | {"braid"},
+     {"tietze", "cosets", "analysis", "schreier", "curves", "pipeline"}),
+    (["pipeline", "--k", "1"], _ALL_BUT_CURVES, {"curves"}),
+    (["pipeline", "--k", "1", "--json"], _ALL_BUT_CURVES, {"curves"}),
+    (["regression", "--k", "1"], _ALL_BUT_CURVES, {"curves"}),
+    (["tc", "-", "--json"], _CORE | {"cosets"},
+     {"tietze", "analysis", "braid", "curves", "pipeline", "schreier"}),
+], ids=["import braidpi", "tc", "abelianize", "present", "present without --simplify",
+        "schreier", "verify-config", "act", "pipeline --k 1", "pipeline --k 1 --json",
+        "regression --k 1", "tc --json"])
 def test_subcommands_load_only_their_layers(argv, loaded, absent):
     done = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], env=_env(),
                           capture_output=True, text=True)
@@ -109,6 +123,7 @@ def test_presentation_loads_no_braid():
 
 
 def test_no_module_level_caches():
+    assert {"tietze", "cosets"} <= set(MODULES)
     for module in MODULES:
         mod = importlib.import_module(f"braidpi.{module}")
         cached = [name for name, value in vars(mod).items()
@@ -137,7 +152,11 @@ def test_benchmark_harness_hooks_resolve(tmp_path):
     spans_file = tmp_path / "spans.json"
     for argv, stdin, layers in (
             (["verify-config", "--json"], "", {"curves.verify_config"}),
-            (["tc", "-"], "< a b | a^2, b^3, a b a b >", {"cli.parse", "analysis.todd_coxeter"})):
+            (["tc", "-"], "< a b | a^2, b^3, a b a b >", {"cli.parse", "analysis.todd_coxeter"}),
+            # deferred imports: the hooked names still reach the layers they load
+            (["present", "-", "--simplify"], "< a b | a^2, b^3, a b a b >",
+             {"cli.parse", "presentation.tietze"}),
+            (["abelianize", "-", "--json"], "< a b | a^2, b^3, a b a b >", {"analysis.smith"})):
         done = subprocess.run([sys.executable, str(root / "benchmarks" / "tracer.py"),
                                str(spans_file), *argv], input=stdin, cwd=root, env=_env(),
                               capture_output=True, text=True)

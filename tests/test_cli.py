@@ -10,12 +10,12 @@ import time
 
 import pytest
 
-from braidpi import analysis, cli, grammar, pipeline, word_core
+from braidpi import cli, cosets, grammar, pipeline, word_core
 from braidpi.cli import MAX_ACT_LETTERS, MAX_COSETS, main
 from braidpi.grammar import (MAX_NESTING, ParseError, parse_braid, parse_presentation,
                              parse_word)
 from braidpi.pipeline import pi_prime
-from braidpi.presentation import TietzeLog
+from braidpi.tietze import TietzeLog
 from braidpi.word_core import Alphabet, GenSym, Word, alphabet
 
 
@@ -158,6 +158,22 @@ def test_cli_coset_budget_reaches_the_quotient(command, shared_pipeline, capsys)
     assert main([command, "--k", "1", "--max", "3239"]) == 0
 
 
+@pytest.mark.parametrize("argv,stdin,code,err", [
+    (["tc", "-", "--max", "10"], "< a b | a^2, b^3, (a b)^4 >", 3,
+     "overflow: budget of 10 cosets exhausted\n"),
+    (["pipeline", "--k", "1", "--max", "3238"], "", 3,
+     "overflow: budget of 3238 cosets exhausted\n"),
+    (["tc", "-", "--max", "0"], "< a | a^2 >", 2, "error: max_cosets must be >= 1\n"),
+], ids=["tc --max 10", "pipeline --k 1 --max 3238", "tc --max 0"])
+def test_cli_coset_exit_codes_in_a_fresh_process(argv, stdin, code, err):
+    # main catches the overflow before any enumerator is loaded; in a fresh
+    # process the command loads it, and the overflow is still exit 3
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "braidpi.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+
+
 @pytest.mark.parametrize("argv,stdin,cap_kb", [
     (["tc", "-"], "< " + " ".join(f"a{i}" for i in range(300)) + " | >", 800_000),
     (["tc", "-", "--max", "100000000"], "< a | >", 600_000),
@@ -254,7 +270,7 @@ def test_cli_failed_certificate_exit_code(monkeypatch, capsys):
     def refuted(table, p=None):
         raise AssertionError("relator a^2 does not fix every coset")
 
-    monkeypatch.setattr(analysis.CosetTable, "validate", refuted)
+    monkeypatch.setattr(cosets.CosetTable, "validate", refuted)
     monkeypatch.setattr("sys.stdin", io.StringIO("< a | a^2 >"))
     assert main(["tc", "-"]) == 1
     assert capsys.readouterr().err == "error: relator a^2 does not fix every coset\n"

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from braidpi import analysis, cli, pipeline
-from braidpi.analysis import CosetLimitExceeded, holds_in, todd_coxeter
+from braidpi import cli, cosets, pipeline
+from braidpi.cosets import holds_in, todd_coxeter
 from braidpi.grammar import parse_presentation
 from braidpi.pipeline import Pipeline
-from braidpi.presentation import Presentation
+from braidpi.presentation import CosetLimitExceeded, Presentation
 from braidpi.word_core import GenSym, Word, alphabet
 
 from . import reference
@@ -190,9 +190,9 @@ def test_validate_rejects_misshapen_columns():
 
 def test_table_cell_bound(monkeypatch):
     defined = todd_coxeter(S3).defined
-    monkeypatch.setattr(analysis, "MAX_TABLE_CELLS", 4 * defined)
+    monkeypatch.setattr(cosets, "MAX_TABLE_CELLS", 4 * defined)
     assert todd_coxeter(S3).order == 6
-    monkeypatch.setattr(analysis, "MAX_TABLE_CELLS", 4 * defined - 1)
+    monkeypatch.setattr(cosets, "MAX_TABLE_CELLS", 4 * defined - 1)
     with pytest.raises(CosetLimitExceeded, match="table cells"):
         todd_coxeter(S3)
     # the coset budget keeps its own message below the cell bound

@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from braidpi import pipeline
-from braidpi.analysis import (AbelianInvariants, abelian_invariants, holds_in, is_abelian,
-                              todd_coxeter)
+from braidpi.analysis import AbelianInvariants, abelian_invariants
+from braidpi.cosets import holds_in, is_abelian, todd_coxeter
 from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, PipelineError, full_alphabet,
                               paper_braids, pi_prime, regression_corpus, run)
 from braidpi.presentation import add_relators

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from braidpi.analysis import abelian_invariants, todd_coxeter
+from braidpi.analysis import abelian_invariants
 from braidpi.braid import Braid, act
+from braidpi.cosets import todd_coxeter
 from braidpi.pipeline import _monodromy_codes, fiber_alphabet, paper_braids
 from braidpi.pipeline import full_alphabet, pi_prime
-from braidpi.presentation import (Presentation, _canon_key, _icyc, _iinv, _Simplifier,
-                                  add_relators, tietze_simplify)
+from braidpi.presentation import Presentation, _canon_key, _icyc, _iinv, add_relators
+from braidpi.tietze import _Simplifier, tietze_simplify
 from braidpi.word_core import Alphabet, AlphabetError, GenSym, Word, alphabet
 
 from .reference import canon_key, first_occurrences, substitute

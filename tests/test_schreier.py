@@ -2,10 +2,11 @@ import re
 
 import pytest
 
-from braidpi.analysis import todd_coxeter
+from braidpi.cosets import todd_coxeter
 from braidpi.pipeline import GAMMA, GHAT, SIGMA
-from braidpi.presentation import Presentation, add_relators, tietze_simplify
+from braidpi.presentation import Presentation, add_relators
 from braidpi.schreier import QuotientMapError, TransversalError, subgroup_presentation
+from braidpi.tietze import tietze_simplify
 from braidpi.word_core import Alphabet, GenSym, Word, alphabet
 
 from .reference import backmap_word

@@ -13,11 +13,11 @@ import hashlib
 import random
 import tracemalloc
 
-from braidpi import pipeline, presentation
+from braidpi import pipeline, tietze
 from braidpi.pipeline import GAMMA, SIGMA, full_alphabet, pi_prime
-from braidpi.presentation import (Presentation, TietzeLog, TietzeMove, _enc, _iinv, _icyc,
-                                  _prefilter_pieces, _Simplifier, _TietzeState, add_relators,
-                                  tietze_simplify)
+from braidpi.presentation import Presentation, _iinv, _icyc, add_relators
+from braidpi.tietze import (TietzeLog, TietzeMove, _enc, _prefilter_pieces, _Simplifier,
+                            _TietzeState, tietze_simplify)
 from braidpi.word_core import Alphabet, GenSym, Word
 
 from . import reference
@@ -337,7 +337,7 @@ def test_short_reducer_runs_match_reference(monkeypatch):
     # whose letter before disagrees on its diagonal: the run lists must be the
     # earlier routine's, which sorts every anchor and extends the first on
     # each run both ways
-    real = presentation._diagonal_runs
+    real = tietze._diagonal_runs
     checked = []
 
     def checking(target, end, s):
@@ -347,7 +347,7 @@ def test_short_reducer_runs_match_reference(monkeypatch):
             checked.append(len(runs))
         return runs
 
-    monkeypatch.setattr(presentation, "_diagonal_runs", checking)
+    monkeypatch.setattr(tietze, "_diagonal_runs", checking)
     pipe = pipeline.Pipeline()           # every stage of k = 1..8, Pi' included
     for k in range(1, 9):
         pipe.run(k)
@@ -570,8 +570,8 @@ def test_nearly_periodic_reducers_keep_few_anchors():
                           frozenset())
         reducers = sim._admit([r, s])
         rec, target, end = reducers[1], _enc(r + r), len(r) + len(s) - 1
-        anchors = presentation._anchors(target, end, rec)
-        pairs = sum(len(presentation._places(piece, target, 0, end)) * len(ys)
+        anchors = tietze._anchors(target, end, rec)
+        pairs = sum(len(tietze._places(piece, target, 0, end)) * len(ys)
                     for piece, (q, ys, firsts) in zip(rec.pieces, rec.places))
         assert len(anchors) <= 2 * end and 4 * len(anchors) < pairs, (s, r)
         arcs = sim._collect_arcs(0, r, reducers)
@@ -595,7 +595,7 @@ def test_piece_periods_and_first_places():
         n, p = len(s), _period(s)
         assert rec.period == p
         for piece in rec.pieces:
-            q, ys, firsts = presentation._piece_places(piece, rec.both, n, rec.period)
+            q, ys, firsts = tietze._piece_places(piece, rec.both, n, rec.period)
             w = len(piece)
             least = next(t for t in range(1, w + 1) if piece[t:] == piece[:w - t])
             assert q == (least if 2 * least <= w else 0), (s, piece)
@@ -630,7 +630,7 @@ def test_records_die_with_their_call():
     gc.disable()
     try:
         tietze_simplify(p, protect=full_alphabet())
-        alive = sum(isinstance(o, presentation._Relator) for o in gc.get_objects())
+        alive = sum(isinstance(o, tietze._Relator) for o in gc.get_objects())
     finally:
         gc.enable()
     assert alive == 0

@@ -11,7 +11,7 @@ import pytest
 from braidpi.analysis import AbelianInvariants
 from braidpi.braid import Braid
 from braidpi.curves import ProjPoint
-from braidpi.presentation import TietzeLog, TietzeMove
+from braidpi.tietze import TietzeLog, TietzeMove
 from braidpi.word_core import Alphabet, GenSym, Word
 
 A, B = GenSym("a"), GenSym("b")
