@@ -28,7 +28,7 @@ import importlib
 _HOME = {name: module for module, names in {
     "analysis": "AbelianInvariants abelian_invariants smith_normal_form",
     "braid": "Braid act compose",
-    "cosets": "CosetTable holds_in is_abelian todd_coxeter",
+    "cosets": "CosetTable holds_in is_abelian is_regular todd_coxeter",
     "curves": "Poly ProjPoint cubic_discriminant family_cubic hessian is_tangent_at "
               "sylvester_resultant verify_persson_configuration",
     "pipeline": "Cover Pipeline PipelineReport cover paper_braids pi_prime regression_corpus run",

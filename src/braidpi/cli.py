@@ -44,7 +44,10 @@ every layer but ``curves`` for ``pipeline`` and ``regression``; ``json`` only
 to print ``--json`` output.  The names ``benchmarks/tracer.py`` hooks
 (``parse_presentation``, ``tietze_simplify``, ``todd_coxeter``,
 ``verify_persson_configuration``) stay globals here, looked up when a command
-runs; the last three import their layer when called.
+runs; the last three import their layer when called.  A call that names a
+command builds that command's argument parser alone; ``--help``, a call with
+no command and an unknown command build all eight, so help, usage and exit
+codes are those of the full parser.
 """
 
 from __future__ import annotations
@@ -273,65 +276,78 @@ def _cmd_verify_config(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("act", "present", "schreier", "tc", "abelianize", "pipeline", "regression",
+             "verify-config")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone if it names a command, else of all of
+    them; the usage names all of them either way."""
     ap = argparse.ArgumentParser(
         prog="braidpi",
         description="Braid-monodromy group computations and exact curve checks")
-    sub = ap.add_subparsers(dest="command", required=True)
+    one = command in _COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
 
-    def with_json(p):
+    def add(name: str, summary: str):
+        """The subparser of ``name``, with ``--json``, or None if it is not built."""
+        if one and command != name:
+            return None
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="structured output")
         return p
 
-    p = with_json(sub.add_parser("act", help="apply a braid to a word"))
-    p.add_argument("--braid", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--n", type=parse_int, default=5, help="strand count (default 5)")
-    p.set_defaults(func=_cmd_act)
+    if p := add("act", "apply a braid to a word"):
+        p.add_argument("--braid", required=True)
+        p.add_argument("--word", required=True)
+        p.add_argument("--n", type=parse_int, default=5, help="strand count (default 5)")
+        p.set_defaults(func=_cmd_act)
 
-    p = with_json(sub.add_parser("present", help="parse and normalize a presentation"))
-    p.add_argument("file", help="file path or - for stdin")
-    p.add_argument("--simplify", action="store_true")
-    p.add_argument("--budget", type=parse_int, default=20000)
-    p.set_defaults(func=_cmd_present)
+    if p := add("present", "parse and normalize a presentation"):
+        p.add_argument("file", help="file path or - for stdin")
+        p.add_argument("--simplify", action="store_true")
+        p.add_argument("--budget", type=parse_int, default=20000)
+        p.set_defaults(func=_cmd_present)
 
-    p = with_json(sub.add_parser("schreier", help="subgroup presentation of a cyclic kernel"))
-    p.add_argument("file")
-    p.add_argument("--mod", type=parse_int, required=True)
-    p.add_argument("--images", required=True, help="e.g. d1=1,d2=1,G=0")
-    p.add_argument("--transversal", help="semicolon-separated words, 1 for identity")
-    p.add_argument("--simplify", action="store_true")
-    p.set_defaults(func=_cmd_schreier)
+    if p := add("schreier", "subgroup presentation of a cyclic kernel"):
+        p.add_argument("file")
+        p.add_argument("--mod", type=parse_int, required=True)
+        p.add_argument("--images", required=True, help="e.g. d1=1,d2=1,G=0")
+        p.add_argument("--transversal", help="semicolon-separated words, 1 for identity")
+        p.add_argument("--simplify", action="store_true")
+        p.set_defaults(func=_cmd_schreier)
 
-    p = with_json(sub.add_parser("tc", help="Todd-Coxeter order of a presented group"))
-    p.add_argument("file")
-    p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
-    p.set_defaults(func=_cmd_tc)
+    if p := add("tc", "Todd-Coxeter order of a presented group"):
+        p.add_argument("file")
+        p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
+        p.set_defaults(func=_cmd_tc)
 
-    p = with_json(sub.add_parser("abelianize", help="abelian invariants"))
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_abelianize)
+    if p := add("abelianize", "abelian invariants"):
+        p.add_argument("file")
+        p.set_defaults(func=_cmd_abelianize)
 
-    p = with_json(sub.add_parser("pipeline", help="run the cover computation"))
-    p.add_argument("--k", type=parse_int, default=1)
-    p.add_argument("--all", action="store_true", help="run k = 1..max-k")
-    p.add_argument("--max-k", type=parse_int, default=6, dest="max_k")
-    p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
-    p.set_defaults(func=_cmd_pipeline)
+    if p := add("pipeline", "run the cover computation"):
+        p.add_argument("--k", type=parse_int, default=1)
+        p.add_argument("--all", action="store_true", help="run k = 1..max-k")
+        p.add_argument("--max-k", type=parse_int, default=6, dest="max_k")
+        p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
+        p.set_defaults(func=_cmd_pipeline)
 
-    p = with_json(sub.add_parser("regression", help="trace the printed-relation corpus"))
-    p.add_argument("--k", type=parse_int, default=1)
-    p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
-    p.set_defaults(func=_cmd_regression)
+    if p := add("regression", "trace the printed-relation corpus"):
+        p.add_argument("--k", type=parse_int, default=1)
+        p.add_argument("--max", type=parse_int, default=MAX_COSETS, help="coset budget")
+        p.set_defaults(func=_cmd_regression)
 
-    p = with_json(sub.add_parser("verify-config", help="exact checks of the curve configuration"))
-    p.set_defaults(func=_cmd_verify_config)
+    if p := add("verify-config", "exact checks of the curve configuration"):
+        p.set_defaults(func=_cmd_verify_config)
 
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -211,11 +211,54 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     return result
 
 
-def holds_in(t: CosetTable, w: Word) -> bool:
+def holds_in(t: CosetTable, w: Word, *, regular: bool = False) -> bool:
     """True iff w traces back to itself from every coset (w = 1 in the group,
-    for a trivial-subgroup table)."""
+    for a trivial-subgroup table).  With ``regular``, the caller's word that
+    t's columns lie in a regular permutation group (``is_regular``), w is
+    traced from coset 1 alone: a permutation of such a group that fixes one
+    coset fixes them all."""
     word = [_col(l) for l in t.alphabet.encode(w)]
+    if regular:
+        i = 1
+        for c in word:
+            i = t.cols[c][i]
+        return i == 1
     return _trace(t.cols, word, t.order) == list(range(t.order + 1))
+
+
+def is_regular(t: CosetTable) -> bool:
+    """Whether the permutation group of t's columns is regular on its cosets.
+
+    Along a breadth-first spanning tree from coset 1, each generator column
+    x gives a map lambda_x with lambda_x(1) = 1.x and lambda_x(j) =
+    lambda_x(i).c on each tree edge i --c--> j; the check is lambda_x(i.y) =
+    lambda_x(i).y for every coset i and column y.  Then each lambda_x, and
+    each composite of them, commutes with the group, and their composites
+    move coset 1 to every coset (the group is finite, so each coset is 1.w
+    for a word w in the generators alone): a permutation g of the group
+    that fixes 1 fixes j = lambda(1) too, as j.g = lambda(1.g) = j.  Cost:
+    cosets times columns times generators."""
+    n, cols = t.order, t.cols
+    seen = [False] * (n + 1)
+    seen[1] = True
+    order, edges = [1], []              # cosets in breadth-first order, tree edges (i, c, j)
+    for i in order:
+        for c, col in enumerate(cols):
+            j = col[i]
+            if not seen[j]:
+                seen[j] = True
+                order.append(j)
+                edges.append((i, col, j))
+    if len(order) != n:
+        return False
+    for x in cols[::2]:                 # the generator columns
+        lam = [0] * (n + 1)
+        lam[1] = x[1]
+        for i, col, j in edges:
+            lam[j] = col[lam[i]]
+        if any([lam[j] for j in col] != [col[j] for j in lam] for col in cols):
+            return False
+    return True
 
 
 def is_abelian(t: CosetTable) -> bool:

@@ -42,7 +42,11 @@ Every entry is checked as a consequence in one finite quotient per k,
 (d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi' (T(k) has order
 2m * |final group|).  A Schreier generator u_r g u_{r+q(g)}^-1 permutes
 T(k)'s cosets as that word does, so each entry is traced in its own
-stage's alphabet, from every coset.  The one suspect entry, the printed
+stage's alphabet.  ``run`` first certifies that T(k)'s columns generate a
+regular permutation group (``cosets.is_regular``, else ``PipelineError``);
+the stage tables act by words in those columns, so a word that fixes coset
+1 fixes every coset, and each entry is traced from coset 1 alone.  The one
+suspect entry, the printed
 (B4 A5)^6 = (B5 A4)^3, is quarantined: both it and its exponent-6
 correction are reported, never asserted.
 """
@@ -54,7 +58,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .analysis import AbelianInvariants, abelian_invariants, trivial_in_abelianization
 from .braid import Braid, strand_images
-from .cosets import CosetTable, holds_in, is_abelian, todd_coxeter
+from .cosets import CosetTable, holds_in, is_abelian, is_regular, todd_coxeter
 from .grammar import parse_word
 from .presentation import IntWord, Presentation, _icyc, add_relators
 from .schreier import SchreierGenSet, subgroup_presentation
@@ -427,10 +431,14 @@ class Pipeline:
         # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
         if quotient.order != 2 * (k + 1) * table.order:
             raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")
+        # T(k)'s group regular: the stage tables act by words in its columns,
+        # so each entry is traced from coset 1 alone
+        if not is_regular(quotient):
+            raise PipelineError(f"the coset table of T({k}) is not regular")
         z2 = self.z2.gens.table(quotient)
         tables = {"pi_prime": quotient, "z2": z2, "orbifold": orb.gens.table(z2)}
         corpus = regression_corpus(k)
-        holds = {e.ident: holds_in(tables[e.stage], e.relation) for e in corpus}
+        holds = {e.ident: holds_in(tables[e.stage], e.relation, regular=True) for e in corpus}
         regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}
         # the raw and simplified Z/2 covers present one group, and the raw
         # one has every generator the printed suspect is written in

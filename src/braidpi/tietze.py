@@ -53,6 +53,22 @@ there.  The candidates are taken greedily in key order (|s| - 2 |match|, start
 in r, reducer, |match|, end), each unless it meets a letter taken before, from
 a queue of the at most two families of each run's matches (``_collect_arcs``):
 exactly the arcs of a sort of all the candidates, at a cost per run, not per end.
+
+A reducer s is generated lazily: no key of s is below -|s|, so its runs and
+families are built only when the queue's least key reaches -|s|, and then over
+the target masked, each letter taken so far replaced by a sentinel that
+matches nothing.  By then the longer reducers' whole matches hold most of the
+letters a short reducer's runs lie in (on Pi' the first scan of its longest
+relator builds 58 runs rather than 1,527, for the same 11 arcs).  The arcs stay
+exactly those of the sort of all candidates.  Taken letters only grow, so a
+candidate that meets them would be passed over when its turn came; one that
+survives lies in untaken letters and holds a piece there, so its run is found
+in the masked target too.  A masked run reports whether its start is its true
+start: whether the letter before it, read in the unmasked target, disagrees on
+its diagonal.  One that is not live began in a taken letter, so every partial
+match from its true start meets that letter: it keeps only its reach (the ends
+it owns, as the longest matches ending there) and its whole family, and it
+sorts before the live runs with its masked start, as its true start is less.
 Each relator value has one record per call (encodings, pieces and their
 places, period, fingerprint, canonical key), and a target value that came up
 empty is next tested only against the reducers that entered the list since and
@@ -72,6 +88,7 @@ from .word_core import Alphabet, GenSym, _iinv, _Record
 
 _SHORT_DEFINING = 3  # the longest defining relator of the elimination phase
 _OFS = 0x20  # encoded letters are printable; even, so ord ^ 1 swaps l's char and -l's
+_MASK = "\0"  # stands for a taken letter in a scan's masked target: no letter's char
 
 
 def _chars(letters: Iterable[int]) -> dict[int, str]:
@@ -215,50 +232,103 @@ def _anchors(target: str, end: int, s: _Relator) -> list[tuple[int, int]]:
                          for piece in s.pieces)
     pairs = []
     for piece, (q, ys, firsts) in zip(s.pieces, s.places):
-        xs = _places(piece, target, 0, end)
+        x = target.find(piece, 0, end)
+        if x < 0:                        # most pieces are in no target: skip the call
+            continue
+        xs = _places(piece, target, x, end)
         at = set(xs) if q and len(xs) > 1 else ()
         pairs += [(x, y) for x in xs for y in (firsts if x - q in at else ys)]
     return pairs
 
 
-def _diagonal_runs(target: str, end: int, s: _Relator) -> list[tuple[int, int, int]]:
-    """Sorted maximal runs (start, place, stop) of target[:end] through every
-    anchor of the reducer s: letter i of target, start <= i < stop, equals
-    letter i - start after T-place ``place``, read cyclically in its half.  A
-    run first tries to reach the furthest stop so far with one comparison."""
+def _masked(text: str, arcs: list, L: int) -> str:
+    """text = r + r, |r| = L, with every letter of the arcs (start, cut, _) of
+    the cyclic word r, in both of its copies, replaced by ``_MASK``; built by
+    slices."""
+    n = len(text)
+    parts = []
+    i = 0
+    for a, b in sorted((a + o, a + o + cut) for a, cut, _ in arcs for o in (-L, 0, L)):
+        if 0 < b and a < n:              # a copy that meets text
+            a = a if a > 0 else 0
+            b = b if b < n else n
+            parts += text[i:a], _MASK * (b - a)
+            i = b
+    parts.append(text[i:])
+    return "".join(parts)
+
+
+def _diagonal_runs(target: str, masked: str, end: int,
+                   s: _Relator) -> list[tuple[int, bool, int, int]]:
+    """Sorted maximal runs (start, live, place, stop) of masked[:end] through
+    every anchor of the reducer s: letter i of masked, start <= i < stop,
+    equals letter i - start after T-place ``place``, read cyclically in its
+    half.  ``masked`` is ``target`` with some letters replaced by ``_MASK``, and
+    a run is live when its start is its true start: the letter before it,
+    read in ``target``, disagrees on its diagonal.  So at one start the runs
+    that are not live come first.  A run first tries to reach the furthest
+    stop so far with one comparison."""
     n, p, both = len(s.word), s.period, s.both
     w = len(s.pieces[0])
     runs = []
     if n < 16:                           # a run's first anchor is at its start: forward only
-        for x, y in _anchors(target, end, s):
+        for x, y in _anchors(masked, end, s):
             base = y - y % (2 * n)
             d = (y - base - x) % p
-            if not x or target[x - 1] != both[base + (x - 1 + d) % p]:
+            before = x and both[base + (x - 1 + d) % p]   # the letter x - 1 faces
+            if not x or masked[x - 1] != before:
                 b = x + w
-                while b < end and target[b] == both[base + (b + d) % p]:
+                while b < end and masked[b] == both[base + (b + d) % p]:
                     b += 1
-                runs.append((x, y, b))
+                runs.append((x, masked is target or not x or target[x - 1] != before, y, b))
         return sorted(runs)
     reach: dict[int, int] = {}
     furthest = 0
-    for x, y in sorted(_anchors(target, end, s)):
+    for x, y in sorted(_anchors(masked, end, s)):
         base = y - y % (2 * n)           # the half of T that y lies in
-        d = (y - base - x) % p           # target[i] faces both[base + (i + d) % p]
+        d = (y - base - x) % p           # masked[i] faces both[base + (i + d) % p]
         if x < reach.get(base + d, 0):   # inside the run found on this diagonal before
             continue
         a, b = x, x + w
-        while a and target[a - 1] == both[base + (a - 1 + d) % p]:
+        while a and masked[a - 1] == both[base + (a - 1 + d) % p]:
             a -= 1
         c = base + (b + d) % p           # a slice of n letters from c stays in the half
-        if b < furthest <= b + n and target[b:furthest] == both[c:c + furthest - b]:
+        if b < furthest <= b + n and masked[b:furthest] == both[c:c + furthest - b]:
             b = furthest
-        while b < end and target[b] == both[base + (b + d) % p]:
+        while b < end and masked[b] == both[base + (b + d) % p]:
             b += 1
         reach[base + d] = b
         if b > furthest:
             furthest = b
-        runs.append((a, base + (a + d) % p, b))
+        live = masked is target or not a or target[a - 1] != both[base + (a - 1 + d) % p]
+        runs.append((a, live, base + (a + d) % p, b))
     return sorted(runs)
+
+
+def _add_families(families: list, target: str, masked: str, L: int, j: int,
+                  s: _Relator) -> int:
+    """Append to ``families`` the candidate families of the reducer s in slot j
+    (``_Simplifier._collect_arcs``) from its runs in ``masked``, a target r + r
+    of |r| = L masked where letters are taken; a run that is not live has no
+    partial family.  Returns the least order |s| - 2 cut appended, or 1."""
+    slen = len(s.word)
+    h = slen // 2 + 1                    # shortest match with 2 |match| > |s|
+    reach = 0                            # each end once, from the run of least (start, place)
+    least = 1
+    for a, live, y, b in _diagonal_runs(target, masked, L + slen - 1, s):
+        lo = a + h - 1 if a + h - 1 > reach else reach   # its first end
+        whole = a + slen - 1             # its first end of a whole match
+        if lo < b:
+            if live and lo < whole:
+                cut = (b if b < whole else whole) - a
+                families.append((slen - 2 * cut, a % L, j, cut, a, lo - a + 1, y))
+                least = slen - 2 * cut if slen - 2 * cut < least else least
+            if whole < b:
+                first = (lo if lo > whole else whole) - slen + 1
+                families.append((-slen, first, j, slen, a, b - slen, y))
+                least = -slen
+        reach = b if b > reach else reach
+    return least
 
 
 class _Relator:
@@ -399,75 +469,101 @@ class _Simplifier:
         dies below its least cut), a whole family jumps past its last taken
         letter, and after an accepted whole match its next start is |s|
         further on.  The queue so takes exactly the arcs of the sorted scan.
+
+        No key of s is below -|s|, so a reducer whose pieces occur in r waits,
+        longest first, until the least key of the queue (and of the families
+        generated but not yet sorted in) reaches -|s|; then it is generated,
+        with every other reducer of that bar, over the target masked where
+        letters are taken (module docstring).
         """
         L = len(r)
         rec = self._record(r)
         target = rec.text = rec.text or _enc(r, self.chars) * 2
         if rec.clean:                    # a rescan: only what its last scan did not test
-            scan = sorted({j for s in self.born[rec.clean:]
-                           for j in s.slots}.union(self.records[rec.excluded].slots))
+            scan = {j for s in self.born[rec.clean:] for j in s.slots}.union(
+                self.records[rec.excluded].slots)
         else:
             scan = range(len(reducers))
+        # a piece has at most L // 2 + 1 letters, so each of its places in
+        # r + r repeats one that starts below L, in head
+        head = target[:L + L // 2]
+        waiting = []                     # (-|s|, j) of the reducers to generate
+        for j in scan:
+            s = reducers[j]
+            n = len(s.word)
+            if j == owner or not n or n > L:
+                continue
+            for p in s.pieces:           # most pairs share no piece: test that before any places
+                if p in head:
+                    waiting.append((-n, j))
+                    break
+        if not waiting:
+            rec.clean, rec.excluded = len(self.born), reducers[owner].word
+            return []
+        waiting.sort()                   # longest first
+        waiting.append((1, owner))       # then above every key: the queue is taken to its end
         # (|s| - 2 cut, start, j, cut, a, bound, y): bound is a partial family's
         # least cut, or a whole family's last start; a orders equal partial keys
         # by end, as ends i and i + L of one cyclic match have the same key
-        families: list[tuple[int, int, int, int, int, int, int]] = []
-        for j in scan:
-            s = reducers[j]
-            slen = len(s.word)
-            if j == owner or not slen or slen > L:
-                continue
-            for p in s.pieces:           # most pairs share no piece: test that before any places
-                if p in target:
-                    break
-            else:
-                continue
-            h = slen // 2 + 1           # shortest match with 2 |match| > |s|
-            reach = 0                    # each end once, from the run of least (start, place)
-            for a, y, b in _diagonal_runs(target, L + slen - 1, s):
-                lo = a + h - 1 if a + h - 1 > reach else reach   # its first end
-                whole = a + slen - 1         # its first end of a whole match
-                if lo < b:
-                    if lo < whole:
-                        cut = (b if b < whole else whole) - a
-                        families.append((slen - 2 * cut, a % L, j, cut, a, lo - a + 1, y))
-                    if whole < b:
-                        first = (lo if lo > whole else whole) - slen + 1
-                        families.append((-slen, first, j, slen, a, b - slen, y))
-                reach = b if b > reach else reach
-        if not families:
-            rec.clean, rec.excluded = len(self.born), reducers[owner].word
-            return []
-        families.sort()
+        queue: list[tuple[int, int, int, int, int, int, int]] = []
+        at = 0                           # queue[at:] is the queue, in key order
+        new: list[tuple[int, int, int, int, int, int, int]] = []   # not in the queue yet
         taken = 0                        # bits p and p + L both mark letter p of r
-        arcs = []
-        at = 0                           # families[at:] is the queue, in key order
-        while at < len(families):
-            order, start, j, cut, a, bound, y = families[at]
-            at += 1
-            span = ((1 << cut) - 1) << start
-            hit = taken & span
-            slen = order + 2 * cut
-            if cut < slen:               # a partial family: its start is fixed
-                if hit:                  # cut back to the first taken letter
-                    if cut > bound:
-                        cut = (hit & -hit).bit_length() - 1 - start
-                        if cut >= bound:
-                            insort(families, (slen - 2 * cut, start, j, cut, a, bound, y), at)
+        masked, masks = target, 0        # the target masked where its first ``masks`` arcs lie
+        arcs: list[tuple[int, int, IntWord]] = []
+        low = 1                          # the least order in the queue and in new
+        for m, j in waiting:
+            if low < m:                  # every key below -|s| first
+                if new:
+                    del queue[:at]
+                    queue += new
+                    queue.sort()
+                    at, new = 0, []
+                while at < len(queue):
+                    order, start, i, cut, a, bound, y = queue[at]
+                    if order >= m:
+                        break
+                    at += 1
+                    span = ((1 << cut) - 1) << start
+                    hit = taken & span
+                    slen = order + 2 * cut
+                    if cut < slen:       # a partial family: its start is fixed
+                        if hit:          # cut back to the first taken letter
+                            if cut > bound:
+                                cut = (hit & -hit).bit_length() - 1 - start
+                                if cut >= bound:
+                                    insort(queue, (slen - 2 * cut, start, i, cut, a, bound, y),
+                                           at)
+                            continue
+                        w = reducers[i].word
+                        rest = range(y + cut, y + slen)  # T-places of the cyclic word after it
+                        # read from w in either half: letter e of w^-1 is -w[~e]
+                        arcs.append((start, cut, tuple(w[e % slen] for e in rest)
+                                     if y < 2 * slen else tuple(-w[~(e % slen)] for e in rest)))
+                    else:                # a whole family: its start rises
+                        following = hit.bit_length() if hit else start + slen
+                        if following <= bound:
+                            insort(queue, (order, following, i, cut, a, bound, y), at)
+                        if hit:          # next, just past the last taken letter
+                            continue
+                        arcs.append((start, cut, ()))
+                    taken |= span | span << L | span >> L
+                low = queue[at][0] if at < len(queue) else 1
+            if m > 0:
+                break
+            s = reducers[j]
+            if arcs:
+                if len(arcs) != masks:
+                    masked, masks = _masked(target, arcs, L), len(arcs)
+                for p in s.pieces:
+                    if p in masked:
+                        break
+                else:
                     continue
-                s = reducers[j].word
-                rest = range(y + cut, y + slen)  # T-places of the cyclic word after the match
-                # read from s in either half: letter i of s^-1 is -s[~i]
-                arcs.append((start, cut, tuple(s[e % slen] for e in rest) if y < 2 * slen
-                             else tuple(-s[~(e % slen)] for e in rest)))
-            else:                        # a whole family: its start rises
-                following = hit.bit_length() if hit else start + slen
-                if following <= bound:
-                    insort(families, (order, following, j, cut, a, bound, y), at)
-                if hit:                  # next, just past the last taken letter
-                    continue
-                arcs.append((start, cut, ()))
-            taken |= span | span << L | span >> L
+            least = _add_families(new, target, masked, L, j, s)
+            low = least if least < low else low
+        if not arcs:
+            rec.clean, rec.excluded = len(self.born), reducers[owner].word
         return arcs
 
     @staticmethod

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -637,3 +638,28 @@ def test_cli_closed_stdout_exit_code(argv, buffered):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+_EIGHT = ("act", "present", "schreier", "tc", "abelianize", "pipeline", "regression",
+          "verify-config")
+
+
+def test_cli_builds_one_subparser_per_named_command(capsys):
+    # a call that names a command builds that command's subparser alone;
+    # --help, no command and an unknown command build all eight, so help,
+    # usage and exit codes are those of the full parser
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(_EIGHT) + "}" in out
+    assert all(f"\n    {command} " in out for command in _EIGHT), out
+    assert main(["frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err and all(f"'{c}'" in err for c in _EIGHT), err
+    assert main([]) == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
+    full = cli._build_parser()
+    for command in _EIGHT:
+        one = cli._build_parser(command)
+        subparsers = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert [list(a.choices) for a in subparsers] == [[command]]
+        assert one.format_usage() == full.format_usage()

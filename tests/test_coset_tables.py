@@ -228,3 +228,39 @@ def test_enumeration_counters_pinned(pipe, monkeypatch, capsys):
     assert set(printed) == set(_GROUPS_DEFINED)
     for label, text in printed.items():
         assert todd_coxeter(parse_presentation(text)).defined == _GROUPS_DEFINED[label], label
+
+
+def test_is_regular_rejects_tables_of_nontrivial_subgroups():
+    # S3 on the three cosets of <a>: a valid table of S3, but a fixes coset 1
+    # and moves 2, so a one-coset trace would call a = 1; is_regular says no
+    a, b = [0, 1, 3, 2], [0, 2, 1, 3]
+    table = cosets.CosetTable(S3.alphabet, 3, [a, a, b, b])
+    table.validate(S3)
+    assert not cosets.is_regular(table)
+    assert holds_in(table, word((A, 1)), regular=True) and not holds_in(table, word((A, 1)))
+    # two orbits: not transitive, so not regular either
+    swap = [0, 2, 1, 4, 3]
+    assert not cosets.is_regular(cosets.CosetTable(S3.alphabet, 4, [swap] * 4))
+    for p in (S3, _s4(), pres(["a"], [word((A, 1)) ** 5]), pres(["a"], [word((A, 1))])):
+        assert cosets.is_regular(todd_coxeter(p)), p
+
+
+def test_one_coset_verdicts_read_mutants_false(pipe):
+    # T(k) is certified regular; every corpus entry and two mutants of it (a
+    # generator appended, the first letter inverted) read the same from
+    # coset 1 as from every coset, and the mutants false in the group read false
+    false = 0
+    for k in (1, 2):
+        quotient = pipe.quotient(k)
+        assert cosets.is_regular(quotient)
+        z2 = pipe.z2.gens.table(quotient)
+        tables = {"pi_prime": quotient, "z2": z2, "orbifold": pipe.orbifold(k).gens.table(z2)}
+        for e in pipeline.regression_corpus(k):
+            table, w = tables[e.stage], e.relation
+            (sym, sign), rest = w.letters[0], w.letters[1:]
+            for x in (w, w * Word.gen(table.alphabet.symbols[0]),
+                      Word.of(((sym, -sign), *rest))):
+                verdict = holds_in(table, x, regular=True)
+                assert verdict == holds_in(table, x), (k, e.ident, x)
+                false += not verdict
+    assert false > 100, false

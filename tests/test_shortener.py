@@ -332,19 +332,43 @@ def test_short_reducers_match_reference():
     assert outcomes == {(n, b) for n in range(1, _WINDOWS) for b in (False, True)}
 
 
+def _unmasked(runs):
+    """The runs (start, place, stop) of an unmasked ``_diagonal_runs`` call,
+    which must all be live."""
+    assert all(live for _, live, _, _ in runs), runs
+    return [(a, y, b) for a, _, y, b in runs]
+
+
+def _true_start(target, s, a, y):
+    """Whether a run from letter a of target and T-place y of the reducer s
+    starts there in target: a is 0, or letter a - 1 disagrees on its diagonal."""
+    base = y - y % (2 * len(s.word))
+    return not a or target[a - 1] != s.both[base + (y - base - 1) % s.period]
+
+
 def test_short_reducer_runs_match_reference(monkeypatch):
     # below _WINDOWS letters a run is taken, forward only, from each anchor
     # whose letter before disagrees on its diagonal: the run lists must be the
     # earlier routine's, which sorts every anchor and extends the first on
     # each run both ways
+    # (a scan masks its target where letters are taken: the same pair is also
+    # run unmasked, and the masked runs must be the earlier routine's on the
+    # masked text, each live exactly when the target's letter before it
+    # disagrees on its diagonal)
     real = tietze._diagonal_runs
-    checked = []
+    checked, masked_runs = [], [0]
 
-    def checking(target, end, s):
-        runs = real(target, end, s)
+    def checking(target, masked, end, s):
+        runs = real(target, masked, end, s)
         if len(s.word) < _WINDOWS:
-            assert runs == reference.diagonal_runs(target, end, s), (s.word, target, end)
-            checked.append(len(runs))
+            plain = _unmasked(real(target, target, end, s))
+            assert plain == reference.diagonal_runs(target, end, s), (s.word, target, end)
+            checked.append(len(plain))
+            if masked != target:
+                assert sorted((a, y, b) for a, _, y, b in runs) == \
+                    reference.diagonal_runs(masked, end, s), (s.word, masked, end)
+                assert all(live == _true_start(target, s, a, y) for a, live, y, _ in runs)
+                masked_runs[0] += len(runs)
         return runs
 
     monkeypatch.setattr(tietze, "_diagonal_runs", checking)
@@ -352,6 +376,7 @@ def test_short_reducer_runs_match_reference(monkeypatch):
     for k in range(1, 9):
         pipe.run(k)
     assert len(checked) > 800 and sum(checked) > 4000, (len(checked), sum(checked))
+    assert masked_runs[0] > 200, masked_runs
     # seeded reducers of 1 to 15 letters, proper powers among them, against
     # targets that hold windows of s or s^-1 up to three turns long
     rng = random.Random(15)
@@ -379,12 +404,39 @@ def test_short_reducer_runs_match_reference(monkeypatch):
         sim = _Simplifier(Presentation(alph, []), 20000, frozenset())
         rec = sim._admit([r, s])[1]
         target, end = _enc(r + r), len(r) + n - 1
-        runs = real(target, end, rec)
+        runs = _unmasked(real(target, target, end, rec))
         assert runs == reference.diagonal_runs(target, end, rec), (s, r)
         inverse += any(y >= 2 * n for _, y, _ in runs)
         longer += any(b - a > n for a, _, b in runs)
         powers += bool(runs) and rec.period < n
     assert inverse > 1000 and longer > 1500 and powers > 700, (inverse, longer, powers)
+
+
+def test_masked_scans_build_fewer_runs_on_pi_prime(monkeypatch):
+    # the first scan of the longest relator of raw Pi': its long reducers'
+    # whole matches are taken first, and the short ones, generated later
+    # over the untaken letters alone, build far fewer runs than over the
+    # whole target; the arcs are the plain reference's either way
+    real, counts = tietze._diagonal_runs, []
+
+    def counting(target, masked, end, s):
+        runs = real(target, masked, end, s)
+        counts[-1] += len(runs)
+        return runs
+
+    monkeypatch.setattr(tietze, "_diagonal_runs", counting)
+    p = pi_prime()
+    for masking in (True, False):
+        if not masking:                  # every reducer over the whole target
+            monkeypatch.setattr(tietze, "_masked", lambda text, arcs, L: text)
+        sim = _Simplifier(p, 20000, frozenset())
+        reducers = sim._admit(sim.rels)
+        plain = [s.word for s in reducers]
+        j = max(range(len(plain)), key=lambda i: len(plain[i]))
+        counts.append(0)
+        arcs = sim._collect_arcs(j, plain[j], reducers)
+        assert len(arcs) > 5 and arcs == reference_arcs(j, plain[j], plain)
+    assert 2 * counts[0] < counts[1], counts
 
 
 def test_inverse_half_complements_match_reference():
