@@ -5,10 +5,14 @@ scan-and-fill every relator from every live coset, fill remaining row
 entries, and process coincidences through a union-find with full table
 repair (Holt-Eick-O'Brien 5.1), which clears every entry naming a dead
 coset: outside it no live row points at one, so scans need no union-find
-lookup.  A generator g with relator g^2 (or g^-2) has one self-inverse
-column for g and g^-1, as in ACE (Havas 1991): g = g^-1 in the group, so
-each identification it makes follows from the relators, and T(k), whose
-d_i are involutions, defines about a quarter of the cosets.  Cosets are
+lookup.  Each scan first traces the relator forward in one loop, which
+closes it when every entry is defined (most scans), and only at an
+undefined entry falls back to the two-ended scan from its start, so the
+definitions are those of the scan alone.  A generator g with relator g^2
+(or g^-2) has one self-inverse column for g and g^-1, as in ACE (Havas
+1991): g = g^-1 in the group, so each identification it makes follows
+from the relators, and T(k), whose d_i are involutions, defines about a
+quarter of the cosets.  Cosets are
 numbered in definition order and compacted at the end, so a given
 presentation and budget always yield the identical table, of at most
 ``MAX_TABLE_CELLS`` entries (cosets times columns).  Enumeration works
@@ -171,7 +175,19 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
             alpha += 1
             continue
         for fwd, bwd in relators:
-            # scan and fill the relator at alpha, from both ends
+            # trace the relator at alpha; a complete trace closes it as the scan would
+            f = alpha
+            for c in fwd:
+                if not (f := table[f][c]):
+                    break
+            else:
+                if f != alpha:
+                    coincidences += 1
+                    coincidence(f, alpha)
+                    if parent[alpha] != alpha:
+                        break
+                continue
+            # else scan and fill it from both ends
             f, i = alpha, 0
             b, j = alpha, len(fwd) - 1
             while True:

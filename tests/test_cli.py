@@ -165,10 +165,17 @@ def test_cli_coset_budget_reaches_the_quotient(command, shared_pipeline, capsys)
     (["pipeline", "--k", "1", "--max", "3238"], "", 3,
      "overflow: budget of 3238 cosets exhausted\n"),
     (["tc", "-", "--max", "0"], "< a | a^2 >", 2, "error: max_cosets must be >= 1\n"),
-], ids=["tc --max 10", "pipeline --k 1 --max 3238", "tc --max 0"])
+    (["tc", "-", "--max", "3"], "< a b | a^2 >", 3, "overflow: budget of 3 cosets exhausted\n"),
+    (["tc", "-", "--max", "2000000"], "< a | a^2 >", 2,
+     "error: --max 2000000 is more than 1000000 cosets\n"),
+    (["tc"], "", 2, "usage: braidpi tc [-h] [--json] [--max MAX] file\n"
+                    "braidpi tc: error: the following arguments are required: file\n"),
+], ids=["tc --max 10", "pipeline --k 1 --max 3238", "tc --max 0", "tc --max 3",
+        "tc --max 2000000", "tc usage"])
 def test_cli_coset_exit_codes_in_a_fresh_process(argv, stdin, code, err):
     # main catches the overflow before any enumerator is loaded; in a fresh
-    # process the command loads it, and the overflow is still exit 3
+    # process the command loads it, and the overflow is still exit 3; run's
+    # os._exit comes after each error line is whole
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-m", "braidpi.cli", *argv], input=stdin,
                           capture_output=True, text=True, env=env, timeout=120)
@@ -663,3 +670,64 @@ def test_cli_builds_one_subparser_per_named_command(capsys):
         subparsers = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
         assert [list(a.choices) for a in subparsers] == [[command]]
         assert one.format_usage() == full.format_usage()
+
+
+def _child(argv, stdin="", *, prefix=("-m", "braidpi.cli"), **env):
+    """``python PREFIX ARGV...`` in a child, with a block-buffered standard
+    output to a pipe, as a shell pipeline gives it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *prefix, *argv], input=stdin, capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_cli_help_through_a_pipe_is_whole(monkeypatch):
+    # argparse leaves the help in stdout's buffer; run flushes it before os._exit
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _child(["--help"], COLUMNS="80")
+    assert (done.returncode, done.stdout, done.stderr) == (0, cli._build_parser().format_help(),
+                                                           "")
+
+
+def test_cli_pipeline_all_json_through_a_pipe():
+    done = _child(["pipeline", "--all", "--max-k", "3", "--json"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [report["k"] for report in json.loads(done.stdout)] == [1, 2, 3]
+
+
+def test_cli_under_cprofile_writes_its_table():
+    # a profiler is set, so run exits normally and cProfile prints its stats
+    done = _child(["tc", "-"], "< a b | a^2, b^3, a b a b >",
+                  prefix=("-m", "cProfile", "-m", "braidpi.cli"))
+    assert (done.returncode, done.stderr) == (0, "")
+    head, _, table = done.stdout.partition("\n")
+    assert head == "order 6" and " function calls " in table and "Ordered by" in table
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["hard exit", "traced"])
+def test_cli_run_skips_teardown_unless_traced(traced):
+    # an atexit hook runs at the interpreter's teardown, which run skips
+    # unless a trace function is set
+    script = ("import atexit, sys\n"
+              "atexit.register(print, 'teardown', file=sys.stderr)\n"
+              f"{'sys.settrace(lambda *a: None)' if traced else ''}\n"
+              "sys.argv[1:] = ['tc', '-']\n"
+              "from braidpi.cli import run\n"
+              "run()\n")
+    done = _child([], "< a | a^2 >", prefix=("-c", script))
+    assert (done.returncode, done.stdout) == (0, "order 2\n")
+    assert done.stderr == ("teardown\n" if traced else "")
+
+
+def test_cli_help_to_a_closed_stdout_exit_code():
+    # the help's write fails only in run's flush: exit 141, nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "braidpi.cli", "--help"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
