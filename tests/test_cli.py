@@ -500,7 +500,8 @@ def test_cli_verify_config_output_pinned(extra, capsys):
 
 # sha256 of `pipeline --k K --json`, recorded when the orbifold stage began to
 # eliminate short-defined generators first (only its orbifold_simplified sizes
-# moved); the report must not move by a byte
+# moved), and for k = 20 before corpus entries were traced in T(k) itself;
+# the report must not move by a byte
 _PIPELINE_JSON_SHA256 = {
     1: "542d6819fd09fe0578e4d35be7740173500094a26585df6917e49354d821502d",
     2: "9f864e501de78468a411fc0876cba45a31d6f6d2bcf0b5c3cd417d04a2c64bdd",
@@ -508,6 +509,7 @@ _PIPELINE_JSON_SHA256 = {
     4: "c818c7be5fb2c68559649902df2f19a43257dcff8874c73a4770a25496a418eb",
     5: "1f0c7dc20a6bfaf3fabd48b73a7a70e49d97571761f9d61b2f8ea5b4fbfc262a",
     6: "37beb9e59586313127cc877d633ddf2742046cdc206934dfacccd7abe5e51ad3",
+    20: "8c2cb29a2ce7e7424e27cbaedc7c6cecb8ddde5971745d6a18552d24c15ec3a3",
 }
 
 
