@@ -16,7 +16,7 @@ printed relations), ``cli`` (command line).
 The cover computation is a ``Pipeline``: its constructor builds Pi' and
 the Z/2 cover once, and ``Pipeline.run(k)`` builds the Z/(k+1) orbifold
 cover and certifies it; each cover stage is one call of ``cover``, and its
-``SchreierGenSet`` turns the parent's coset table into the stage's.
+``SchreierGenSet`` pushes the stage's words down to T(k) through its backmaps.
 ``run(k)`` does the same in a fresh Pipeline.
 
 Public names resolve on first use (PEP 562): ``import braidpi`` loads no submodule.

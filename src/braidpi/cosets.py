@@ -227,18 +227,10 @@ def todd_coxeter(p: Presentation, max_cosets: int = 10**6) -> CosetTable:
     return result
 
 
-def holds_in(t: CosetTable, w: Word, *, regular: bool = False) -> bool:
+def holds_in(t: CosetTable, w: Word) -> bool:
     """True iff w traces back to itself from every coset (w = 1 in the group,
-    for a trivial-subgroup table).  With ``regular``, the caller's word that
-    t's columns lie in a regular permutation group (``is_regular``), w is
-    traced from coset 1 alone: a permutation of such a group that fixes one
-    coset fixes them all."""
+    for a trivial-subgroup table)."""
     word = [_col(l) for l in t.alphabet.encode(w)]
-    if regular:
-        i = 1
-        for c in word:
-            i = t.cols[c][i]
-        return i == 1
     return _trace(t.cols, word, t.order) == list(range(t.order + 1))
 
 

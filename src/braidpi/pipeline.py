@@ -39,16 +39,14 @@ text.  Orbifold lines are templates in i, with subscripts read mod m.
 
 Every entry is checked as a consequence in one finite quotient per k,
 ``Pipeline.quotient(k)``: the group T(k) obtained by adjoining d_i^2,
-(d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi' (T(k) has order
-2m * |final group|).  A Schreier generator u_r g u_{r+q(g)}^-1 permutes
-T(k)'s cosets as that word does, so each entry is traced in its own
-stage's alphabet.  ``run`` first certifies that T(k)'s columns generate a
-regular permutation group (``cosets.is_regular``, else ``PipelineError``);
-the stage tables act by words in those columns, so a word that fixes coset
-1 fixes every coset, and each entry is traced from coset 1 alone.  The one
-suspect entry, the printed
-(B4 A5)^6 = (B5 A4)^3, is quarantined: both it and its exponent-6
-correction are reported, never asserted.
+(d1..d5)^2, G^m and (d1 G d1^-1)^m to Pi' (of order 2m * |final group|).
+``trace_corpus`` pushes each entry down to T(k) through the backmaps (a
+Schreier generator u_r g u_{r+q(g)}^-1 is that word) and traces it from
+coset 1 of T(k)'s table, after ``run`` has certified that its columns
+generate a regular permutation group (``cosets.is_regular``, else
+``PipelineError``): a word that fixes coset 1 fixes them all.  The one
+suspect entry, the printed (B4 A5)^6 = (B5 A4)^3, is quarantined: both it
+and its exponent-6 correction are reported, never asserted.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .analysis import AbelianInvariants, abelian_invariants, trivial_in_abelianization
 from .braid import Braid, strand_images
-from .cosets import CosetTable, holds_in, is_abelian, is_regular, todd_coxeter
+from .cosets import CosetTable, _col, is_abelian, is_regular, todd_coxeter
 from .grammar import parse_word
 from .presentation import IntWord, Presentation, _icyc, add_relators
 from .schreier import SchreierGenSet, subgroup_presentation
@@ -304,6 +302,43 @@ def regression_corpus(k: int) -> list[CorpusEntry]:
     return corpus
 
 
+def trace_corpus(t: CosetTable, z2: SchreierGenSet, orbifold: SchreierGenSet,
+                 corpus: Iterable[CorpusEntry]) -> dict[str, bool]:
+    """By ident: whether each entry, pushed down to T(k), fixes coset 1 of ``t``.  A
+    stage letter is one step G^a w G^b, w in t's columns: a Z/2 letter is its backmap,
+    s(r, g) is G^r (g's backmap) G^-(r+q(g)).  c . G^e is read off G's cycle through c."""
+    cols, n, gamma = t.cols, t.order, t.cols[_col(t.alphabet.index(GAMMA) + 1)]
+    cycle, place = [None] * (n + 1), [0] * (n + 1)  # G's cycle through each coset, its place there
+    for c in range(1, n + 1):
+        x, cyc = c, []
+        while cycle[x] is None:
+            cycle[x], place[x] = cyc, len(cyc)
+            cyc.append(x)
+            x = gamma[x]
+
+    def step(a: int, w: Word, b: int) -> tuple[tuple, tuple]:  # G^a w G^b, and its inverse
+        c = tuple(_col(l) for l in t.alphabet.encode(w))
+        return (a, c, b), (-b, tuple(x ^ 1 for x in reversed(c)), -a)
+
+    steps = {"pi_prime": {s: step(0, Word.gen(s), 0) for s in t.alphabet},
+             "z2": {s: step(0, w, 0) for s, w in z2.backmap.items()},
+             "orbifold": {s: step(r, z2.backmap[g], -r - orbifold.images[g])
+                          for (r, g), s in orbifold.gens.items() if s is not None}}
+    holds = {}
+    for e in corpus:
+        i, letters = 1, steps[e.stage]
+        for s, sign in e.relation:
+            a, c, b = letters[s][sign < 0]
+            if a:
+                i = cycle[i][(place[i] + a) % len(cycle[i])]
+            for x in c:
+                i = cols[x][i]
+            if b:
+                i = cycle[i][(place[i] + b) % len(cycle[i])]
+        holds[e.ident] = i == 1
+    return holds
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -407,8 +442,7 @@ class Pipeline:
         return todd_coxeter(add_relators(self.z2_parent, rels), max_cosets)
 
     def run(self, k: int, max_cosets: int = 10**6) -> PipelineReport:
-        """Build the stages for k, certify the result, and trace each corpus
-        entry in its own stage's alphabet on T(k)'s cosets."""
+        """Build the stages for k, certify the result, and trace the corpus on T(k)."""
         orb = self.orbifold(k)
         stages = tuple(StageInfo.of(name, p) for name, p in (
             ("pi_prime", self.pi_prime),
@@ -431,14 +465,11 @@ class Pipeline:
         # index law: T(k) -> Z/2 -> Z/m ties both coset tables to the covers
         if quotient.order != 2 * (k + 1) * table.order:
             raise PipelineError(f"|T({k})| = {quotient.order} != 2 * {k + 1} * {table.order}")
-        # T(k)'s group regular: the stage tables act by words in its columns,
-        # so each entry is traced from coset 1 alone
+        # T(k)'s group regular: a word that fixes coset 1 fixes every coset
         if not is_regular(quotient):
             raise PipelineError(f"the coset table of T({k}) is not regular")
-        z2 = self.z2.gens.table(quotient)
-        tables = {"pi_prime": quotient, "z2": z2, "orbifold": orb.gens.table(z2)}
         corpus = regression_corpus(k)
-        holds = {e.ident: holds_in(tables[e.stage], e.relation, regular=True) for e in corpus}
+        holds = trace_corpus(quotient, self.z2.gens, orb.gens, corpus)
         regressions = {e.ident: holds[e.ident] for e in corpus if not e.suspect}
         # the raw and simplified Z/2 covers present one group, and the raw
         # one has every generator the printed suspect is written in

@@ -25,13 +25,10 @@ the parent's int codes, so the kernel's relators are never ``Word``s.
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .presentation import IntWord, Presentation
 from .word_core import Alphabet, GenSym, Word
-
-if TYPE_CHECKING:
-    from .cosets import CosetTable
 
 
 class QuotientMapError(ValueError):
@@ -119,26 +116,6 @@ class SchreierGenSet:
             if l > 0:
                 r = (r + q) % n
         return out
-
-    def table(self, parent: CosetTable) -> CosetTable:
-        """``parent``'s cosets under the Schreier generators, each acting
-        as its defining word u_r g u_{r+q(g)}^-1 does."""
-        cols = parent.cols
-        act = {s: (cols[2 * i], cols[2 * i + 1]) for i, s in enumerate(parent.alphabet)}
-        ident, reps = list(range(parent.order + 1)), self.reps
-        perm = {(): (ident, ident)}     # each representative's and its inverse's, by prefix
-        for u in sorted(reps, key=len)[1:]:
-            (sym, sign), (img, inv) = u.letters[-1], perm[u.letters[:-1]]
-            fwd, bwd = act[sym][::sign]
-            perm[u.letters] = ([fwd[x] for x in img], [inv[x] for x in bwd])
-        images = []
-        for (r, g), sym in self.gens.items():   # in the order of self.alphabet
-            if sym is not None:
-                ur, ur_inv = perm[reps[r].letters]
-                us, us_inv = perm[reps[(r + self.images[g]) % self.modulus].letters]
-                fwd, bwd = act[g]
-                images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
-        return type(parent)(self.alphabet, parent.order, images)
 
 
 def subgroup_presentation(

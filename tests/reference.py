@@ -6,7 +6,9 @@ tracing loops, all on rows: ``rows[i][c]`` is coset i under column c, and
 ``rows(t)`` reads a ``CosetTable``'s columns that way.  The backmap
 routines push a word at a cover stage down to the parent alphabet by
 substituting each Schreier generator's defining word, which is what
-tracing a stage's own alphabet on T(k) must agree with.
+tracing a stage's own alphabet on T(k) must agree with; ``stage_table``
+builds that stage's own coset table, T(k)'s cosets under its Schreier
+generators, on which an entry is traced from every coset.
 ``substitute`` is the free-group homomorphism those routines and the
 letter-by-letter braid action are built on.  ``SuffixAutomaton`` (Blumer et
 al., TCS 1985) gives, at each end of a walk, the longest match in its text and
@@ -284,6 +286,27 @@ def holds_in(alphabet, rows, w):
 def backmap_word(gens, w: Word) -> Word:
     """Expand a word over a cover's Schreier generators into the parent alphabet."""
     return substitute(w, gens.backmap)
+
+
+def stage_table(gens, parent):
+    """``parent``'s cosets under the Schreier generators of ``gens``, each
+    acting as its defining word u_r g u_{r+q(g)}^-1 does."""
+    cols = parent.cols
+    act = {s: (cols[2 * i], cols[2 * i + 1]) for i, s in enumerate(parent.alphabet)}
+    ident, reps = list(range(parent.order + 1)), gens.reps
+    perm = {(): (ident, ident)}     # each representative's and its inverse's, by prefix
+    for u in sorted(reps, key=len)[1:]:
+        (sym, sign), (img, inv) = u.letters[-1], perm[u.letters[:-1]]
+        fwd, bwd = act[sym][::sign]
+        perm[u.letters] = ([fwd[x] for x in img], [inv[x] for x in bwd])
+    images = []
+    for (r, g), sym in gens.gens.items():   # in the order of gens.alphabet
+        if sym is not None:
+            ur, ur_inv = perm[reps[r].letters]
+            us, us_inv = perm[reps[(r + gens.images[g]) % gens.modulus].letters]
+            fwd, bwd = act[g]
+            images += ([us_inv[fwd[x]] for x in ur], [ur_inv[bwd[x]] for x in us])
+    return type(parent)(gens.alphabet, parent.order, images)
 
 
 def base_word(pipe, entry, orbifold) -> Word:

@@ -237,7 +237,7 @@ def test_is_regular_rejects_tables_of_nontrivial_subgroups():
     table = cosets.CosetTable(S3.alphabet, 3, [a, a, b, b])
     table.validate(S3)
     assert not cosets.is_regular(table)
-    assert holds_in(table, word((A, 1)), regular=True) and not holds_in(table, word((A, 1)))
+    assert table.cols[0][1] == 1 and not holds_in(table, word((A, 1)))
     # two orbits: not transitive, so not regular either
     swap = [0, 2, 1, 4, 3]
     assert not cosets.is_regular(cosets.CosetTable(S3.alphabet, 4, [swap] * 4))
@@ -247,20 +247,26 @@ def test_is_regular_rejects_tables_of_nontrivial_subgroups():
 
 def test_one_coset_verdicts_read_mutants_false(pipe):
     # T(k) is certified regular; every corpus entry and two mutants of it (a
-    # generator appended, the first letter inverted) read the same from
-    # coset 1 as from every coset, and the mutants false in the group read false
+    # generator appended, the first letter inverted), pushed down to T(k) and
+    # traced from coset 1, read as on every coset of the stage's own table,
+    # and the mutants false in the group read false
     false = 0
-    for k in (1, 2):
-        quotient = pipe.quotient(k)
+    for k in (1, 2, 6):
+        quotient, orbifold = pipe.quotient(k), pipe.orbifold(k)
         assert cosets.is_regular(quotient)
-        z2 = pipe.z2.gens.table(quotient)
-        tables = {"pi_prime": quotient, "z2": z2, "orbifold": pipe.orbifold(k).gens.table(z2)}
+        z2 = reference.stage_table(pipe.z2.gens, quotient)
+        tables = {"pi_prime": quotient, "z2": z2,
+                  "orbifold": reference.stage_table(orbifold.gens, z2)}
+        entries = []
         for e in pipeline.regression_corpus(k):
             table, w = tables[e.stage], e.relation
             (sym, sign), rest = w.letters[0], w.letters[1:]
             for x in (w, w * Word.gen(table.alphabet.symbols[0]),
                       Word.of(((sym, -sign), *rest))):
-                verdict = holds_in(table, x, regular=True)
-                assert verdict == holds_in(table, x), (k, e.ident, x)
-                false += not verdict
+                entries.append(e._replace(ident=str(len(entries)), relation=x))
+        verdicts = pipeline.trace_corpus(quotient, pipe.z2.gens, orbifold.gens, entries)
+        assert len(verdicts) == len(entries)
+        for e in entries:
+            assert verdicts[e.ident] == holds_in(tables[e.stage], e.relation), (k, e.relation)
+            false += not verdicts[e.ident]
     assert false > 100, false

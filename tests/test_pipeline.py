@@ -4,6 +4,7 @@ import pytest
 
 from braidpi import pipeline
 from braidpi.analysis import AbelianInvariants, abelian_invariants
+from braidpi.cli import main
 from braidpi.cosets import holds_in, is_abelian, todd_coxeter
 from braidpi.pipeline import (A, B, D, DELTA, GAMMA, SIGMA, PipelineError, full_alphabet,
                               paper_braids, pi_prime, regression_corpus, run)
@@ -179,6 +180,22 @@ def test_index_law_mismatch_fails_the_run(monkeypatch):
         pipe.run(1)
 
 
+def test_irregular_quotient_fails_the_run(shared_pipeline, monkeypatch, capsys):
+    # the regularity certificate is what lets each entry be traced from coset 1
+    monkeypatch.setattr(pipeline, "is_regular", lambda table: False)
+    with pytest.raises(PipelineError, match=r"the coset table of T\(1\) is not regular"):
+        shared_pipeline.run(1)
+    assert main(["pipeline", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: the coset table of T(1) is not regular\n"
+
+
+def test_order_against_invariants_fails_the_run(pipe, monkeypatch):
+    monkeypatch.setattr(pipeline, "abelian_invariants",
+                        lambda p: AbelianInvariants((2, 2), 0))
+    with pytest.raises(PipelineError, match="order 16 != product of invariants 4"):
+        pipe.run(1)
+
+
 def test_finite_quotient_orders(pipe):
     # |T(k)| = 2 m |final group|
     assert pipe.quotient(1).order == 2 * 2 * 16 == 64
@@ -261,8 +278,8 @@ def test_stage_tables_certify_their_covers(pipe, k):
     # a stage table is T(k)'s cosets under the cover's Schreier generators:
     # closed, mutually inverse, and every cover relator fixes every coset
     orbifold = pipe.orbifold(k)
-    z2 = pipe.z2.gens.table(pipe.quotient(k))
-    for table, stage in ((z2, pipe.z2), (orbifold.gens.table(z2), orbifold)):
+    z2 = reference.stage_table(pipe.z2.gens, pipe.quotient(k))
+    for table, stage in ((z2, pipe.z2), (reference.stage_table(orbifold.gens, z2), orbifold)):
         table.validate(stage.raw)
         table.validate(stage.simplified)
     suspect = next(e for e in regression_corpus(k) if e.suspect)
